@@ -15,10 +15,10 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Optional, Sequence
 
 from .clutter import (
+    Clutter,
     MinorSpec,
     apply_chain,
     builtin,
@@ -42,17 +42,18 @@ from .gf import build_field
 from .matroid import TARGETS, circuits_isomorphic, classify, matroid_of, series_classes
 from .polyhedral import is_ideal
 from .verify import (
+    DEFAULT_ENUM_BUDGET,
+    _mfmc_condition,
     c5sq_witness,
-    count_subspaces,
     delta3_witness_k4e,
     delta3_witness_u24,
-    enumerate_subspaces,
     instance_id,
     localization_profile,
     summarize_certificate,
-    verify_theorem,
+    sweep_theorem,
 )
 from .vspace import (
+    Point,
     Subspace,
     disjoint_support_basis,
     factor,
@@ -151,8 +152,7 @@ def cmd_field(args: argparse.Namespace) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _analysis_ideal(space: Subspace, max_ground: int) -> tuple[dict[str, Any], list[str]]:
-    cl = mult(space)
+def _analysis_ideal(cl: Clutter, max_ground: int) -> tuple[dict[str, Any], list[str]]:
     try:
         cert = is_ideal(cl, max_ground=max_ground)
     except TooLarge:
@@ -173,29 +173,16 @@ def _analysis_ideal(space: Subspace, max_ground: int) -> tuple[dict[str, Any], l
 
 
 def _analysis_mfmc(
-    space: Subspace, minor_budget: Optional[int], packing_budget: Optional[int]
+    cl: Clutter, has_basis: bool, packing_budget: Optional[int]
 ) -> tuple[dict[str, Any], list[str]]:
-    report = verify_theorem(
-        space,
-        "1.4",
-        minor_budget=minor_budget,
-        packing_budget=packing_budget,
-    )
-    verdict = report.cond_i
-    method = report.methods.get("i", "")
-    lines = [f"mfmc: {_fmt_verdict(verdict).upper()} ({method})"]
-    data = {
-        "verdict": verdict,
-        "method": method,
-        "certificate": summarize_certificate(report.certificates.get("i")),
-    }
-    return data, lines
+    verdict, method, cert = _mfmc_condition(cl, has_basis, packing_budget)
+    data = {"verdict": verdict, "method": method, "certificate": summarize_certificate(cert)}
+    return data, [f"mfmc: {_fmt_verdict(verdict).upper()} ({method})"]
 
 
 def _analysis_minors(
-    space: Subspace, minor_budget: Optional[int]
+    cl: Clutter, minor_budget: Optional[int]
 ) -> tuple[dict[str, Any], list[str]]:
-    cl = mult(space)
     data: dict[str, Any] = {}
     lines: list[str] = []
     for name in _MINOR_TARGET_NAMES:
@@ -216,9 +203,10 @@ def _analysis_minors(
     return data, lines
 
 
-def _analysis_structure(space: Subspace) -> tuple[dict[str, Any], list[str]]:
+def _analysis_structure(
+    space: Subspace, basis: Optional[tuple[Point, ...]]
+) -> tuple[dict[str, Any], list[str]]:
     lines: list[str] = []
-    basis = disjoint_support_basis(space)
     if basis is None:
         lines.append("disjoint-support basis: none")
     else:
@@ -249,13 +237,13 @@ def _analysis_structure(space: Subspace) -> tuple[dict[str, Any], list[str]]:
             + (f" ({desc})" if piece.dim > 1 else "")
         )
         piece_data.append(entry)
-    m = matroid_of(space)
-    cls_txt = " ".join("{" + ",".join(map(str, c)) + "}" for c in series_classes(m))
+    classes = series_classes(matroid_of(space))
+    cls_txt = " ".join("{" + ",".join(map(str, c)) + "}" for c in classes)
     lines.append(f"series classes: {cls_txt}")
     data = {
         "disjoint_basis": None if basis is None else [list(r) for r in basis],
         "factors": piece_data,
-        "series_classes": [list(c) for c in series_classes(m)],
+        "series_classes": [list(c) for c in classes],
     }
     return data, lines
 
@@ -311,26 +299,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_OK if ok else EXIT_ERROR
     budget = args.budget if args.budget is not None else _env_budget()
     run_all = not (args.ideal or args.mfmc or args.minors or args.structure)
+    ideal, mfmc, minors, structure = (
+        run_all or wanted for wanted in (args.ideal, args.mfmc, args.minors, args.structure)
+    )
+    cl = mult(space) if ideal or mfmc or minors else None
+    basis = disjoint_support_basis(space) if mfmc or structure else None
     report: dict[str, Any] = {"instance": instance_id(space)}
     lines: list[str] = [f"instance: {instance_id(space)}"]
     unknown = False
-    if args.ideal or run_all:
-        data, txt = _analysis_ideal(space, args.max_ground)
+    if ideal:
+        data, txt = _analysis_ideal(cl, args.max_ground)
         report["ideal"] = data
         lines += txt
         unknown |= data["verdict"] is None
-    if args.mfmc or run_all:
-        data, txt = _analysis_mfmc(space, budget, budget)
+    if mfmc:
+        data, txt = _analysis_mfmc(cl, basis is not None, budget)
         report["mfmc"] = data
         lines += txt
         unknown |= data["verdict"] is None
-    if args.minors or run_all:
-        data, txt = _analysis_minors(space, budget)
+    if minors:
+        data, txt = _analysis_minors(cl, budget)
         report["minors"] = data
         lines += txt
         unknown |= any(v is None for v in data.values())
-    if args.structure or run_all:
-        data, txt = _analysis_structure(space)
+    if structure:
+        data, txt = _analysis_structure(space, basis)
         report["structure"] = data
         lines += txt
     if args.json:
@@ -397,36 +390,20 @@ def cmd_witness(args: argparse.Namespace) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_worker(payload: tuple) -> dict[str, Any]:
-    q, n, rows, which, minor_budget, packing_budget, max_ground = payload
-    space = Subspace(build_field(q), n, rows)
-    report = verify_theorem(
-        space,
-        which,
-        max_ground=max_ground,
-        minor_budget=minor_budget,
-        packing_budget=packing_budget,
-    )
-    return report.to_dict()
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else _env_budget()
-    total = count_subspaces(args.q, args.n)
-    enum_cap = budget if budget is not None else 1_000_000
-    if total > enum_cap:
-        raise BudgetExceeded(
-            f"{total} subspaces of GF({args.q})^{args.n} exceeds the budget {enum_cap}"
-        )
-    payloads = [
-        (args.q, args.n, space.basis, args.theorem, budget, budget, args.max_ground)
-        for space in enumerate_subspaces(args.q, args.n, budget=enum_cap)
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_sweep_worker, payloads, chunksize=8))
-    else:
-        reports = [_sweep_worker(p) for p in payloads]
+    swept = sweep_theorem(
+        args.q,
+        args.n,
+        args.theorem,
+        jobs=args.jobs,
+        enum_budget=DEFAULT_ENUM_BUDGET if budget is None else budget,
+        max_ground=args.max_ground,
+        minor_budget=budget,
+        packing_budget=budget,
+    )
+    reports = [r.to_dict() for r in swept]
+    total = len(reports)
     disagreements = sum(1 for r in reports if not r["agreement"])
     unknowns = sum(len(r["unknown"]) for r in reports)
     if args.json:

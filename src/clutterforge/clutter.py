@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     OverlapError,
     ParseError,
+    PreconditionViolated,
     TooLarge,
     VerificationFailure,
 )
@@ -74,7 +75,7 @@ class Clutter:
             raise TooLarge(f"ground of {len(ground)} elements exceeds {MAX_GROUND_SIZE}")
         index = {e: i for i, e in enumerate(ground)}
         if len(index) != len(ground):
-            raise ValueError("duplicate ground labels")
+            raise PreconditionViolated("duplicate ground labels")
         masks = []
         for m in self.members:
             if isinstance(m, int):
@@ -178,7 +179,8 @@ def mult(obj: Union[Subspace, SetSystem]) -> Clutter:
         frozenset((c, x[k]) for k, c in enumerate(coords)) for x in points
     ]
     out = Clutter(tuple(ground), tuple(members))
-    assert len(out.members) == len(points), "points must biject with members"
+    if len(out.members) != len(points):
+        raise VerificationFailure("points must biject with members")
     return out
 
 

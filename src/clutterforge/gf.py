@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DivisionByZero, NotPrimePower, UnsupportedField
+from .errors import DivisionByZero, NotPrimePower, UnsupportedField, VerificationFailure
 
 MAX_ORDER = 32
 
@@ -112,7 +112,7 @@ def _check_irreducible(modulus: tuple[int, ...], p: int) -> None:
         for enc in range(total):
             cand = list(_int_to_poly(enc, p, deg)) + [1]
             if _poly_divides(tuple(cand), modulus, p):
-                raise AssertionError(
+                raise VerificationFailure(
                     f"modulus {modulus} over GF({p}) has a degree-{deg} factor"
                 )
 
@@ -163,7 +163,7 @@ class GF:
                     inv[x] = y
                     break
             else:
-                raise AssertionError(f"element {x} of GF({q}) has no inverse")
+                raise VerificationFailure(f"element {x} of GF({q}) has no inverse")
         self.inv_table: tuple[int, ...] = tuple(inv)
         self._self_check()
 
@@ -224,39 +224,41 @@ class GF:
         add, mul = self.add_table, self.mul_table
         # identities and commutativity
         for x in range(q):
-            assert add[0][x] == x and add[x][0] == x
-            assert mul[1][x] == x and mul[x][1] == x
-            assert mul[0][x] == 0
+            if not (add[0][x] == x == add[x][0] and mul[1][x] == x == mul[x][1] and mul[0][x] == 0):
+                raise VerificationFailure(f"GF({q}): identity laws fail at {x}")
             for y in range(q):
-                assert add[x][y] == add[y][x]
-                assert mul[x][y] == mul[y][x]
+                if add[x][y] != add[y][x] or mul[x][y] != mul[y][x]:
+                    raise VerificationFailure(f"GF({q}): {x} and {y} do not commute")
         # Latin squares: addition on all rows, multiplication on nonzero rows
         full = frozenset(range(q))
         nonzero = frozenset(range(1, q))
         for x in range(q):
-            assert frozenset(add[x]) == full
-            if x:
-                assert frozenset(mul[x][1:]) == nonzero
+            if frozenset(add[x]) != full or (x and frozenset(mul[x][1:]) != nonzero):
+                raise VerificationFailure(f"GF({q}): row {x} is not a permutation")
         # associativity and distributivity, exhaustive (q <= 32 so q^3 <= 32768)
         for x in range(q):
             for y in range(q):
                 for z in range(q):
-                    assert add[add[x][y]][z] == add[x][add[y][z]]
-                    assert mul[mul[x][y]][z] == mul[x][mul[y][z]]
-                    assert mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]]
+                    if add[add[x][y]][z] != add[x][add[y][z]] or mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                        raise VerificationFailure(f"GF({q}): associativity fails at {x}, {y}, {z}")
+                    if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
+                        raise VerificationFailure(f"GF({q}): distributivity fails at {x}, {y}, {z}")
         # characteristic p: adding any element to itself p times gives 0
         for x in range(q):
             s = 0
             for _ in range(p):
                 s = add[s][x]
-            assert s == 0
+            if s != 0:
+                raise VerificationFailure(f"GF({q}): {p} * {x} is not 0")
         # the nonzero elements form a cyclic group: some element has order q-1
-        assert any(self._order(g) == q - 1 for g in range(1, q))
+        if not any(self._order(g) == q - 1 for g in range(1, q)):
+            raise VerificationFailure(f"GF({q}): no element generates the nonzero elements")
         # Frobenius x -> x^p is additive
         frob = [self.pow(x, p) for x in range(q)]
         for x in range(q):
             for y in range(q):
-                assert frob[add[x][y]] == add[frob[x]][frob[y]]
+                if frob[add[x][y]] != add[frob[x]][frob[y]]:
+                    raise VerificationFailure(f"GF({q}): Frobenius is not additive at {x}, {y}")
 
     def _order(self, g: int) -> int:
         n = 1
@@ -265,7 +267,7 @@ class GF:
             x = self.mul_table[x][g]
             n += 1
             if n > self.q:
-                raise AssertionError("order computation diverged")
+                raise VerificationFailure("order computation diverged")
         return n
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
-from .errors import BadIndex, BudgetExceeded, OverlapError, TooLarge
+from .errors import BadIndex, BudgetExceeded, OverlapError, PreconditionViolated, TooLarge, VerificationFailure
 
 if TYPE_CHECKING:  # pragma: no cover
     from .vspace import Subspace
@@ -44,23 +44,23 @@ class CircuitMatroid:
         raw = [frozenset(c) for c in self.circuits]
         circs = tuple(sorted(set(raw), key=lambda s: (len(s), sorted(s))))
         if len(circs) != len(raw):
-            raise ValueError("duplicate circuits")
+            raise PreconditionViolated("duplicate circuits")
         object.__setattr__(self, "circuits", circs)
         for c in circs:
             if not c:
-                raise ValueError("the empty set cannot be a circuit")
+                raise PreconditionViolated("the empty set cannot be a circuit")
             if any(e < 0 or e >= self.size for e in c):
                 raise BadIndex(f"circuit {sorted(c)} leaves ground range 0..{self.size - 1}")
         for a, b in itertools.combinations(circs, 2):
             if a <= b or b <= a:
-                raise ValueError(f"circuits {sorted(a)} and {sorted(b)} are nested")
+                raise PreconditionViolated(f"circuits {sorted(a)} and {sorted(b)} are nested")
         if self.size <= MAX_GROUND:
             # circuit elimination axiom (checked exhaustively on small grounds)
             for a, b in itertools.combinations(circs, 2):
                 for e in a & b:
                     union = (a | b) - {e}
                     if not any(c <= union for c in circs):
-                        raise ValueError(
+                        raise PreconditionViolated(
                             f"circuit elimination fails for {sorted(a)}, {sorted(b)} at {e}"
                         )
 
@@ -97,7 +97,7 @@ def matroid_of(space: "Subspace") -> CircuitMatroid:
     ]
     m = CircuitMatroid(space.n, _minimal_sets(supports), source=space)
     if m.rank() != space.n - space.dim:
-        raise AssertionError(
+        raise VerificationFailure(
             f"rank {m.rank()} disagrees with n - dim = {space.n - space.dim}"
         )
     return m

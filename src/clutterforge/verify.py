@@ -7,6 +7,7 @@ before being returned, so a witness in hand is always a verified one.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -61,7 +62,8 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
     for i in range(r):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise VerificationFailure(f"Gaussian binomial [{n} choose {r}]_{q} is not an integer")
     return num // den
 
 
@@ -79,7 +81,7 @@ def enumerate_subspaces(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> It
     """
     total = count_subspaces(q, n)
     if total > budget:
-        raise BudgetExceeded(f"{total} subspaces of GF({q})^{n} exceeds budget {budget}")
+        raise BudgetExceeded(f"{total} subspaces of GF({q})^{n} exceeds the budget {budget}")
     field = build_field(q)
     for r in range(n + 1):
         for pivots in itertools.combinations(range(n), r):
@@ -579,7 +581,8 @@ def localization_profile(space: Subspace, alpha: Sequence[int]) -> LocalizationP
     sigma = 0
     for v in alpha_t:
         sigma = f.add(sigma, v)
-    assert sigma != 0
+    if sigma == 0:
+        raise VerificationFailure("point outside the space must have nonzero functional value")
 
     def to_s(part: int, value: int) -> int:
         return f.div(value, lam[part])
@@ -905,6 +908,36 @@ _MINOR_TARGETS = {
 }
 
 
+def _mfmc_condition(
+    cl: Clutter, cond_ii: bool, packing_budget: Optional[int]
+) -> tuple[Optional[bool], str, Any]:
+    """Condition (i) of statement 1.4 as (verdict, method, certificate)."""
+    try:
+        violation = has_packing_property(cl, budget=packing_budget)
+    except BudgetExceeded as exc:
+        try:
+            hit = mfmc_check(cl, 1)
+        except BudgetExceeded:
+            hit = None
+        if hit is None:
+            return None, f"unknown: packing sweep out of budget ({exc})", None
+        return False, "refuted: explicit weight vector with covering > packing", hit
+    if violation is not None:
+        inner = minor(cl, violation)
+        method = (
+            "refuted: a minor fails to pack at unit weights, and covering = "
+            "packing at all weights is minor-closed"
+        )
+        return False, method, (violation, tau(inner, 1), nu(inner, 1))
+    if not cond_ii:
+        return None, "unknown: no finite test concluded", None
+    method = (
+        "derived: disjoint-support structure, with an exhaustive "
+        "packing-property sweep finding no violation"
+    )
+    return True, method, None
+
+
 def verify_theorem(
     space: Subspace,
     which: Any,
@@ -912,7 +945,6 @@ def verify_theorem(
     max_ground: int = 14,
     minor_budget: Optional[int] = None,
     packing_budget: Optional[int] = None,
-    mfmc_bounds: Sequence[int] = (1,),
 ) -> TheoremReport:
     """Evaluate one three-way equivalence on one instance, with certificates.
 
@@ -924,14 +956,17 @@ def verify_theorem(
                         basis <=> neither delta3 nor q6 minor
 
     Condition (i) is computed by exact extreme-point enumeration when the
-    ground fits max_ground (for 1.4: by a packing-property sweep plus a
-    bounded-weight refuter); beyond budget it is derived from the other
+    ground fits max_ground; beyond budget it is derived from the other
     conditions where a sound one-directional argument exists, and the
-    derivation is labeled in methods. Condition (ii) uses the structural
-    detectors; condition (iii) uses exhaustive minor search within budget,
-    the constructive 5-cycle witness where applicable, and otherwise the
-    fact that ideal clutters have no non-ideal minors. Budget failures leave
-    verdicts None and are reported per condition.
+    derivation is labeled in methods. For 1.4 it is refuted by a
+    packing-property sweep over every minor, else derived from condition
+    (ii); the bounded-weight refuter runs only when that sweep is out of
+    budget, since at weights w in {0,1}^V tau and nu are those of the minor
+    deleting {e : w_e = 0}, which the sweep tests. Condition (ii) uses the
+    structural detectors; condition (iii) uses exhaustive minor search within
+    budget, the constructive 5-cycle witness where applicable, and otherwise
+    the fact that ideal clutters have no non-ideal minors. Budget failures
+    leave verdicts None and are reported per condition.
     """
     t = _normalize_theorem_id(which)
     q = space.q
@@ -965,45 +1000,9 @@ def verify_theorem(
     # -- condition (i): polyhedral / flow side -----------------------------
     cond_i: Optional[bool] = None
     if t == "1.4":
-        packing_violation: Optional[MinorSpec] = None
-        packing_unknown = False
-        try:
-            packing_violation = has_packing_property(cl, budget=packing_budget)
-        except BudgetExceeded as exc:
-            packing_unknown = True
-            methods["i"] = f"unknown: packing sweep out of budget ({exc})"
-        if packing_violation is not None:
-            inner = minor(cl, packing_violation)
-            cond_i = False
-            certs["i"] = (packing_violation, tau(inner, 1), nu(inner, 1))
-            methods["i"] = (
-                "refuted: a minor fails to pack at unit weights, and covering = "
-                "packing at all weights is minor-closed"
-            )
-        else:
-            weight_violation = None
-            refuter_unknown = False
-            for bound in mfmc_bounds:
-                try:
-                    weight_violation = mfmc_check(cl, bound)
-                except BudgetExceeded:
-                    refuter_unknown = True
-                    break
-                if weight_violation is not None:
-                    break
-            if weight_violation is not None:
-                cond_i = False
-                certs["i"] = weight_violation
-                methods["i"] = "refuted: explicit weight vector with covering > packing"
-            elif not packing_unknown and cond_ii:
-                cond_i = True
-                methods["i"] = (
-                    "derived: disjoint-support structure, with an exhaustive "
-                    "packing-property sweep and a bounded-weight refuter finding no violation"
-                )
-            elif "i" not in methods:
-                hint = "refuter budget hit" if refuter_unknown else "no finite test concluded"
-                methods["i"] = f"unknown: {hint}"
+        cond_i, methods["i"], cert_i = _mfmc_condition(cl, cond_ii, packing_budget)
+        if cert_i is not None:
+            certs["i"] = cert_i
     else:
         try:
             cert = is_ideal(cl, max_ground=max_ground)
@@ -1083,16 +1082,32 @@ def verify_theorem(
     )
 
 
+def _verify_basis(q: int, n: int, which: Any, basis: tuple[Point, ...], **kwargs: Any) -> TheoremReport:
+    """verify_theorem on the subspace of GF(q)^n with this RREF basis (a pool task)."""
+    return verify_theorem(Subspace(build_field(q), n, basis), which, **kwargs)
+
+
 def sweep_theorem(
     q: int,
     n: int,
     which: Any,
     *,
+    jobs: int = 1,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
     **kwargs: Any,
 ) -> list[TheoremReport]:
-    """verify_theorem over every subspace of GF(q)^n, in enumeration order."""
-    return [
-        verify_theorem(space, which, **kwargs)
-        for space in enumerate_subspaces(q, n, budget=enum_budget)
-    ]
+    """verify_theorem over every subspace of GF(q)^n, in enumeration order.
+
+    With jobs > 1 the instances are verified in that many worker processes;
+    the reports are the same as with jobs=1.
+    """
+    spaces = enumerate_subspaces(q, n, budget=enum_budget)
+    if jobs <= 1:
+        return [verify_theorem(space, which, **kwargs) for space in spaces]
+    # imported here so that `import clutterforge` does not pay for it
+    from concurrent.futures import ProcessPoolExecutor
+
+    task = functools.partial(_verify_basis, q, n, which, **kwargs)
+    bases = [space.basis for space in spaces]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(task, bases, chunksize=8))

@@ -23,6 +23,7 @@ from .errors import (
     NotConnectedComponent,
     OverlapError,
     ParseError,
+    PreconditionViolated,
     TooLarge,
     VerificationFailure,
 )
@@ -100,7 +101,7 @@ class Subspace:
         object.__setattr__(self, "basis", rows)
         reduced, _ = _rref(self.field, rows)
         if reduced != rows:
-            raise ValueError("basis is not in reduced row echelon form; use span()")
+            raise PreconditionViolated("basis is not in reduced row echelon form; use span()")
 
     @property
     def q(self) -> int:

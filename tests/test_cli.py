@@ -7,6 +7,8 @@ import json
 
 import pytest
 
+import clutterforge.cli
+import clutterforge.verify
 from clutterforge.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, main
 
 
@@ -110,6 +112,20 @@ class TestAnalyze:
         assert report["mfmc"]["verdict"] is False
         assert report["minors"]["delta3"]["present"] is False
         assert report["minors"]["q6"]["present"] is True
+
+    def test_json_report_searches_each_minor_once(self, capsys, gf4_plane, monkeypatch):
+        targets = []
+        for module in (clutterforge.cli, clutterforge.verify):
+            real = module.find_minor
+
+            def counting(cl, target, *args, real=real, **kwargs):
+                targets.append(target)
+                return real(cl, target, *args, **kwargs)
+
+            monkeypatch.setattr(module, "find_minor", counting)
+        code, _, _ = run_cli(capsys, "analyze", gf4_plane, "--json")
+        assert code == EXIT_OK
+        assert len(targets) == 3
 
     def test_out_of_reach_polyhedron_is_unknown(self, capsys, gf8_hyperplane):
         code, out, _ = run_cli(capsys, "analyze", gf8_hyperplane, "--ideal")

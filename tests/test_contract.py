@@ -1,0 +1,73 @@
+"""Package-wide contracts: deliberate errors derive from ClutterforgeError,
+checks still run under ``python -O``, and importing the package loads no
+process-pool machinery."""
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import clutterforge
+from clutterforge.clutter import Clutter
+from clutterforge.errors import ClutterforgeError
+from clutterforge.gf import build_field
+from clutterforge.matroid import CircuitMatroid
+from clutterforge.vspace import Subspace
+
+PACKAGE_DIR = Path(clutterforge.__file__).parent
+
+
+def _run_python(*args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE_DIR.parent), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_code_has_no_assert_statements():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_sweep_output_is_unchanged_under_optimize_flag():
+    argv = ["-m", "clutterforge.cli", "sweep", "--q", "3", "--n", "2", "--theorem", "1.1",
+            "--jobs", "2", "--json"]
+    plain = _run_python(*argv)
+    assert plain.startswith('{"q": 3')
+    assert _run_python("-O", *argv) == plain
+
+
+def test_import_loads_no_process_pool():
+    out = _run_python("-c", "import sys, clutterforge; print('concurrent.futures.process' in sys.modules)")
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Subspace(build_field(3), 2, ((0, 1), (1, 0))),
+        lambda: Clutter((1, 1), [{1}]),
+        lambda: CircuitMatroid(3, (frozenset({0, 1}), frozenset({0, 1}))),
+        lambda: CircuitMatroid(3, (frozenset(),)),
+        lambda: CircuitMatroid(3, (frozenset({0}), frozenset({0, 1}))),
+        lambda: CircuitMatroid(4, (frozenset({0, 1}), frozenset({1, 2}))),
+    ],
+    ids=["non-rref-basis", "duplicate-labels", "duplicate-circuits", "empty-circuit",
+         "nested-circuits", "elimination-fails"],
+)
+def test_constructor_errors_derive_from_clutterforge_error(build):
+    with pytest.raises(ClutterforgeError) as info:
+        build()
+    assert isinstance(info.value, ValueError)

@@ -167,7 +167,16 @@ class TestEnumeration:
         graphs = enumerate_connected_multigraphs(3, 3)
         for g in graphs:
             assert g.n_vertices <= 3 and len(g.edges) <= 3
-            assert len(blocks(g)) == 0 or True
+            reached = {0}
+            frontier = [0]
+            while frontier:
+                u = frontier.pop()
+                for a, b in g.edges:
+                    for x, y in ((a, b), (b, a)):
+                        if x == u and y not in reached:
+                            reached.add(y)
+                            frontier.append(y)
+            assert reached == set(range(g.n_vertices))
         # no duplicates up to isomorphism: canonical forms are the identity
         assert len({(g.n_vertices, g.edges) for g in graphs}) == len(graphs)
 

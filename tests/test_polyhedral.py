@@ -7,6 +7,7 @@ nu by bounded multiplicity enumeration.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from clutterforge.polyhedral import (
     tau,
     tau_star,
 )
+from clutterforge.verify import enumerate_subspaces
 from clutterforge.vspace import span
 
 HALF = Fraction(1, 2)
@@ -458,3 +460,22 @@ class TestMfmcCheck:
         hit = mfmc_check(mult(ex92), 1)
         assert hit is not None
         assert hit[1] != hit[2]
+
+    def test_unit_weight_refuter_adds_nothing_to_the_packing_sweep(self):
+        # at w in {0,1}^V with Z = {e : w_e = 0}, tau(C, w) and nu(C, w) are
+        # tau and nu of the deletion minor C \ Z, which the sweep visits
+        clutters = [mult(s) for q, n in ((2, 3), (3, 2)) for s in enumerate_subspaces(q, n)]
+        rng = random.Random(7)
+        for _ in range(200):
+            size = rng.randint(1, 8)
+            members = [
+                {e for e in range(size) if rng.random() < 0.4} or {rng.randrange(size)}
+                for _ in range(rng.randint(1, 6))
+            ]
+            clutters.append(Clutter(tuple(range(size)), members))
+        swept = 0
+        for c in clutters:
+            if has_packing_property(c) is None:
+                swept += 1
+                assert mfmc_check(c, 1) is None, c
+        assert swept >= 100

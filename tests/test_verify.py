@@ -36,7 +36,8 @@ from clutterforge.errors import (
 )
 from clutterforge.gf import build_field
 from clutterforge.matroid import matroid_of
-from clutterforge.polyhedral import is_ideal
+from clutterforge.polyhedral import is_ideal, nu, tau
+import clutterforge.verify as verify_module
 from clutterforge.verify import (
     LocalizationProfile,
     TheoremReport,
@@ -593,6 +594,25 @@ class TestVerifyTheorem:
         assert r.methods["i"].startswith("derived")
         assert r.methods["iii"].startswith("derived")
 
+    def test_flow_weight_refuter_runs_only_past_the_packing_budget(self, f2, r11, monkeypatch):
+        calls = []
+        real = verify_module.mfmc_check
+        monkeypatch.setattr(verify_module, "mfmc_check", lambda *a: calls.append(a) or real(*a))
+        packing = verify_theorem(span(f2, 3, [(1, 1, 0)]), "1.4")
+        assert packing.cond_i is True and "i" not in packing.certificates
+        assert packing.methods["i"] == (
+            "derived: disjoint-support structure, with an exhaustive "
+            "packing-property sweep finding no violation"
+        )
+        swept = verify_theorem(r11, "1.4")
+        assert swept.methods["i"].startswith("refuted: a minor fails to pack")
+        assert calls == []
+        weighted = verify_theorem(r11, "1.4", packing_budget=1)
+        assert weighted.cond_i is False and len(calls) == 1
+        assert weighted.methods["i"] == "refuted: explicit weight vector with covering > packing"
+        w, cover, packing_value = weighted.certificates["i"]
+        assert cover == tau(mult(r11), list(w)) != packing_value == nu(mult(r11), list(w))
+
     def test_report_serializes(self, zero_sum_gf3, r11):
         for rep in (verify_theorem(zero_sum_gf3, "1.1"), verify_theorem(r11, "1.4")):
             data = json.loads(json.dumps(rep.to_dict()))
@@ -642,6 +662,13 @@ class TestSweeps:
         witnessed = [r for r in reports if "witness" in r.methods["iii"]]
         assert len(witnessed) == 49
         assert all(r.cond_ii is False for r in witnessed)
+
+    @pytest.mark.parametrize("q, n, which", [(3, 3, "1.1"), (2, 3, "1.4")])
+    def test_parallel_matches_serial(self, q, n, which):
+        serial = sweep_theorem(q, n, which)
+        parallel = sweep_theorem(q, n, which, jobs=2)
+        assert parallel == serial
+        assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
 
     def test_cond_i_matches_direct_idealness(self, subspaces_gf3_3):
         for space, report in zip(subspaces_gf3_3, sweep_theorem(3, 3, "1.1")):
