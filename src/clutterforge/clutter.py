@@ -22,7 +22,9 @@ from .errors import (
     ParseError,
     PreconditionViolated,
     TooLarge,
+    UnknownName,
     VerificationFailure,
+    WrongType,
 )
 from .vspace import SetSystem, Subspace
 
@@ -171,7 +173,7 @@ def mult(obj: Union[Subspace, SetSystem]) -> Clutter:
         if len(points) > MAX_MULT_POINTS:
             raise TooLarge(f"{len(points)} points exceeds {MAX_MULT_POINTS}")
     else:
-        raise TypeError(f"mult expects a Subspace or SetSystem, got {type(obj).__name__}")
+        raise WrongType(f"mult expects a Subspace or SetSystem, got {type(obj).__name__}")
     ground = [(c, v) for c, vals in zip(coords, values) for v in vals]
     if len(ground) > MAX_GROUND_SIZE:
         raise TooLarge(f"ground of {len(ground)} elements exceeds {MAX_GROUND_SIZE}")
@@ -193,7 +195,7 @@ def builtin(name: str) -> Clutter:
     }
     key = name.lower()
     if key not in table:
-        raise KeyError(f"unknown builtin {name!r}; choose from Delta3, Q6, C5sq")
+        raise UnknownName(f"unknown builtin {name!r}; choose from Delta3, Q6, C5sq")
     ground, members = table[key]
     return Clutter(ground, members)
 
@@ -201,6 +203,24 @@ def builtin(name: str) -> Clutter:
 # ---------------------------------------------------------------------------
 # minors
 # ---------------------------------------------------------------------------
+
+def _minor_members(members: Iterable[int], imask: int, jmask: int) -> tuple[int, ...]:
+    """Members of the minor deleting `imask` and contracting `jmask`, as masks.
+
+    Drops members meeting imask, clears jmask from the rest, closes the gaps
+    left by both masks (the kept elements keep their order) and minimalizes.
+    """
+    removed = _bits(imask | jmask)[::-1]
+    out = []
+    for m in members:
+        if m & imask:
+            continue
+        m &= ~jmask
+        for r in removed:
+            m = (m >> (r + 1) << r) | (m & ((1 << r) - 1))
+        out.append(m)
+    return _minimal_masks(out)
+
 
 def minor(c: Clutter, spec: MinorSpec) -> Clutter:
     """Delete I (drop members meeting it), contract J (remove it from members).
@@ -219,16 +239,8 @@ def minor(c: Clutter, spec: MinorSpec) -> Clutter:
             imask |= 1 << i
         elif e in spec.contract:
             jmask |= 1 << i
-    keep = [i for i in range(len(c.ground)) if not (1 << i) & (imask | jmask)]
-    new_pos = {old: new for new, old in enumerate(keep)}
-    survivors = [m & ~jmask for m in c.members if not m & imask]
-    remapped = []
-    for m in survivors:
-        out = 0
-        for b in _bits(m):
-            out |= 1 << new_pos[b]
-        remapped.append(out)
-    return Clutter(tuple(c.ground[i] for i in keep), tuple(remapped))
+    keep = tuple(e for i, e in enumerate(c.ground) if not (imask | jmask) >> i & 1)
+    return Clutter(keep, _minor_members(c.members, imask, jmask))
 
 
 def apply_chain(c: Clutter, specs: Iterable[MinorSpec]) -> Clutter:

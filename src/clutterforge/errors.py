@@ -73,6 +73,18 @@ class NoSeriesPair(ClutterforgeError, ValueError):
     """No series class of size at least two exists, so no series pair can be built."""
 
 
+class WrongType(ClutterforgeError, TypeError):
+    """An argument is of a type the operation does not accept."""
+
+
+class UnknownName(ClutterforgeError, KeyError):
+    """A name matches no entry of a fixed table (built-in clutters, minor targets)."""
+
+    def __str__(self) -> str:
+        # KeyError quotes its message; print it as written
+        return str(self.args[0]) if self.args else ""
+
+
 class ParseError(ClutterforgeError, ValueError):
     """Input text or JSON could not be parsed."""
 

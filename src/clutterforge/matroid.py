@@ -11,9 +11,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Optional
 
-from .errors import BadIndex, BudgetExceeded, OverlapError, PreconditionViolated, TooLarge, VerificationFailure
+from .errors import (
+    BadIndex,
+    BudgetExceeded,
+    OverlapError,
+    PreconditionViolated,
+    TooLarge,
+    UnknownName,
+    VerificationFailure,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .vspace import Subspace
@@ -90,8 +99,14 @@ def matroid_of(space: "Subspace") -> CircuitMatroid:
     """Matroid whose circuits are the minimal supports of the space's nonzero points.
 
     Validates the rank identity rank = n - dim and keeps the space as
-    non-compared provenance.
+    non-compared provenance. Built once per distinct space and then shared;
+    the matroid is immutable.
     """
+    return _matroid_cached(space)
+
+
+@lru_cache(maxsize=4096)
+def _matroid_cached(space: "Subspace") -> CircuitMatroid:
     supports = [
         frozenset(i for i, v in enumerate(x) if v) for x in space.points() if any(x)
     ]
@@ -301,7 +316,7 @@ def _target(name: str) -> CircuitMatroid:
     for key, value in TARGETS.items():
         if key.upper() == str(name).upper():
             return value
-    raise KeyError(f"unknown minor target {name!r}; choose from {sorted(TARGETS)}")
+    raise UnknownName(f"unknown minor target {name!r}; choose from {sorted(TARGETS)}")
 
 
 def circuits_isomorphic(m1: CircuitMatroid, m2: CircuitMatroid) -> Optional[dict[int, int]]:

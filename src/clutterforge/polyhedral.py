@@ -1,7 +1,9 @@
 """Exact rational analysis of the covering polyhedron of a clutter.
 
 Q(C) = {x >= 0 : sum of x over every member >= 1}. Everything here is exact:
-extreme points come from an integer double-description sweep, idealness from
+extreme points come from an integer double-description sweep and are each
+proved extreme in integers (tightness, then the rank of the tight rows by a
+GF(2) basis or, when that falls short, Bareiss elimination), idealness from
 inspecting them, and the covering/packing numbers from exact branch-and-bound.
 No floating point is used anywhere except the infinity sentinel.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .clutter import Clutter, MinorSpec, _bits, _minimal_masks, minor
+from .clutter import Clutter, MinorSpec, _bits, _minimal_masks, _minor_members
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -144,77 +146,118 @@ def _dd_rays(n: int, member_masks: Sequence[int]) -> tuple[list[tuple[int, ...]]
     return rays, created
 
 
-def _rational_rank(rows: list[list[Fraction]], ncols: int) -> int:
+def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, list[list[int]]]:
+    """Fraction-free echelon form of an integer matrix (Bareiss, Math. Comp. 1968).
+
+    Pivots are sought in the first `ncols` columns only, so an augmented
+    right-hand side is carried along. Returns the rank and the eliminated
+    rows; every division is exact, since each entry stays a minor of the
+    input.
+    """
     mat = [row[:] for row in rows]
     rank = 0
+    prev = 1
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [x / inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        top = mat[rank]
+        p = top[col]
+        for r in range(rank + 1, len(mat)):
+            row = mat[r]
+            a = row[col]
+            mat[r] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
         rank += 1
         if rank == len(mat):
             break
-    return rank
+    return rank, mat
 
 
-def _tight_sets(
-    c: Clutter, point: tuple[Fraction, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    tight_members = tuple(
-        k
-        for k, m in enumerate(c.members)
-        if sum(point[b] for b in _bits(m)) == 1
-    )
-    tight_bounds = tuple(v for v in range(len(c.ground)) if point[v] == 0)
-    return tight_members, tight_bounds
+def _gf2_rank(masks: Iterable[int], target: int) -> int:
+    """Rank over GF(2) of bitmask rows, stopping once it reaches `target`."""
+    basis: dict[int, int] = {}
+    for m in masks:
+        while m:
+            top = m.bit_length() - 1
+            if top not in basis:
+                basis[top] = m
+                break
+            m ^= basis[top]
+        if len(basis) == target:
+            break
+    return len(basis)
 
 
-def _verify_extreme(c: Clutter, point: tuple[Fraction, ...]) -> None:
-    n = len(c.ground)
-    if any(x < 0 for x in point):
+def _full_rank(masks: list[int], support: int) -> bool:
+    """Whether the 0/1 rows `masks`, all inside `support`, span its columns.
+
+    A full rank mod 2 already proves a full rank over Q (an integer matrix
+    has rank mod p at most its rank over Q); only a short one falls through
+    to the exact Bareiss rank.
+    """
+    cols = _bits(support)
+    if _gf2_rank(masks, len(cols)) == len(cols):
+        return True
+    rows = [[m >> b & 1 for b in cols] for m in masks]
+    return _bareiss(rows, len(cols))[0] == len(cols)
+
+
+def _tightness(
+    member_bits: Sequence[Sequence[int]], ray: tuple[int, ...]
+) -> tuple[tuple[int, ...], int]:
+    """Check that the DD ray (x, t) gives a point x/t of Q(C), in integers.
+
+    Returns the members tight there (sum of x over the member equal to t)
+    and the support mask of x; the tight bounds are the columns outside it.
+    """
+    n = len(ray) - 1
+    t = ray[n]
+    if any(x < 0 for x in ray):
         raise VerificationFailure("extreme point with negative coordinate")
-    for m in c.members:
-        if sum(point[b] for b in _bits(m)) < 1:
+    tight = []
+    for k, bits in enumerate(member_bits):
+        load = sum(ray[b] for b in bits)
+        if load < t:
             raise VerificationFailure("extreme point violates a member constraint")
-    tight_members, tight_bounds = _tight_sets(c, point)
-    rows = [
-        [Fraction(1) if m >> v & 1 else Fraction(0) for v in range(n)]
-        for m in (c.members[k] for k in tight_members)
-    ]
-    rows += [
-        [Fraction(1) if v == b else Fraction(0) for v in range(n)]
-        for b in tight_bounds
-    ]
-    if _rational_rank(rows, n) != n:
+        if load == t:
+            tight.append(k)
+    support = 0
+    for j in range(n):
+        if ray[j]:
+            support |= 1 << j
+    return tuple(tight), support
+
+
+def _verify_extreme(c: Clutter, member_bits: Sequence[Sequence[int]], ray: tuple[int, ...]) -> None:
+    """Raise unless x/t is an extreme point of Q(C).
+
+    The tight bounds are unit rows on the zero coordinates, so the point is
+    pinned exactly when the tight member rows, restricted to the support,
+    have full column rank there.
+    """
+    tight, support = _tightness(member_bits, ray)
+    if not _full_rank([c.members[k] & support for k in tight], support):
         raise VerificationFailure("tight constraints do not pin the point")
 
 
 def _extreme_points_counted(
     c: Clutter, max_ground: int
-) -> tuple[list[tuple[Fraction, ...]], int]:
+) -> tuple[list[tuple[tuple[Fraction, ...], tuple[int, ...]]], int]:
+    """Verified extreme points, each with its DD ray, sorted by point."""
     n = len(c.ground)
     if n > max_ground:
         raise TooLarge(f"ground of {n} elements exceeds the cap of {max_ground}")
     rays, created = _dd_rays(n, c.members)
+    member_bits = [_bits(m) for m in c.members]
     points = []
     for ray in rays:
         t = ray[n]
         if t > 0:
-            points.append(tuple(Fraction(ray[j], t) for j in range(n)))
-    points.sort()
-    for p in points:
-        _verify_extreme(c, p)
+            _verify_extreme(c, member_bits, ray)
+            points.append((tuple(Fraction(ray[j], t) for j in range(n)), ray))
+    points.sort(key=lambda pr: pr[0])
     return points, created
 
 
@@ -222,7 +265,7 @@ def extreme_points(
     c: Clutter, max_ground: int = MAX_POLY_GROUND
 ) -> list[tuple[Fraction, ...]]:
     """All extreme points of Q(C), exact and verified, in sorted order."""
-    return _extreme_points_counted(c, max_ground)[0]
+    return [p for p, _ in _extreme_points_counted(c, max_ground)[0]]
 
 
 @dataclass(frozen=True)
@@ -244,16 +287,16 @@ def is_ideal(c: Clutter, max_ground: int = MAX_POLY_GROUND) -> IdealnessCertific
     and tight bounds whose full column rank proves it extreme.
     """
     points, created = _extreme_points_counted(c, max_ground)
-    for p in points:
+    for p, ray in points:
         if any(x.denominator != 1 for x in p):
-            tight_members, tight_bounds = _tight_sets(c, p)
+            tight_members, support = _tightness([_bits(m) for m in c.members], ray)
             return IdealnessCertificate(
                 integral=False,
                 extreme_point_count=len(points),
                 candidates_examined=created,
                 fractional_point=p,
                 tight_members=tight_members,
-                tight_bounds=tight_bounds,
+                tight_bounds=tuple(v for v in range(len(c.ground)) if not support >> v & 1),
             )
     return IdealnessCertificate(
         integral=True, extreme_point_count=len(points), candidates_examined=created
@@ -403,29 +446,6 @@ class LPCertificate:
     dual: tuple[Fraction, ...]
 
 
-def _solve_square(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> Optional[list[Fraction]]:
-    n = len(rows)
-    mat = [rows[i][:] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = mat[col][col]
-        mat[col] = [x / inv for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return [mat[i][n] for i in range(n)]
-
-
 def lp_certificate(
     c: Clutter, w: WeightVector = 1, max_ground: int = MAX_POLY_GROUND
 ) -> LPCertificate:
@@ -482,14 +502,17 @@ def lp_certificate(
             elem_mask |= 1 << v
         if any(c.members[k] & elem_mask == 0 for k in basis):
             return None
-        rows = [
-            [Fraction(1) if c.members[k] >> v & 1 else Fraction(0) for k in basis]
-            for v in elems
-        ]
-        rhs = [Fraction(weights[v]) for v in elems]
-        sol = _solve_square(rows, rhs)
-        if sol is None:
+        size = len(basis)
+        rank, echelon = _bareiss(
+            [[c.members[k] >> v & 1 for k in basis] + [weights[v]] for v in elems], size
+        )
+        if rank < size:
             return None
+        sol = [Fraction(0)] * size
+        for i in range(size - 1, -1, -1):
+            row = echelon[i]
+            rest = sum(row[j] * sol[j] for j in range(i + 1, size))
+            sol[i] = (row[size] - rest) / Fraction(row[i])
         dual = [Fraction(0)] * m_count
         for k, y in zip(basis, sol):
             dual[k] = y
@@ -534,33 +557,32 @@ def has_packing_property(
     """Search every minor for a packing failure; None when all pack.
 
     Distinct minors are memoized by their relabeled (ground size, members)
-    shape, so the sweep visits far fewer than 3^|V| clutters.
+    shape, so the sweep visits far fewer than 3^|V| clutters; a child's
+    shape is computed on masks, and its Clutter built only when it is new.
     """
     limit = PACKING_BUDGET if budget is None else budget
     if 3 ** len(c.ground) > limit:
         raise BudgetExceeded(
             f"packing sweep over 3^{len(c.ground)} minors exceeds the budget"
         )
-    seen: set[tuple[int, tuple[int, ...]]] = set()
+    seen = {(len(c.ground), c.members)}
 
     def visit(cur: Clutter, delete: frozenset, contract: frozenset) -> Optional[MinorSpec]:
-        key = (len(cur.ground), cur.members)
-        if key in seen:
-            return None
-        seen.add(key)
         if not packs(cur):
             return MinorSpec(delete, contract)
-        for e in cur.ground:
-            hit = visit(
-                minor(cur, MinorSpec(delete={e})), delete | {e}, contract
-            )
-            if hit is not None:
-                return hit
-            hit = visit(
-                minor(cur, MinorSpec(contract={e})), delete, contract | {e}
-            )
-            if hit is not None:
-                return hit
+        for i, e in enumerate(cur.ground):
+            for imask, jmask in ((1 << i, 0), (0, 1 << i)):
+                key = (len(cur.ground) - 1, _minor_members(cur.members, imask, jmask))
+                if key in seen:
+                    continue
+                seen.add(key)
+                child = Clutter(cur.ground[:i] + cur.ground[i + 1:], key[1])
+                if imask:
+                    hit = visit(child, delete | {e}, contract)
+                else:
+                    hit = visit(child, delete, contract | {e})
+                if hit is not None:
+                    return hit
         return None
 
     return visit(c, frozenset(), frozenset())

@@ -8,6 +8,7 @@ import json
 import pytest
 
 import clutterforge.cli
+import clutterforge.matroid
 import clutterforge.verify
 from clutterforge.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, main
 
@@ -126,6 +127,14 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, "analyze", gf4_plane, "--json")
         assert code == EXIT_OK
         assert len(targets) == 3
+
+    def test_json_report_builds_the_matroid_once(self, capsys, gf4_plane):
+        clutterforge.matroid._matroid_cached.cache_clear()
+        code, _, _ = run_cli(capsys, "analyze", gf4_plane, "--json")
+        assert code == EXIT_OK
+        info = clutterforge.matroid._matroid_cached.cache_info()
+        assert info.misses == 1
+        assert info.hits >= 3
 
     def test_out_of_reach_polyhedron_is_unknown(self, capsys, gf8_hyperplane):
         code, out, _ = run_cli(capsys, "analyze", gf8_hyperplane, "--ideal")

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import clutterforge
-from clutterforge.clutter import Clutter
+from clutterforge.clutter import Clutter, builtin, mult
 from clutterforge.errors import ClutterforgeError
 from clutterforge.gf import build_field
-from clutterforge.matroid import CircuitMatroid
+from clutterforge.matroid import CircuitMatroid, has_minor, matroid_of
 from clutterforge.vspace import Subspace
 
 PACKAGE_DIR = Path(clutterforge.__file__).parent
@@ -49,6 +49,21 @@ def test_sweep_output_is_unchanged_under_optimize_flag():
     assert _run_python("-O", *argv) == plain
 
 
+def test_extreme_point_check_runs_under_optimize_flag():
+    # (1, 1/2, 1/2) is the midpoint of two extreme points of Delta3: feasible, not extreme
+    code = (
+        "from clutterforge.clutter import _bits, builtin\n"
+        "from clutterforge.errors import VerificationFailure\n"
+        "from clutterforge.polyhedral import _verify_extreme\n"
+        "d3 = builtin('delta3')\n"
+        "try:\n"
+        "    _verify_extreme(d3, [_bits(m) for m in d3.members], (2, 1, 1, 2))\n"
+        "except VerificationFailure as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    assert _run_python("-O", "-c", code) == "rejected: tight constraints do not pin the point\n"
+
+
 def test_import_loads_no_process_pool():
     out = _run_python("-c", "import sys, clutterforge; print('concurrent.futures.process' in sys.modules)")
     assert out.strip() == "False"
@@ -71,3 +86,19 @@ def test_constructor_errors_derive_from_clutterforge_error(build):
     with pytest.raises(ClutterforgeError) as info:
         build()
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call, builtin_type",
+    [
+        (lambda: mult([(0, 1)]), TypeError),
+        (lambda: builtin("k5"), KeyError),
+        (lambda: has_minor(matroid_of(Subspace(build_field(2), 3, ((1, 0, 1),))), "F7"), KeyError),
+    ],
+    ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target"],
+)
+def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
+    with pytest.raises(ClutterforgeError) as info:
+        call()
+    assert isinstance(info.value, builtin_type)
+    assert not str(info.value).startswith("'")

@@ -12,12 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from clutterforge.clutter import Clutter, MinorSpec, builtin, localization, minor, mult
+import clutterforge.polyhedral
+from clutterforge.clutter import Clutter, MinorSpec, _bits, builtin, localization, minor, mult
 from clutterforge.errors import (
     BudgetExceeded,
     DimensionMismatch,
     PreconditionViolated,
     TooLarge,
+    VerificationFailure,
 )
 from clutterforge.polyhedral import (
     INFINITY,
@@ -32,6 +34,10 @@ from clutterforge.polyhedral import (
     packs,
     tau,
     tau_star,
+    _bareiss,
+    _full_rank,
+    _gf2_rank,
+    _verify_extreme,
 )
 from clutterforge.verify import enumerate_subspaces
 from clutterforge.vspace import span
@@ -58,6 +64,64 @@ def solve_square(rows, rhs):
                 f = mat[r][col]
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
     return [mat[i][n] for i in range(n)]
+
+
+def fraction_rank(rows) -> int:
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col] / mat[rank][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def mod2_rank(rows) -> int:
+    mat = [[x % 2 for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                mat[r] = [a ^ b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_det(rows) -> Fraction:
+    mat = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(mat)):
+        pivot = next((r for r in range(col, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for r in range(col + 1, len(mat)):
+            f = mat[r][col] / mat[col][col]
+            mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+    return det
+
+
+def random_clutter(rng: random.Random, max_ground: int, max_members: int) -> Clutter:
+    """Members of two to four elements, the sizes where fractional points are common."""
+    n = rng.randint(3, max_ground)
+    members = [
+        rng.sample(range(n), rng.randint(2, min(4, n)))
+        for _ in range(rng.randint(2, max_members))
+    ]
+    return Clutter(tuple(range(n)), members)
 
 
 def member_bits(c: Clutter) -> list[list[int]]:
@@ -189,6 +253,100 @@ class TestExtremePoints:
         for c in corpus(r11):
             pts = extreme_points(c)
             assert pts == sorted(set(pts))
+
+
+class TestRankLadder:
+    @staticmethod
+    def random_matrices():
+        rng = random.Random(20261018)
+        for _ in range(400):
+            ncols = rng.randint(1, 14)
+            nrows = rng.randint(max(1, ncols - 2), ncols + 3)
+            density = rng.choice((0.3, 0.5, 0.7))
+            yield [[int(rng.random() < density) for _ in range(ncols)] for _ in range(nrows)]
+
+    @staticmethod
+    def odd_cycle(k: int) -> list[list[int]]:
+        """Incidence rows of a k-cycle: determinant 2 for odd k, so rank k over Q, k-1 mod 2."""
+        return [[int(j in (i, (i + 1) % k)) for j in range(k)] for i in range(k)]
+
+    def test_ladder_matches_fraction_rank(self):
+        gf2_short_q_full = 0
+        for rows in list(self.random_matrices()) + [self.odd_cycle(k) for k in (3, 5, 7, 9, 11, 13)]:
+            ncols = len(rows[0])
+            masks = [sum(bit << j for j, bit in enumerate(row)) for row in rows]
+            rank = fraction_rank(rows)
+            gf2 = _gf2_rank(masks, ncols)
+            assert gf2 == mod2_rank(rows) <= rank
+            assert _bareiss(rows, ncols)[0] == rank
+            assert _full_rank(masks, (1 << ncols) - 1) is (rank == ncols)
+            if gf2 < ncols == rank:
+                gf2_short_q_full += 1
+        assert gf2_short_q_full >= 20
+
+    def test_ladder_on_a_support_subset(self):
+        rng = random.Random(7)
+        for rows in self.random_matrices():
+            ncols = len(rows[0])
+            support = rng.randrange(1, 1 << ncols)
+            cols = _bits(support)
+            masks = [sum(bit << j for j, bit in enumerate(row)) & support for row in rows]
+            restricted = [[row[j] for j in cols] for row in rows]
+            assert _full_rank(masks, support) is (fraction_rank(restricted) == len(cols))
+
+    def test_bareiss_last_pivot_is_the_determinant(self):
+        # with exact divisions the last Bareiss pivot of a nonsingular square
+        # matrix is its determinant up to sign, so a division that floored
+        # would show here
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            det = fraction_det(rows)
+            rank, echelon = _bareiss(rows, n)
+            assert rank == fraction_rank(rows)
+            if det:
+                assert abs(echelon[n - 1][n - 1]) == abs(det)
+                checked += 1
+        assert checked >= 200
+
+    def test_delta3_half_point_takes_the_bareiss_rung(self, monkeypatch):
+        calls = []
+        real = clutterforge.polyhedral._bareiss
+
+        def recording(rows, ncols):
+            calls.append(rows)
+            return real(rows, ncols)
+
+        monkeypatch.setattr(clutterforge.polyhedral, "_bareiss", recording)
+        assert (HALF, HALF, HALF) in extreme_points(builtin("delta3"))
+        # only the fractional point falls through GF(2): its three tight rows
+        # form an odd cycle, rank 2 mod 2 and 3 over Q
+        assert calls == [[[1, 1, 0], [1, 0, 1], [0, 1, 1]]]
+
+    def test_verifier_rejects_a_midpoint_of_two_extreme_points(self):
+        d3 = builtin("delta3")
+        bits = [_bits(m) for m in d3.members]
+        for ray in ((1, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 2)):
+            _verify_extreme(d3, bits, ray)
+        # (1, 1/2, 1/2) = midpoint of (1, 1, 0) and (1, 0, 1): feasible, one tight member
+        with pytest.raises(VerificationFailure, match="do not pin"):
+            _verify_extreme(d3, bits, (2, 1, 1, 2))
+
+    def test_verifier_rejects_infeasible_points(self):
+        d3 = builtin("delta3")
+        bits = [_bits(m) for m in d3.members]
+        with pytest.raises(VerificationFailure, match="violates a member"):
+            _verify_extreme(d3, bits, (1, 0, 0, 2))
+        with pytest.raises(VerificationFailure, match="negative coordinate"):
+            _verify_extreme(d3, bits, (2, -1, 2, 2))
+
+    def test_extreme_points_match_oracle_on_random_clutters(self):
+        rng = random.Random(4)
+        for _ in range(50):
+            c = random_clutter(rng, 7, 7)
+            assert extreme_points(c) == brute_extreme_points(c), c
 
 
 class TestIsIdeal:
@@ -365,6 +523,33 @@ class TestLPCertificate:
             self.check_certificate(builtin(name), 1, cert)
             assert cert.value == value
             assert cert.dual == dual
+
+    def test_weighted_duals_are_pinned(self, r11):
+        # the duals chosen by the complementary-slackness search, recorded
+        # from the Fraction elimination the Bareiss kernel replaced
+        expected = {
+            (0, (1, 1, 1)): "1/2 1/2 1/2",
+            (0, (0, 1, 2)): "0 0 1",
+            (0, (2, 2, 2)): "1 1 1",
+            (0, (1, 0, 1)): "0 1 0",
+            (1, (1, 1, 1, 1, 1, 1)): "1/2 1/2 1/2 1/2",
+            (1, (1, 0, 2, 1, 0, 1)): "0 0 0 1",
+            (1, (3, 1, 2, 1, 1, 2)): "1 0 1 1",
+            (2, (1, 1, 1, 1, 1)): "1/2 1/2 1/2 1/2 1/2",
+            (2, (2, 1, 0, 1, 3)): "0 0 0 2 1",
+            (3, (1, 1, 1, 1, 1, 1)): "1/2 1/2 1/2 1/2",
+            (3, (1, 0, 2, 1, 0, 1)): "0 0 0 1",
+            (3, (3, 1, 2, 1, 1, 2)): "1 0 1 1",
+            (4, (1, 1, 1, 1)): "1 1",
+            (4, (1, 2, 0, 1)): "1 0",
+            (5, (1, 1, 1)): "1",
+            (5, (0, 1, 2)): "0",
+            (5, (2, 2, 2)): "2",
+            (5, (1, 0, 1)): "1",
+        }
+        for (i, w), dual in expected.items():
+            cert = lp_certificate(corpus(r11)[i], list(w))
+            assert cert.dual == tuple(Fraction(y) for y in dual.split()), (i, w)
 
     def test_weighted_instances(self, r11):
         for c in corpus(r11):
