@@ -11,6 +11,7 @@ order, which caps the ground at 64 elements.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -36,9 +37,13 @@ MAX_ISO_GROUND = 20
 DEFAULT_FIND_MINOR_BUDGET = 3 ** 13
 
 
+def _canonical_key(m: int) -> tuple[int, int]:
+    return (m.bit_count(), m)
+
+
 def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Inclusion-minimal masks, deduplicated, sorted by (cardinality, value)."""
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    uniq = sorted(set(masks), key=_canonical_key)
     out: list[int] = []
     for m in uniq:
         if not any(s & m == s for s in out):
@@ -204,22 +209,43 @@ def builtin(name: str) -> Clutter:
 # minors
 # ---------------------------------------------------------------------------
 
-def _minor_members(members: Iterable[int], imask: int, jmask: int) -> tuple[int, ...]:
-    """Members of the minor deleting `imask` and contracting `jmask`, as masks.
+def _delete_members(members: Sequence[int], i: int) -> tuple[int, ...]:
+    """Members of the minor deleting element i, as masks with i's gap closed.
 
-    Drops members meeting imask, clears jmask from the rest, closes the gaps
-    left by both masks (the kept elements keep their order) and minimalizes.
+    Takes and gives an antichain in (cardinality, value) order. A subfamily
+    of an antichain is an antichain, and closing the gap of a bit no kept
+    member has preserves that order, so the kept masks need neither
+    minimalizing nor sorting.
     """
-    removed = _bits(imask | jmask)[::-1]
-    out = []
+    bit = 1 << i
+    low = bit - 1
+    return tuple([(m >> (i + 1) << i) | (m & low) for m in members if not m & bit])
+
+
+def _contract_members(members: Sequence[int], i: int) -> tuple[int, ...]:
+    """Members of the minor contracting element i, as masks with i's gap closed.
+
+    Takes and gives an antichain in (cardinality, value) order. The members
+    through i, less i, stay an antichain and contain no member avoiding i
+    (the original would contain it), so only a member avoiding i can fall:
+    exactly when it contains one of those reduced members. Each of the two
+    groups is already in canonical order; one sort merges them.
+    """
+    bit = 1 << i
+    low = bit - 1
+    reduced = [m ^ bit for m in members if m & bit]
+    kept = reduced[:]
     for m in members:
-        if m & imask:
-            continue
-        m &= ~jmask
-        for r in removed:
-            m = (m >> (r + 1) << r) | (m & ((1 << r) - 1))
-        out.append(m)
-    return _minimal_masks(out)
+        if not m & bit:
+            for r in reduced:
+                if r & m == r:
+                    break
+            else:
+                kept.append(m)
+    out = [(m >> (i + 1) << i) | (m & low) for m in kept]
+    if reduced and len(out) > len(reduced):
+        out.sort(key=_canonical_key)
+    return tuple(out)
 
 
 def minor(c: Clutter, spec: MinorSpec) -> Clutter:
@@ -227,20 +253,23 @@ def minor(c: Clutter, spec: MinorSpec) -> Clutter:
 
     The result lives on ground minus I and J and is minimalized, per the
     definition: minimal sets of {C - J : C a member, C disjoint from I}.
+    Single-element deletions and contractions commute, so they are applied
+    one element at a time, highest index first to keep lower indices valid.
     """
     ground_set = set(c.ground)
     for e in spec.delete | spec.contract:
         if e not in ground_set:
             raise BadIndex(f"label {e!r} not in ground")
-    imask = 0
-    jmask = 0
-    for i, e in enumerate(c.ground):
+    members = c.members
+    for i in range(len(c.ground) - 1, -1, -1):
+        e = c.ground[i]
         if e in spec.delete:
-            imask |= 1 << i
+            members = _delete_members(members, i)
         elif e in spec.contract:
-            jmask |= 1 << i
-    keep = tuple(e for i, e in enumerate(c.ground) if not (imask | jmask) >> i & 1)
-    return Clutter(keep, _minor_members(c.members, imask, jmask))
+            members = _contract_members(members, i)
+    removed = spec.delete | spec.contract
+    keep = tuple(e for e in c.ground if e not in removed)
+    return Clutter(keep, members)
 
 
 def apply_chain(c: Clutter, specs: Iterable[MinorSpec]) -> Clutter:
@@ -410,22 +439,40 @@ def is_isomorphic(c1: Clutter, c2: Clutter) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 
 def _exhaustive_find_minor(c: Clutter, target: Clutter) -> Optional[tuple[MinorSpec, dict]]:
+    """First embedding of the target over keep-sets K in combination order.
+
+    Every member of a minor on K is a pattern m & K of some member m, and
+    distinct target members need distinct patterns, so K is skipped when,
+    for some size s, it has fewer distinct patterns of size s than the
+    target has members of size s. Footprints m & ~K are grouped, and
+    minimalized, only under patterns of a target-member size: `_embed`
+    never matches any other. Buckets keep first-seen order, so the search
+    explores, and returns, exactly what the unpruned one would.
+    """
     big_n = len(c.ground)
     k = len(target.ground)
     tmembers = sorted(target.member_sets(), key=lambda s: -len(s))
     tlabels = list(target.ground)
+    want = Counter(len(t) for t in tmembers)
     full = (1 << big_n) - 1
     for combo in itertools.combinations(range(big_n), k):
         kmask = 0
         for b in combo:
             kmask |= 1 << b
         pairs = [(m & kmask, m & ~kmask) for m in c.members]
-        buckets: dict[int, tuple[int, ...]] = {}
         grouped: dict[int, list[int]] = {}
+        have = dict.fromkeys(want, 0)
         for pat, fp in pairs:
-            grouped.setdefault(pat, []).append(fp)
-        for pat, fps in grouped.items():
-            buckets[pat] = _minimal_masks(fps)
+            size = pat.bit_count()
+            if size in have:
+                if pat in grouped:
+                    grouped[pat].append(fp)
+                else:
+                    grouped[pat] = [fp]
+                    have[size] += 1
+        if any(have[size] < count for size, count in want.items()):
+            continue
+        buckets = {pat: _minimal_masks(fps) for pat, fps in grouped.items()}
         found = _embed(c, kmask, pairs, buckets, tmembers, tlabels, full)
         if found is not None:
             return found
@@ -445,6 +492,9 @@ def _embed(
     phi: dict = {}
     used_mask = 0
     chosen: list[int] = []
+    by_size: dict[int, list[int]] = {}
+    for pat in buckets:
+        by_size.setdefault(pat.bit_count(), []).append(pat)
 
     def leaf() -> Optional[tuple[MinorSpec, dict]]:
         that = list(chosen)
@@ -495,9 +545,7 @@ def _embed(
                 assigned_bits |= 1 << phi[x]
             else:
                 free_labels.append(x)
-        for pat, fps in buckets.items():
-            if pat.bit_count() != len(t) or not fps:
-                continue
+        for pat in by_size.get(len(t), ()):
             if assigned_bits & ~pat:
                 continue
             if pat & used_mask & ~assigned_bits:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -32,6 +33,7 @@ from clutterforge.errors import (
     ParseError,
     TooLarge,
 )
+from clutterforge.gf import build_field
 from clutterforge.vspace import project, restrict, span
 from clutterforge.vspace import product as space_product
 from clutterforge.verify import enumerate_subspaces
@@ -494,6 +496,82 @@ class TestFindMinor:
     def test_budget_override_allows_exhaustive(self, f2):
         s = span(f2, 7, [(1, 0, 0, 0, 0, 0, 0)])
         assert find_minor(mult(s), builtin("Delta3"), budget=3 ** 14) is None
+
+    def test_matches_bruteforce_oracle_on_random_clutters(self):
+        rng = random.Random(5)
+        q6 = builtin("q6")
+        found = {"Delta3": 0, "Q6": 0}
+        for trial in range(80):
+            if trial % 4 == 0:
+                # Q6 on six random elements of seven, some members reaching
+                # the seventh, plus random members through it
+                size = 7
+                *image, extra = rng.sample(range(size), size)
+                members = [
+                    {image[x - 1] for x in t} | ({extra} if rng.random() < 0.5 else set())
+                    for t in q6.member_sets()
+                ]
+                members += [
+                    {extra} | set(rng.sample(image, rng.randint(1, 4)))
+                    for _ in range(rng.randint(0, 2))
+                ]
+            else:
+                size = rng.randint(3, 7)
+                members = [
+                    {e for e in range(size) if rng.random() < 0.45} or {rng.randrange(size)}
+                    for _ in range(rng.randint(2, 8))
+                ]
+            c = Clutter(tuple(range(size)), members)
+            for name in found:
+                target = builtin(name)
+                hit = find_minor(c, target)
+                assert (hit is not None) == naive_has_minor(c, target), (c, name)
+                if hit is not None:
+                    found[name] += 1
+                    spec, mapping = hit
+                    want = {frozenset(mapping[x] for x in t) for t in target.member_sets()}
+                    assert set(minor(c, spec).member_sets()) == want
+        assert found["Delta3"] >= 10 and found["Q6"] >= 5, found
+
+    def test_first_hit_is_pinned(self):
+        # (delete, contract, mapping) of the first hit in keep-set order;
+        # skipping keep-sets that cannot hold the target must not move it
+        plane = mult(span(build_field(4), 3, [(1, 1, 0), (1, 0, 1)]))
+        gf3 = mult(span(build_field(3), 3, [(1, 1, 0), (1, 0, 1)]))
+        hosts = {
+            "delta3": builtin("delta3"),
+            "q6": builtin("q6"),
+            "c5sq": builtin("c5sq"),
+            "plane": plane,
+            "gf3": gf3,
+        }
+        identity = {
+            name: ([], [], [(x, x) for x in builtin(name).ground])
+            for name in ("delta3", "q6", "c5sq")
+        }
+        pinned = {
+            ("delta3", "delta3"): identity["delta3"],
+            ("q6", "q6"): identity["q6"],
+            ("c5sq", "c5sq"): identity["c5sq"],
+            ("plane", "q6"): (
+                [(0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (2, 3)],
+                [],
+                [(1, (0, 0)), (2, (0, 1)), (3, (1, 0)), (4, (1, 1)), (5, (2, 0)), (6, (2, 1))],
+            ),
+            ("gf3", "delta3"): (
+                [(0, 2), (1, 1), (2, 2)],
+                [(0, 1), (1, 2), (2, 0)],
+                [(1, (0, 0)), (2, (1, 0)), (3, (2, 1))],
+            ),
+        }
+        for host, c in hosts.items():
+            for name in ("delta3", "q6", "c5sq"):
+                hit = find_minor(c, builtin(name))
+                got = None
+                if hit is not None:
+                    spec, mapping = hit
+                    got = (sorted(spec.delete), sorted(spec.contract), sorted(mapping.items()))
+                assert got == pinned.get((host, name)), (host, name)
 
 
 class TestTextFormats:

@@ -13,7 +13,17 @@ from fractions import Fraction
 import pytest
 
 import clutterforge.polyhedral
-from clutterforge.clutter import Clutter, MinorSpec, _bits, builtin, localization, minor, mult
+from clutterforge.clutter import (
+    Clutter,
+    MinorSpec,
+    _bits,
+    _contract_members,
+    _delete_members,
+    builtin,
+    localization,
+    minor,
+    mult,
+)
 from clutterforge.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -36,6 +46,7 @@ from clutterforge.polyhedral import (
     tau_star,
     _bareiss,
     _full_rank,
+    _max_disjoint,
     _gf2_rank,
     _verify_extreme,
 )
@@ -179,6 +190,20 @@ def brute_nu(c: Clutter, weights) -> int | float:
         if all(load[v] <= weights[v] for v in range(len(c.ground))):
             best = max(best, sum(mults))
     return best
+
+
+def definition_minor_masks(masks, n: int, delete, contract) -> tuple[int, ...]:
+    """Minimal sets of {m - J : m disjoint from I} on the kept elements, in
+    (cardinality, value) order, straight from the definition."""
+    keep = [v for v in range(n) if v not in delete and v not in contract]
+    pos = {v: k for k, v in enumerate(keep)}
+    sets = {
+        frozenset(pos[v] for v in _bits(m) if v not in contract)
+        for m in masks
+        if not any(m >> v & 1 for v in delete)
+    }
+    minimal = [s for s in sets if not any(t < s for t in sets)]
+    return tuple(sorted((sum(1 << v for v in s) for s in minimal), key=lambda m: (len(_bits(m)), m)))
 
 
 def iter_minor_specs(c: Clutter):
@@ -603,6 +628,59 @@ class TestPacking:
             has_packing_property(c)
         assert has_packing_property(c, budget=3 ** 14) is None
 
+    def test_packs_matches_cover_equals_packing(self):
+        rng = random.Random(3)
+        clutters = [
+            Clutter((), ()),
+            Clutter((), [set()]),
+            Clutter((0, 1), [set()]),
+            Clutter((0, 1, 2), [{0}, {1}, {2}]),
+            Clutter((0, 1, 2), [{1}]),
+            Clutter((0, 1, 2), [{0}, {1, 2}]),
+        ]
+        for _ in range(1200):
+            size = rng.randint(0, 9)
+            density = rng.choice((0.2, 0.4, 0.6))
+            members = [
+                {e for e in range(size) if rng.random() < density}
+                for _ in range(rng.randint(0, 9))
+            ]
+            clutters.append(Clutter(tuple(range(size)), members))
+        verdicts = [packs(c) for c in clutters]
+        for c, verdict in zip(clutters, verdicts):
+            assert verdict == (tau(c, 1) == nu(c, 1)), c
+            if c.members and c.members[0]:
+                assert _max_disjoint(c.members) == nu(c, 1), c
+        assert verdicts.count(False) >= 40 and verdicts.count(True) >= 400
+
+    def test_packs_decides_odd_and_even_cycles_quickly(self):
+        # C_n: nu = floor(n/2), tau = ceil(n/2); without the disjoint-family
+        # bound the odd cycles would branch 2^(n/2) times before failing
+        for n, expected in ((41, False), (61, False), (60, True)):
+            c = Clutter(tuple(range(n)), [{i, (i + 1) % n} for i in range(n)])
+            assert packs(c) is expected
+            assert _max_disjoint(c.members) == nu(c, 1) == n // 2
+
+    def test_child_members_match_the_minor_definition(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            size = rng.randint(1, 10)
+            members = [
+                {e for e in range(size) if rng.random() < 0.4}
+                for _ in range(rng.randint(0, 10))
+            ]
+            c = Clutter(tuple(range(size)), members)
+            masks = c.members
+            for i in range(size):
+                assert _delete_members(masks, i) == definition_minor_masks(masks, size, {i}, ())
+                assert _contract_members(masks, i) == definition_minor_masks(masks, size, (), {i})
+            roles = [rng.choice("dck") for _ in range(size)]
+            delete = {e for e in range(size) if roles[e] == "d"}
+            contract = {e for e in range(size) if roles[e] == "c"}
+            assert minor(c, MinorSpec(delete, contract)).members == definition_minor_masks(
+                masks, size, delete, contract
+            )
+
     def test_failing_spec_is_replayable(self, f3):
         space = span(f3, 3, [(1, 1, 0), (1, 0, 1)])
         c = mult(space)
@@ -645,6 +723,26 @@ class TestMfmcCheck:
         hit = mfmc_check(mult(ex92), 1)
         assert hit is not None
         assert hit[1] != hit[2]
+
+    def test_cover_value_bounds_packing_value(self):
+        # tau >= nu at every weight; equality on {0,1}^V for packing clutters
+        rng = random.Random(8)
+        packing = 0
+        for _ in range(200):
+            size = rng.randint(1, 6)
+            members = [
+                {e for e in range(size) if rng.random() < 0.4} or {rng.randrange(size)}
+                for _ in range(rng.randint(1, 6))
+            ]
+            c = Clutter(tuple(range(size)), members)
+            for _ in range(5):
+                w = [rng.randint(0, 3) for _ in range(size)]
+                assert tau(c, w) >= nu(c, w), (c, w)
+            if has_packing_property(c) is None:
+                packing += 1
+                for w in itertools.product((0, 1), repeat=size):
+                    assert tau(c, list(w)) == nu(c, list(w)), (c, w)
+        assert packing >= 50
 
     def test_unit_weight_refuter_adds_nothing_to_the_packing_sweep(self):
         # at w in {0,1}^V with Z = {e : w_e = 0}, tau(C, w) and nu(C, w) are
