@@ -40,7 +40,7 @@ from .errors import (
 )
 from .gf import build_field
 from .matroid import TARGETS, circuits_isomorphic, classify, matroid_of, series_classes
-from .polyhedral import is_ideal
+from .polyhedral import MAX_POLY_GROUND, is_ideal
 from .verify import (
     DEFAULT_ENUM_BUDGET,
     _mfmc_condition,
@@ -587,7 +587,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--minors", action="store_true", help="search the named forbidden minors")
     p_an.add_argument("--structure", action="store_true", help="bases, factors, series classes")
     p_an.add_argument("--budget", type=int, default=None, help="search budget override")
-    p_an.add_argument("--max-ground", type=int, default=14, help="polyhedral ground cap")
+    p_an.add_argument("--max-ground", type=int, default=MAX_POLY_GROUND, help="polyhedral ground cap")
     p_an.add_argument("--check-cert", metavar="CERT", default=None,
                       help="re-validate a previously emitted minor certificate")
     p_an.add_argument("--json", action="store_true")
@@ -609,7 +609,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--out", default=None, help="write CSV/JSON to this file")
     p_sw.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_sw.add_argument("--budget", type=int, default=None, help="search budget override")
-    p_sw.add_argument("--max-ground", type=int, default=14, help="polyhedral ground cap")
+    p_sw.add_argument("--max-ground", type=int, default=MAX_POLY_GROUND, help="polyhedral ground cap")
     p_sw.add_argument("--json", action="store_true")
     p_sw.set_defaults(func=cmd_sweep)
 

@@ -237,8 +237,10 @@ def _tightness(
     return tuple(tight), support
 
 
-def _verify_extreme(c: Clutter, member_bits: Sequence[Sequence[int]], ray: tuple[int, ...]) -> None:
-    """Raise unless x/t is an extreme point of Q(C).
+def _verify_extreme(
+    c: Clutter, member_bits: Sequence[Sequence[int]], ray: tuple[int, ...]
+) -> tuple[tuple[int, ...], int]:
+    """Raise unless x/t is an extreme point of Q(C); its tight members and support mask.
 
     The tight bounds are unit rows on the zero coordinates, so the point is
     pinned exactly when the tight member rows, restricted to the support,
@@ -247,6 +249,26 @@ def _verify_extreme(c: Clutter, member_bits: Sequence[Sequence[int]], ray: tuple
     tight, support = _tightness(member_bits, ray)
     if not _full_rank([c.members[k] & support for k in tight], support):
         raise VerificationFailure("tight constraints do not pin the point")
+    return tight, support
+
+
+def extreme_point_witness(
+    c: Clutter, point: Sequence[Fraction]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Prove `point` an extreme point of Q(C); its tight members and tight bounds.
+
+    The point is scaled to the integer ray (x, t) with t the lcm of its
+    denominators and checked as a DD ray is: tightness in integers, then
+    the rank of the tight rows. Raises VerificationFailure when it is not
+    extreme.
+    """
+    n = len(c.ground)
+    if len(point) != n:
+        raise VerificationFailure(f"point of length {len(point)}, ground has {n}")
+    t = math.lcm(*(Fraction(x).denominator for x in point))
+    ray = tuple(int(x * t) for x in point) + (t,)
+    tight, support = _verify_extreme(c, [_bits(m) for m in c.members], ray)
+    return tight, tuple(v for v in range(n) if not support >> v & 1)
 
 
 def _extreme_points_counted(
@@ -294,16 +316,16 @@ def is_ideal(c: Clutter, max_ground: int = MAX_POLY_GROUND) -> IdealnessCertific
     and tight bounds whose full column rank proves it extreme.
     """
     points, created = _extreme_points_counted(c, max_ground)
-    for p, ray in points:
+    for p, _ in points:
         if any(x.denominator != 1 for x in p):
-            tight_members, support = _tightness([_bits(m) for m in c.members], ray)
+            tight_members, tight_bounds = extreme_point_witness(c, p)
             return IdealnessCertificate(
                 integral=False,
                 extreme_point_count=len(points),
                 candidates_examined=created,
                 fractional_point=p,
                 tight_members=tight_members,
-                tight_bounds=tuple(v for v in range(len(c.ground)) if not support >> v & 1),
+                tight_bounds=tight_bounds,
             )
     return IdealnessCertificate(
         integral=True, extreme_point_count=len(points), candidates_examined=created

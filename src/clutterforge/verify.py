@@ -7,6 +7,7 @@ before being returned, so a witness in hand is always a verified one.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -39,12 +40,22 @@ from .errors import (
 )
 from .gf import build_field
 from .matroid import matroid_of, series_classes
-from .polyhedral import has_packing_property, is_ideal, mfmc_check, nu, tau
+from .polyhedral import (
+    MAX_POLY_GROUND,
+    IdealnessCertificate,
+    extreme_point_witness,
+    has_packing_property,
+    is_ideal,
+    mfmc_check,
+    nu,
+    tau,
+)
 from .vspace import (
     Point,
     Subspace,
     disjoint_support_basis,
     factor,
+    monomial_orbits,
     project,
     restrict,
     sunflower_basis,
@@ -723,7 +734,7 @@ class ReplicationReport:
 def replication_tau2_report(
     space: Subspace,
     *,
-    max_ground: int = 14,
+    max_ground: int = MAX_POLY_GROUND,
     packing_budget: Optional[int] = None,
 ) -> ReplicationReport:
     """Cross-check the packing-related guarantees on one instance.
@@ -908,6 +919,25 @@ _MINOR_TARGETS = {
 }
 
 
+def _structure_condition(space: Subspace, t: str) -> tuple[bool, str, Any]:
+    """Condition (ii), the structural side, as (verdict, method, certificate)."""
+    if t == "1.2":
+        details: list[tuple[tuple[int, ...], Any]] = []
+        ok = True
+        for coords, piece in factor(space):
+            if piece.dim <= 1:
+                details.append((coords, "dimension <= 1"))
+                continue
+            witness = sunflower_basis(piece)
+            details.append((coords, witness))
+            if witness is None:
+                ok = False
+        method = "coordinate factorization with per-factor dimension/sunflower detection"
+        return ok, method, tuple(details)
+    basis = disjoint_support_basis(space)
+    return basis is not None, "pairwise-disjoint-support basis detector", basis
+
+
 def _mfmc_condition(
     cl: Clutter, cond_ii: bool, packing_budget: Optional[int]
 ) -> tuple[Optional[bool], str, Any]:
@@ -942,7 +972,7 @@ def verify_theorem(
     space: Subspace,
     which: Any,
     *,
-    max_ground: int = 14,
+    max_ground: int = MAX_POLY_GROUND,
     minor_budget: Optional[int] = None,
     packing_budget: Optional[int] = None,
 ) -> TheoremReport:
@@ -976,26 +1006,7 @@ def verify_theorem(
     certs: dict[str, Any] = {}
 
     # -- condition (ii): structural side -----------------------------------
-    if t == "1.2":
-        pieces = factor(space)
-        details: list[tuple[tuple[int, ...], Any]] = []
-        ok = True
-        for coords, piece in pieces:
-            if piece.dim <= 1:
-                details.append((coords, "dimension <= 1"))
-                continue
-            witness = sunflower_basis(piece)
-            details.append((coords, witness))
-            if witness is None:
-                ok = False
-        cond_ii: Optional[bool] = ok
-        certs["ii"] = tuple(details)
-        methods["ii"] = "coordinate factorization with per-factor dimension/sunflower detection"
-    else:
-        basis = disjoint_support_basis(space)
-        cond_ii = basis is not None
-        certs["ii"] = basis
-        methods["ii"] = "pairwise-disjoint-support basis detector"
+    cond_ii, methods["ii"], certs["ii"] = _structure_condition(space, t)
 
     # -- condition (i): polyhedral / flow side -----------------------------
     cond_i: Optional[bool] = None
@@ -1087,6 +1098,115 @@ def _verify_basis(q: int, n: int, which: Any, basis: tuple[Point, ...], **kwargs
     return verify_theorem(Subspace(build_field(q), n, basis), which, **kwargs)
 
 
+# ---------------------------------------------------------------------------
+# transported reports: one verification per monomial orbit
+# ---------------------------------------------------------------------------
+
+def _map_spec(spec: MinorSpec, sigma: Mapping) -> MinorSpec:
+    return MinorSpec({sigma[e] for e in spec.delete}, {sigma[e] for e in spec.contract})
+
+
+def _carry(values: Sequence, source: Clutter, sigma: Mapping, cl: Clutter) -> tuple:
+    """A vector over source's ground as one over cl's: the entry of e moves to sigma(e)."""
+    at = {sigma[e]: v for e, v in zip(source.ground, values)}
+    return tuple(at[e] for e in cl.ground)
+
+
+def _replay_cond_i(cl: Clutter, moved: Any, source: Clutter, sigma: Mapping) -> Any:
+    """A condition (i) certificate of source, mapped through sigma and replayed on cl.
+
+    A fractional extreme point is proved extreme again; a statement 1.4
+    refutation, a minor failing to pack or a weight vector, has its covering
+    and packing values recomputed. An integral verdict carries over on the
+    isomorphism alone; the counts of an idealness certificate stay those of
+    the representative's double description.
+    """
+    if isinstance(moved, IdealnessCertificate):
+        if moved.integral:
+            return moved
+        point = _carry(moved.fractional_point, source, sigma, cl)
+        tight_members, tight_bounds = extreme_point_witness(cl, point)
+        return dataclasses.replace(
+            moved, fractional_point=point, tight_members=tight_members, tight_bounds=tight_bounds
+        )
+    how, cover, packing = moved
+    if isinstance(how, MinorSpec):
+        how = _map_spec(how, sigma)
+        inner = minor(cl, how)
+        values = (tau(inner, 1), nu(inner, 1))
+    else:
+        how = _carry(how, source, sigma, cl)
+        values = (tau(cl, list(how)), nu(cl, list(how)))
+    if values != (cover, packing) or cover == packing:
+        raise VerificationFailure(
+            f"transported refutation replays to covering, packing = {values}, "
+            f"claimed {(cover, packing)}"
+        )
+    return how, cover, packing
+
+
+def _replay_cond_iii(cl: Clutter, found: tuple, sigma: Mapping) -> tuple:
+    """A condition (iii) minor certificate, mapped through sigma and replayed on cl."""
+    name, how, mapping = found
+    if mapping is None:  # a constructive witness chain
+        chain = tuple(_map_spec(spec, sigma) for spec in how)
+        _replay_to_target(cl, chain, name)
+        return name, chain, None
+    spec = _map_spec(how, sigma)
+    mapping = {x: sigma[e] for x, e in mapping.items()}
+    got = minor(cl, spec)
+    want = {frozenset(mapping[x] for x in m) for m in builtin(name).member_sets()}
+    if set(got.ground) != set(mapping.values()) or set(got.member_sets()) != want:
+        raise VerificationFailure(f"transported {name} minor does not replay")
+    return name, spec, mapping
+
+
+def _transport(
+    report: TheoremReport, source: Clutter, sigma: Mapping, space: Subspace
+) -> TheoremReport:
+    """The report on space, from a representative's report and its mult `source`.
+
+    sigma must carry the members of source onto exactly those of mult(space),
+    which makes it an isomorphism of the two clutters, so the verdicts of
+    conditions (i) and (iii) carry over. Their certificates are mapped
+    through sigma and replayed on this instance; condition (ii) is computed
+    again and must agree. Any mismatch raises VerificationFailure.
+    """
+    cl = mult(space)
+    moved = {frozenset(sigma[e] for e in m) for m in source.member_sets()}
+    if moved != set(cl.member_sets()):
+        raise VerificationFailure(
+            f"relabeling from {report.instance} does not carry its members onto "
+            f"those of {instance_id(space)}"
+        )
+    cond_ii, method_ii, cert_ii = _structure_condition(space, report.theorem)
+    if cond_ii != report.cond_ii:
+        raise VerificationFailure(
+            f"condition (ii) is {cond_ii} on {instance_id(space)} but {report.cond_ii} "
+            f"on its representative {report.instance}"
+        )
+    suffix = f"; transported from {report.instance} by a checked monomial isomorphism"
+    methods = {
+        "ii": method_ii,
+        "i": report.methods["i"] + suffix,
+        "iii": report.methods["iii"] + suffix,
+    }
+    certs: dict[str, Any] = {"ii": cert_ii}
+    if "i" in report.certificates:
+        certs["i"] = _replay_cond_i(cl, report.certificates["i"], source, sigma)
+    if "iii" in report.certificates:
+        certs["iii"] = _replay_cond_iii(cl, report.certificates["iii"], sigma)
+    return TheoremReport(
+        theorem=report.theorem,
+        instance=instance_id(space),
+        cond_i=report.cond_i,
+        cond_ii=cond_ii,
+        cond_iii=report.cond_iii,
+        methods=methods,
+        certificates=certs,
+    )
+
+
 def sweep_theorem(
     q: int,
     n: int,
@@ -1096,18 +1216,39 @@ def sweep_theorem(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
     **kwargs: Any,
 ) -> list[TheoremReport]:
-    """verify_theorem over every subspace of GF(q)^n, in enumeration order.
+    """verify_theorem's verdicts on every subspace of GF(q)^n, in enumeration order.
 
-    With jobs > 1 the instances are verified in that many worker processes;
-    the reports are the same as with jobs=1.
+    A monomial map (a coordinate permutation, a nonzero scaling of each
+    coordinate and, when q = p^k, a power of Frobenius) carries mult(S) to
+    an isomorphic clutter, so every verdict is constant on a monomial orbit.
+    verify_theorem runs once per orbit, on its first subspace in enumeration
+    order, and that report is returned as is. Every other subspace gets the
+    representative's report carried along a relabeling that is checked to
+    be an isomorphism: condition (ii) is computed again, and each
+    certificate of (i) and (iii) is mapped and replayed on the subspace's
+    own clutter. Its methods for (i) and (iii) then read "<representative's
+    method>; transported from <representative's instance> by a checked
+    monomial isomorphism".
+
+    With jobs > 1 the representatives are verified in that many worker
+    processes; the reports are the same as with jobs=1.
     """
-    spaces = enumerate_subspaces(q, n, budget=enum_budget)
+    spaces = list(enumerate_subspaces(q, n, budget=enum_budget))
+    _check_field_class(_normalize_theorem_id(which), q)  # fail before the orbit search
+    orbits = monomial_orbits(spaces)
+    reps = [k for k, (r, _) in enumerate(orbits) if r == k]
     if jobs <= 1:
-        return [verify_theorem(space, which, **kwargs) for space in spaces]
-    # imported here so that `import clutterforge` does not pay for it
-    from concurrent.futures import ProcessPoolExecutor
+        verified = [verify_theorem(spaces[r], which, **kwargs) for r in reps]
+    else:
+        # imported here so that `import clutterforge` does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
 
-    task = functools.partial(_verify_basis, q, n, which, **kwargs)
-    bases = [space.basis for space in spaces]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task, bases, chunksize=8))
+        task = functools.partial(_verify_basis, q, n, which, **kwargs)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # one representative per task: their costs differ widely
+            verified = list(pool.map(task, [spaces[r].basis for r in reps]))
+    done = {r: (report, mult(spaces[r])) for r, report in zip(reps, verified)}
+    return [
+        done[r][0] if r == k else _transport(*done[r], sigma, spaces[k])
+        for k, (r, sigma) in enumerate(orbits)
+    ]

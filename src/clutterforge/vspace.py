@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import matroid as matroid_mod
 from .errors import (
@@ -199,6 +199,80 @@ def permute(space: Subspace, order: Sequence[int]) -> Subspace:
         raise BadIndex(f"{tuple(order)} is not a permutation of 0..{space.n - 1}")
     rows = [tuple(row[c] for c in order) for row in space.basis]
     return span(space.field, space.n, rows)
+
+
+# ---------------------------------------------------------------------------
+# monomial maps and their orbits
+# ---------------------------------------------------------------------------
+#
+# A monomial map of GF(q)^n permutes the coordinates, scales each by a
+# nonzero element and, when q = p^k with k > 1, applies a power of
+# Frobenius. It is held as the relabeling of (coordinate, value) pairs, the
+# ground labels of mult, that sends (i, a) to (pi(i), c_i * a^(p^f)).
+
+def _monomial_generators(field: GF, n: int) -> list[dict]:
+    """Relabelings of the adjacent transpositions, the scalings of coordinate
+    0 and one Frobenius, which generate every monomial map of GF(q)^n."""
+    ground = [(i, a) for i in range(n) for a in range(field.q)]
+    gens = [
+        {(i, a): ({j: j + 1, j + 1: j}.get(i, i), a) for i, a in ground}
+        for j in range(n - 1)
+    ]
+    gens += [
+        {(i, a): (i, field.mul(c, a) if i == 0 else a) for i, a in ground}
+        for c in range(2, field.q)
+    ]
+    if field.k > 1:
+        gens.append({(i, a): (i, field.pow(a, field.p)) for i, a in ground})
+    return gens
+
+
+def monomial_image(sigma: Mapping, space: Subspace) -> Subspace:
+    """The subspace that the monomial map with relabeling sigma carries space to.
+
+    The map is semilinear, so the images of a basis span the image.
+    """
+    rows = []
+    for row in space.basis:
+        y = [0] * space.n
+        for i, v in enumerate(row):
+            j, b = sigma[(i, v)]
+            y[j] = b
+        rows.append(y)
+    return span(space.field, space.n, rows)
+
+
+def monomial_orbits(spaces: Sequence[Subspace]) -> list[tuple[int, dict]]:
+    """Per subspace: its monomial orbit's representative's index, and a relabeling.
+
+    spaces must be every subspace of one GF(q)^n. The first subspace of
+    each orbit, in the given order, is its representative; a BFS over the
+    generators reaches the rest, one RREF per image. The relabeling of each
+    subspace composes the generators' relabelings along its BFS path, so it
+    is a monomial map that carries the representative onto it.
+    """
+    field, n = spaces[0].field, spaces[0].n
+    gens = _monomial_generators(field, n)
+    where = {space.basis: k for k, space in enumerate(spaces)}
+    orbits: list = [None] * len(spaces)
+    for k in range(len(spaces)):
+        if orbits[k] is not None:
+            continue
+        orbits[k] = (k, {(i, a): (i, a) for i in range(n) for a in range(field.q)})
+        queue = [k]
+        for cur in queue:
+            sigma = orbits[cur][1]
+            for g in gens:
+                img = monomial_image(g, spaces[cur])
+                j = where.get(img.basis)
+                if j is None:
+                    raise VerificationFailure(
+                        f"monomial image {img.basis} of {spaces[cur].basis} is not among the subspaces"
+                    )
+                if orbits[j] is None:
+                    orbits[j] = (k, {e: g[sigma[e]] for e in sigma})
+                    queue.append(j)
+    return orbits
 
 
 def _nullspace(field: GF, mat: list[list[int]], ncols: int) -> list[tuple[int, ...]]:

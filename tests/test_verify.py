@@ -9,9 +9,12 @@ polyhedral computation where the ground is small.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,7 +39,7 @@ from clutterforge.errors import (
 )
 from clutterforge.gf import build_field
 from clutterforge.matroid import matroid_of
-from clutterforge.polyhedral import is_ideal, nu, tau
+from clutterforge.polyhedral import IdealnessCertificate, is_ideal, nu, tau
 import clutterforge.verify as verify_module
 from clutterforge.verify import (
     LocalizationProfile,
@@ -56,7 +59,7 @@ from clutterforge.verify import (
     triple_condition_probe,
     verify_theorem,
 )
-from clutterforge.vspace import disjoint_support_basis, permute, span
+from clutterforge.vspace import disjoint_support_basis, monomial_image, monomial_orbits, permute, span
 
 
 @pytest.fixture(scope="module")
@@ -663,16 +666,291 @@ class TestSweeps:
         assert len(witnessed) == 49
         assert all(r.cond_ii is False for r in witnessed)
 
-    @pytest.mark.parametrize("q, n, which", [(3, 3, "1.1"), (2, 3, "1.4")])
+    @pytest.mark.parametrize("q, n, which", [(3, 3, "1.1"), (2, 3, "1.4"), (4, 3, "1.2")])
     def test_parallel_matches_serial(self, q, n, which):
         serial = sweep_theorem(q, n, which)
         parallel = sweep_theorem(q, n, which, jobs=2)
         assert parallel == serial
         assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
 
+    def test_wrong_statement_rejected_before_orbit_search(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "monomial_orbits", lambda spaces: pytest.fail("orbits searched"))
+        with pytest.raises(WrongFieldClass):
+            sweep_theorem(3, 4, "1.2")
+        with pytest.raises(PreconditionViolated):
+            sweep_theorem(3, 4, "9.9")
+
     def test_cond_i_matches_direct_idealness(self, subspaces_gf3_3):
         for space, report in zip(subspaces_gf3_3, sweep_theorem(3, 3, "1.1")):
             assert report.cond_i == is_ideal(mult(space)).integral
+
+
+# ---------------------------------------------------------------------------
+# monomial orbits and transported reports
+# ---------------------------------------------------------------------------
+
+def image_under(space, perm, scale, power):
+    """The image of the space under x -> y, y[perm[i]] = scale[i] * x[i]^(p^power)."""
+    f, n = space.field, space.n
+    rows = []
+    for row in space.basis:
+        y = [0] * n
+        for i, v in enumerate(row):
+            y[perm[i]] = f.mul(scale[i], f.pow(v, f.p ** power))
+        rows.append(y)
+    return span(f, n, rows)
+
+
+def random_monomial_image(space, rng):
+    """A seeded random monomial image; a non-trivial Frobenius power whenever q = p^k, k > 1."""
+    f, n = space.field, space.n
+    power = rng.randrange(1, f.k) if f.k > 1 else 0
+    return image_under(space, rng.sample(range(n), n), [rng.randrange(1, f.q) for _ in range(n)], power)
+
+
+def minor_by_definition(ground, members, delete, contract):
+    """C minus I contract J: the minimal sets among A - J over members A disjoint from I."""
+    kept = {m - contract for m in members if not m & delete}
+    return set(ground) - delete - contract, {m for m in kept if not any(o < m for o in kept)}
+
+
+def rank_by_elimination(rows):
+    mat = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((k for k in range(rank, len(mat)) if mat[k][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for k in range(len(mat)):
+            if k != rank and mat[k][col]:
+                ratio = mat[k][col] / mat[rank][col]
+                mat[k] = [a - ratio * b for a, b in zip(mat[k], mat[rank])]
+        rank += 1
+    return rank
+
+
+def tight_sets_of_extreme_point(ground, members, x):
+    """Tight member indices and zero coordinates of x, which must be an extreme point of Q(C)."""
+    assert all(v >= 0 for v in x)
+    loads = [sum(x[k] for k, e in enumerate(ground) if e in m) for m in members]
+    assert all(load >= 1 for load in loads)
+    tight = [k for k, load in enumerate(loads) if load == 1]
+    zeros = [k for k, v in enumerate(x) if v == 0]
+    rows = [[Fraction(e in members[k]) for e in ground] for k in tight]
+    rows += [[Fraction(j == k) for j in range(len(ground))] for k in zeros]
+    assert rank_by_elimination(rows) == len(ground)
+    return tuple(tight), tuple(zeros)
+
+
+def cover_value(ground, members, w):
+    """Least weight of a set of elements meeting every member, over all subsets."""
+    best = math.inf
+    for size in range(len(ground) + 1):
+        for cover in itertools.combinations(range(len(ground)), size):
+            chosen = {ground[k] for k in cover}
+            if all(m & chosen for m in members):
+                best = min(best, sum(w[k] for k in cover))
+    return best
+
+
+def packing_value(ground, members, w):
+    """Most members, with repetition, using each element e at most w[e] times."""
+    if frozenset() in members:
+        return math.inf
+    cap = dict(zip(ground, w))
+    members = sorted(members, key=sorted)
+
+    def best(k):
+        if k == len(members):
+            return 0
+        out = best(k + 1)
+        if all(cap[e] for e in members[k]):
+            for e in members[k]:
+                cap[e] -= 1
+            out = max(out, 1 + best(k))
+            for e in members[k]:
+                cap[e] += 1
+        return out
+
+    return best(0)
+
+
+def replay_transported(space, report):
+    """Replay the (i) and (iii) certificates of a report on mult(space), by definition."""
+    cl = mult(space)
+    ground, members = list(cl.ground), list(cl.member_sets())
+    cert = report.certificates.get("i")
+    if isinstance(cert, IdealnessCertificate):
+        assert cert.integral is report.cond_i
+        if not cert.integral:
+            assert any(v.denominator != 1 for v in cert.fractional_point)
+            tight = tight_sets_of_extreme_point(ground, members, cert.fractional_point)
+            assert tight == (cert.tight_members, cert.tight_bounds)
+    elif cert is not None:
+        how, cover, packing = cert
+        if isinstance(how, MinorSpec):
+            g, ms = minor_by_definition(ground, members, how.delete, how.contract)
+            g = sorted(g)
+            w = [1] * len(g)
+        else:
+            g, ms, w = ground, members, list(how)
+        assert cover == cover_value(g, ms, w) != packing == packing_value(g, ms, w)
+    if report.cond_iii is False and "iii" in report.certificates:
+        name, how, mapping = report.certificates["iii"]
+        target = builtin(name)
+        if mapping is None:
+            g, ms = ground, members
+            for spec in how:
+                g, ms = minor_by_definition(g, ms, spec.delete, spec.contract)
+            g = sorted(g)
+            assert any(
+                {frozenset(dict(zip(target.ground, perm))[x] for x in t) for t in target.member_sets()} == ms
+                for perm in itertools.permutations(g)
+            )
+        else:
+            g, ms = minor_by_definition(ground, members, how.delete, how.contract)
+            assert g == set(mapping.values())
+            assert ms == {frozenset(mapping[x] for x in t) for t in target.member_sets()}
+
+
+def orbits_by_brute_force(spaces):
+    """The monomial orbits, as sets of RREF bases, by applying every monomial map."""
+    f, n = spaces[0].field, spaces[0].n
+    maps = [
+        (perm, scale, power)
+        for perm in itertools.permutations(range(n))
+        for scale in itertools.product(range(1, f.q), repeat=n)
+        for power in range(f.k)
+    ]
+    out = set()
+    for space in spaces:
+        out.add(frozenset(image_under(space, *m).basis for m in maps))
+    return out
+
+
+class TestMonomialOrbits:
+    @pytest.mark.parametrize("q, n, count", [(2, 4, 16), (3, 3, 8), (4, 3, 8), (3, 4, 17)])
+    def test_orbits_match_brute_force(self, q, n, count):
+        spaces = list(enumerate_subspaces(q, n))
+        orbits = monomial_orbits(spaces)
+        found: dict = {}
+        for space, (r, sigma) in zip(spaces, orbits):
+            assert r <= spaces.index(space)
+            assert monomial_image(sigma, spaces[r]) == space
+            found.setdefault(r, set()).add(space.basis)
+        assert len(found) == count
+        assert {frozenset(bases) for bases in found.values()} == orbits_by_brute_force(spaces)
+
+    def test_orbit_relabelings_compose_frobenius(self, f4):
+        spaces = list(enumerate_subspaces(4, 4))
+        orbits = monomial_orbits(spaces)
+        semilinear = 0
+        for space, (r, sigma) in zip(spaces, orbits):
+            assert monomial_image(sigma, spaces[r]) == space
+            semilinear += any(
+                sigma[(i, a)][1] != f4.mul(sigma[(i, 1)][1], a) for i in range(4) for a in range(4)
+            )
+        assert len({r for r, _ in orbits}) == 17 and semilinear > 0
+
+    @pytest.mark.parametrize(
+        "q, n, which, draws",
+        [(3, 3, "1.1", 12), (4, 3, "1.2", 12), (8, 3, "1.3", 10), (2, 4, "1.4", 12), (3, 3, "1.4", 8)],
+    )
+    def test_verdicts_invariant_under_random_monomial_maps(self, q, n, which, draws):
+        rng = random.Random(1000 * q + 10 * n + int(which[-1]))
+        for space in rng.sample(list(enumerate_subspaces(q, n)), draws):
+            image = random_monomial_image(space, rng)
+            assert verify_theorem(image, which).verdicts == verify_theorem(space, which).verdicts
+
+    @pytest.mark.parametrize(
+        "q, n, which, kwargs",
+        [
+            (3, 3, "1.1", {}),
+            (4, 3, "1.2", {}),
+            (8, 3, "1.3", {}),
+            (2, 4, "1.4", {}),
+            (3, 3, "1.4", {}),
+            (3, 3, "1.4", {"packing_budget": 1}),  # refuted by weight vectors
+        ],
+    )
+    def test_transported_certificates_replay(self, q, n, which, kwargs):
+        spaces = list(enumerate_subspaces(q, n))
+        reports = sweep_theorem(q, n, which, **kwargs)
+        transported = [
+            (space, r) for space, r in zip(spaces, reports) if "transported from" in r.methods["i"]
+        ]
+        assert transported
+        if kwargs:
+            assert any(r.methods["i"].startswith("refuted: explicit weight") for _, r in transported)
+        for space, report in transported:
+            assert report.instance == instance_id(space)
+            assert "transported from" in report.methods["iii"]
+            replay_transported(space, report)
+
+    @pytest.mark.parametrize("q, n, which", [(3, 3, "1.1"), (4, 3, "1.2"), (2, 4, "1.4")])
+    def test_representatives_are_verified_directly(self, q, n, which):
+        spaces = list(enumerate_subspaces(q, n))
+        reports = sweep_theorem(q, n, which)
+        for k, (r, _) in enumerate(monomial_orbits(spaces)):
+            if r == k:
+                assert reports[k].to_dict() == verify_theorem(spaces[k], which).to_dict()
+            else:
+                assert reports[k].methods["i"].endswith(
+                    f"; transported from {reports[r].instance} by a checked monomial isomorphism"
+                )
+
+    @staticmethod
+    def _orbit_case(space, which):
+        """(representative's report, its mult, relabeling) for a transported space."""
+        spaces = list(enumerate_subspaces(space.q, space.n))
+        r, sigma = monomial_orbits(spaces)[spaces.index(space)]
+        assert spaces[r] != space
+        return verify_theorem(spaces[r], which), mult(spaces[r]), sigma
+
+    def test_transport_refuses_a_wrong_relabeling(self, f3):
+        space = span(f3, 3, [(1, 1, 0)])
+        report, source, sigma = self._orbit_case(space, "1.1")
+        assert verify_module._transport(report, source, sigma, space) == verify_theorem(space, "1.1")
+        wrong = dict(sigma)
+        wrong[(0, 1)], wrong[(0, 2)] = sigma[(0, 2)], sigma[(0, 1)]
+        with pytest.raises(VerificationFailure, match="does not carry its members"):
+            verify_module._transport(report, source, wrong, space)
+
+    def test_transport_refuses_a_wrong_certificate(self, f3):
+        def with_cert(report, key, cert):
+            return dataclasses.replace(report, certificates={**report.certificates, key: cert})
+
+        plane = span(f3, 3, [(1, 0, 2), (0, 1, 2)])
+        ideal, source, sigma = self._orbit_case(plane, "1.1")
+        flow = self._orbit_case(plane, "1.4")[0]
+        assert ideal.cond_i is ideal.cond_iii is flow.cond_i is False
+        point = ideal.certificates["i"]
+        name, spec, mapping = ideal.certificates["iii"]
+        how, cover, packing = flow.certificates["i"]
+        assert isinstance(how, MinorSpec)
+        removed = min(spec.delete | spec.contract)
+        for report in (ideal, flow):
+            verify_module._transport(report, source, sigma, plane)
+        bad = [
+            dataclasses.replace(ideal, cond_ii=not ideal.cond_ii),
+            with_cert(ideal, "i", dataclasses.replace(point, fractional_point=(Fraction(1, 2),) * 9)),
+            with_cert(ideal, "iii", (name, spec, {**mapping, 1: removed})),
+            with_cert(flow, "i", (how, cover + 1, packing)),
+        ]
+        for report in bad:
+            with pytest.raises(VerificationFailure):
+                verify_module._transport(report, source, sigma, plane)
+
+    def test_transport_refuses_a_wrong_witness_chain(self, f8):
+        plane = span(f8, 3, [(1, 0, 2), (0, 1, 3)])
+        report, source, sigma = self._orbit_case(plane, "1.3")
+        name, chain, mapping = report.certificates["iii"]
+        assert (name, mapping) == ("c5sq", None)
+        verify_module._transport(report, source, sigma, plane)
+        short = dataclasses.replace(report, certificates={**report.certificates, "iii": (name, chain[:-1], None)})
+        with pytest.raises(VerificationFailure, match="not isomorphic to c5sq"):
+            verify_module._transport(short, source, sigma, plane)
 
 
 class TestCrossStatementInvariants:
