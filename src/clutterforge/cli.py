@@ -19,16 +19,14 @@ from typing import Any, Optional, Sequence
 
 from .clutter import (
     Clutter,
-    MinorSpec,
-    apply_chain,
     builtin,
+    compose_chain,
     find_minor,
     format_minor_certificate,
-    is_isomorphic,
     localization,
-    minor,
     mult,
     parse_minor_certificate,
+    replay_minor,
 )
 from .errors import (
     BudgetExceeded,
@@ -104,15 +102,6 @@ def _fmt_verdict(value: Optional[bool]) -> str:
     if value is None:
         return "UNKNOWN"
     return "yes" if value else "no"
-
-
-def _compose_chain(chain: Sequence[MinorSpec]) -> MinorSpec:
-    delete: frozenset = frozenset()
-    contract: frozenset = frozenset()
-    for spec in chain:
-        delete |= spec.delete
-        contract |= spec.contract
-    return MinorSpec(delete, contract)
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +257,17 @@ def _check_certificate(space: Subspace, cert_path: str) -> tuple[bool, str]:
         raise ParseError("certificate file needs a 'target:' line and an 'I={...}' line")
     spec, mapping = parse_minor_certificate(cert_line)
     target = builtin(target_name)
-    result = minor(mult(space), spec)
-    if mapping:
-        # accept the bijection in either direction (minor->target or back)
-        if set(mapping.keys()) == set(target.ground):
-            mapping = {v: k for k, v in mapping.items()}
-        ok = (
-            set(mapping.keys()) == set(result.ground)
-            and len(set(mapping.values())) == len(mapping)
-            and set(mapping.values()) == set(target.ground)
-            and {frozenset(mapping[e] for e in mm) for mm in result.member_sets()}
-            == set(target.member_sets())
-        )
-        how = "stated label bijection"
-    else:
-        ok = is_isomorphic(result, target) is not None
-        how = "fresh isomorphism search"
+    # accept the bijection in either direction (target->minor or back); a
+    # map that is not injective stays as stated, and the replay refuses it
+    inverse = {v: k for k, v in mapping.items()}
+    if set(mapping) != set(target.ground) and len(inverse) == len(mapping):
+        mapping = inverse
+    try:
+        replay_minor(mult(space), spec, target, mapping or None)
+        ok = True
+    except VerificationFailure:
+        ok = False
+    how = "stated label bijection" if mapping else "fresh isomorphism search"
     detail = f"{'VALID' if ok else 'INVALID'}: replayed minor vs {target_name} ({how})"
     return ok, detail
 
@@ -347,12 +331,10 @@ def cmd_witness(args: argparse.Namespace) -> int:
         if args.alpha or args.seed is not None:
             raise ParseError(f"--alpha/--seed apply only to c5sq, not {args.kind}")
         chain = builder(space)
-    composed = _compose_chain(chain)
-    final = apply_chain(mult(space), chain)
-    mapping = is_isomorphic(final, builtin(target_name))
-    if mapping is None:  # the builders replay internally; this is belt and braces
-        raise VerificationFailure("witness chain replay lost the target isomorphism")
-    cert_line = format_minor_certificate(composed, mapping)
+    composed = compose_chain(chain)
+    # the builders replay internally; this is belt and braces
+    found = replay_minor(mult(space), composed, target_name)
+    cert_line = format_minor_certificate(composed, {e: t for t, e in found.items()})
     cert_text = (
         f"# minor certificate (re-check with: analyze <instance> --check-cert <this file>)\n"
         f"target: {target_name}\n"

@@ -279,6 +279,51 @@ def apply_chain(c: Clutter, specs: Iterable[MinorSpec]) -> Clutter:
     return c
 
 
+def compose_chain(specs: Iterable[MinorSpec]) -> MinorSpec:
+    """One spec with the minor of a chain: deletions and contractions commute."""
+    delete: frozenset = frozenset()
+    contract: frozenset = frozenset()
+    for spec in specs:
+        delete |= spec.delete
+        contract |= spec.contract
+    return MinorSpec(delete, contract)
+
+
+def replay_minor(
+    c: Clutter,
+    spec: MinorSpec,
+    target: Union[Clutter, str],
+    mapping: Optional[Mapping] = None,
+) -> dict:
+    """Replay minor(c, spec) against the target; the target -> minor label map.
+
+    The target is a clutter or the name of a builtin. A given mapping
+    (target label -> label of c) must biject the target's ground onto the
+    minor's and carry the target's members onto exactly the minor's members;
+    without one, an isomorphism is searched for. Raises VerificationFailure
+    when the minor is not the target.
+    """
+    name = target if isinstance(target, str) else "the target"
+    if isinstance(target, str):
+        target = builtin(target)
+    got = minor(c, spec)
+    if mapping is None:
+        iso = is_isomorphic(got, target)
+        if iso is None:
+            raise VerificationFailure(f"replayed minor is not isomorphic to {name}: {got!r}")
+        return {t: e for e, t in iso.items()}
+    if (
+        set(mapping) != set(target.ground)
+        or set(mapping.values()) != set(got.ground)
+        or len(got.ground) != len(target.ground)
+    ):
+        raise VerificationFailure(f"map onto {name} is not a bijection onto the replayed ground")
+    want = {frozenset(mapping[x] for x in t) for t in target.member_sets()}
+    if set(got.member_sets()) != want:
+        raise VerificationFailure(f"map does not carry the members of {name} onto the minor's")
+    return dict(mapping)
+
+
 def product(c1: Clutter, c2: Clutter) -> Clutter:
     """All unions of one member from each factor, on the disjoint ground union.
 
@@ -452,7 +497,6 @@ def _exhaustive_find_minor(c: Clutter, target: Clutter) -> Optional[tuple[MinorS
     big_n = len(c.ground)
     k = len(target.ground)
     tmembers = sorted(target.member_sets(), key=lambda s: -len(s))
-    tlabels = list(target.ground)
     want = Counter(len(t) for t in tmembers)
     full = (1 << big_n) - 1
     for combo in itertools.combinations(range(big_n), k):
@@ -473,7 +517,7 @@ def _exhaustive_find_minor(c: Clutter, target: Clutter) -> Optional[tuple[MinorS
         if any(have[size] < count for size, count in want.items()):
             continue
         buckets = {pat: _minimal_masks(fps) for pat, fps in grouped.items()}
-        found = _embed(c, kmask, pairs, buckets, tmembers, tlabels, full)
+        found = _embed(c, target, kmask, pairs, buckets, tmembers, full)
         if found is not None:
             return found
     return None
@@ -481,11 +525,11 @@ def _exhaustive_find_minor(c: Clutter, target: Clutter) -> Optional[tuple[MinorS
 
 def _embed(
     c: Clutter,
+    target: Clutter,
     kmask: int,
     pairs: list[tuple[int, int]],
     buckets: dict[int, tuple[int, ...]],
     tmembers: list[frozenset],
-    tlabels: list,
     full: int,
 ) -> Optional[tuple[MinorSpec, dict]]:
     """Match target members to patterns inside the keep-set, then pick footprints."""
@@ -517,20 +561,12 @@ def _embed(
                 )
                 # complete phi on target labels outside every member
                 free_bits = [b for b in _bits(kmask & ~used_mask)]
-                rest = [x for x in tlabels if x not in phi]
+                rest = [x for x in target.ground if x not in phi]
                 mapping = dict(phi)
                 for x, b in zip(rest, free_bits):
                     mapping[x] = b
                 label_map = {x: c.ground[b] for x, b in mapping.items()}
-                replay = minor(c, spec)
-                want = {
-                    frozenset(label_map[x] for x in t) for t in tmembers
-                }
-                if set(replay.member_sets()) != want or set(replay.ground) != {
-                    c.ground[b] for b in _bits(kmask)
-                }:
-                    raise VerificationFailure("minor search replay mismatch")
-                return spec, label_map
+                return spec, replay_minor(c, spec, target, label_map)
         return None
 
     def bt(i: int) -> Optional[tuple[MinorSpec, dict]]:
@@ -580,13 +616,7 @@ def _guided_find_minor(
             if found is not None:
                 spec2, mapping = found
                 spec = MinorSpec(spec2.delete, j | spec2.contract)
-                replay = minor(c, spec)
-                want = {
-                    frozenset(mapping[x] for x in t) for t in target.member_sets()
-                }
-                if set(replay.member_sets()) != want:
-                    raise VerificationFailure("composed minor replay mismatch")
-                return spec, mapping
+                return spec, replay_minor(c, spec, target, mapping)
     raise BudgetExceeded(
         f"exhaustive minor search on {len(c.ground)} ground elements exceeds the "
         f"budget; localization-guided search found nothing (absence not certified)"

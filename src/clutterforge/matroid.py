@@ -25,20 +25,11 @@ from .errors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .clutter import Clutter
     from .vspace import Subspace
 
 MAX_GROUND = 16
 DEFAULT_MINOR_BUDGET = 2_000_000
-
-
-def _minimal_sets(sets: list[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    """Inclusion-minimal members of a family, deduplicated, canonically ordered."""
-    uniq = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-    out: list[frozenset[int]] = []
-    for s in uniq:
-        if not any(t <= s for t in out):
-            out.append(s)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -107,10 +98,11 @@ def matroid_of(space: "Subspace") -> CircuitMatroid:
 
 @lru_cache(maxsize=4096)
 def _matroid_cached(space: "Subspace") -> CircuitMatroid:
-    supports = [
-        frozenset(i for i, v in enumerate(x) if v) for x in space.points() if any(x)
-    ]
-    m = CircuitMatroid(space.n, _minimal_sets(supports), source=space)
+    from .clutter import _bits, _minimal_masks
+
+    supports = [sum(1 << i for i, v in enumerate(x) if v) for x in space.points() if any(x)]
+    circuits = tuple(frozenset(_bits(c)) for c in _minimal_masks(supports))
+    m = CircuitMatroid(space.n, circuits, source=space)
     if m.rank() != space.n - space.dim:
         raise VerificationFailure(
             f"rank {m.rank()} disagrees with n - dim = {space.n - space.dim}"
@@ -122,22 +114,17 @@ def _matroid_cached(space: "Subspace") -> CircuitMatroid:
 # minors
 # ---------------------------------------------------------------------------
 
-def _delete_circuits(circuits: tuple[frozenset[int], ...], removed: frozenset[int]) -> tuple[frozenset[int], ...]:
-    return tuple(c for c in circuits if not (c & removed))
-
-
-def _contract_circuits(circuits: tuple[frozenset[int], ...], contracted: frozenset[int]) -> tuple[frozenset[int], ...]:
-    shrunk = [c - contracted for c in circuits if c - contracted]
-    return _minimal_sets(shrunk)
-
-
 def matroid_minor(m: CircuitMatroid, delete: frozenset[int] = frozenset(), contract: frozenset[int] = frozenset()) -> CircuitMatroid:
     """Delete `delete`, contract `contract`, relabel the kept ground in order.
 
     Circuits of the deletion are the circuits avoiding the deleted set;
     circuits of the contraction are the minimal nonempty sets among
-    {C - contract}. The result is re-validated against the circuit axioms.
+    {C - contract}. That is the clutter minor of the circuits once the
+    circuits inside the contracted set, which would leave the empty set, are
+    dropped. The result is re-validated against the circuit axioms.
     """
+    from .clutter import Clutter, MinorSpec, _bits, minor
+
     delete = frozenset(delete)
     contract = frozenset(contract)
     if delete & contract:
@@ -145,11 +132,9 @@ def matroid_minor(m: CircuitMatroid, delete: frozenset[int] = frozenset(), contr
     for e in delete | contract:
         if e < 0 or e >= m.size:
             raise BadIndex(f"element {e} outside ground 0..{m.size - 1}")
-    circs = _contract_circuits(_delete_circuits(m.circuits, delete), contract)
-    kept = [e for e in range(m.size) if e not in delete and e not in contract]
-    relabel = {e: i for i, e in enumerate(kept)}
-    new_circs = tuple(frozenset(relabel[e] for e in c) for c in circs)
-    return CircuitMatroid(len(kept), new_circs)
+    circuits = Clutter(tuple(range(m.size)), tuple(c for c in m.circuits if not c <= contract))
+    kept = minor(circuits, MinorSpec(delete, contract))
+    return CircuitMatroid(len(kept.ground), tuple(frozenset(_bits(c)) for c in kept.members))
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +227,10 @@ def classify(m: CircuitMatroid) -> StructureReport:
             continue
         classes = [cl for cl in series_classes(m) if set(cl) <= comp_set]
         contract = frozenset(e for cl in classes for e in cl[1:])
-        reps = sorted(set(comp) - contract)
-        reduced = _contract_circuits(tuple(local), contract)
-        t = len(reps)
-        want = {frozenset(p) for p in itertools.combinations(reps, 2)}
-        if t >= 3 and set(reduced) == want:
+        reduced = matroid_minor(m, frozenset(range(m.size)) - comp_set, contract)
+        t = reduced.size
+        want = {frozenset(p) for p in itertools.combinations(range(t), 2)}
+        if t >= 3 and set(reduced.circuits) == want:
             kinds.append("subdivision")
             ts.append(t)
         else:
@@ -259,53 +243,42 @@ def classify(m: CircuitMatroid) -> StructureReport:
 # fixed small targets and minor search
 # ---------------------------------------------------------------------------
 
-def _graph_circuits(n_vertices: int, edges: list[tuple[int, int]]) -> tuple[frozenset[int], ...]:
-    """Circuits of the cycle matroid of a small multigraph (edge subsets)."""
-    m = len(edges)
+def _graph_circuits(edges: list[tuple[int, int]]) -> tuple[frozenset[int], ...]:
+    """Circuits of the cycle matroid of a small multigraph: minimal edge sets holding a cycle."""
+
+    def has_cycle(idxs: tuple[int, ...]) -> bool:
+        root: dict[int, int] = {}
+        for i in idxs:
+            u, v = edges[i]
+            while u in root:
+                u = root[u]
+            while v in root:
+                v = root[v]
+            if u == v:
+                return True
+            root[u] = v
+        return False
+
     circuits: list[frozenset[int]] = []
-    for r in range(1, m + 1):
-        for idxs in itertools.combinations(range(m), r):
+    for r in range(1, len(edges) + 1):
+        for idxs in itertools.combinations(range(len(edges)), r):
             chosen = frozenset(idxs)
-            if any(c < chosen for c in circuits):
-                continue
-            deg: dict[int, int] = {}
-            for i in idxs:
-                u, v = edges[i]
-                deg[u] = deg.get(u, 0) + 1
-                deg[v] = deg.get(v, 0) + 1
-            if any(d != 2 for d in deg.values()):
-                continue
-            # connected even subgraph with all degrees 2: a single cycle
-            verts = sorted(deg)
-            adj: dict[int, list[int]] = {v: [] for v in verts}
-            for i in idxs:
-                u, v = edges[i]
-                adj[u].append(v)
-                adj[v].append(u)
-            seen = {verts[0]}
-            stack = [verts[0]]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            if len(seen) == len(verts):
+            if not any(c <= chosen for c in circuits) and has_cycle(idxs):
                 circuits.append(chosen)
-    return _minimal_sets(circuits)
+    return tuple(circuits)
 
 
 def _build_targets() -> dict[str, CircuitMatroid]:
     # A3: two vertices joined by three parallel edges
-    a3 = CircuitMatroid(3, _graph_circuits(2, [(0, 1), (0, 1), (0, 1)]))
+    a3 = CircuitMatroid(3, _graph_circuits([(0, 1), (0, 1), (0, 1)]))
     # U24: rank-2 uniform matroid on 4 elements, circuits all 3-subsets
     u24 = CircuitMatroid(4, tuple(frozenset(c) for c in itertools.combinations(range(4), 3)))
     # MK4e: cycle matroid of K4 with one edge contracted: vertices a,b,c with
     # edge 0 = ac, edges 1,3 = ab, edges 2,4 = bc
-    mk4e = CircuitMatroid(5, _graph_circuits(3, [(0, 2), (0, 1), (1, 2), (0, 1), (1, 2)]))
+    mk4e = CircuitMatroid(5, _graph_circuits([(0, 2), (0, 1), (1, 2), (0, 1), (1, 2)]))
     # MK4: cycle matroid of the complete graph on 4 vertices
     k4_edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    mk4 = CircuitMatroid(6, _graph_circuits(4, k4_edges))
+    mk4 = CircuitMatroid(6, _graph_circuits(k4_edges))
     return {"A3": a3, "U24": u24, "MK4e": mk4e, "MK4": mk4}
 
 
@@ -319,20 +292,21 @@ def _target(name: str) -> CircuitMatroid:
     raise UnknownName(f"unknown minor target {name!r}; choose from {sorted(TARGETS)}")
 
 
+def _circuit_clutter(m: CircuitMatroid) -> "Clutter":
+    from .clutter import Clutter
+
+    return Clutter(tuple(range(m.size)), m.circuits)
+
+
 def circuits_isomorphic(m1: CircuitMatroid, m2: CircuitMatroid) -> Optional[dict[int, int]]:
     """Bijection of grounds carrying circuits onto circuits, or None.
 
-    Brute force over permutations; intended for grounds of size <= 7.
+    Clutter isomorphism of the two circuit families; grounds above 20
+    elements raise TooLarge.
     """
-    if m1.size != m2.size or len(m1.circuits) != len(m2.circuits):
-        return None
-    if sorted(len(c) for c in m1.circuits) != sorted(len(c) for c in m2.circuits):
-        return None
-    target = set(m2.circuits)
-    for perm in itertools.permutations(range(m2.size)):
-        if {frozenset(perm[e] for e in c) for c in m1.circuits} == target:
-            return {i: perm[i] for i in range(m1.size)}
-    return None
+    from .clutter import is_isomorphic
+
+    return is_isomorphic(_circuit_clutter(m1), _circuit_clutter(m2))
 
 
 def has_minor(
@@ -343,9 +317,15 @@ def has_minor(
     Returns a (delete, contract) witness pair or None. A3 absence is decided
     by the shortcut that an A3 minor exists exactly when two distinct
     circuits intersect, so only the present case is searched. Raises
-    TooLarge beyond ground size 16 and BudgetExceeded when the candidate
-    count overruns the budget.
+    TooLarge beyond ground size 16 and BudgetExceeded when the count of
+    (delete, contract) splits overruns the budget. The search is the clutter
+    minor search on the circuits: a clutter minor deleting D and contracting
+    T is a target only when no circuit lies inside T, and is then the
+    circuit family of the matroid minor; every matroid minor has such a
+    presentation with T independent.
     """
+    from .clutter import find_minor
+
     t = _target(target)
     k = t.size
     n = m.size
@@ -357,18 +337,11 @@ def has_minor(
         return None
     free = n - k
     total = math.comb(n, free) * 2 ** free
-    if total > (budget if budget is not None else DEFAULT_MINOR_BUDGET):
-        raise BudgetExceeded(
-            f"minor search needs {total} candidates, budget is {budget or DEFAULT_MINOR_BUDGET}"
-        )
-    for rest in itertools.combinations(range(n), free):
-        for pick in range(2 ** free):
-            delete = frozenset(rest[i] for i in range(free) if pick >> i & 1)
-            contract = frozenset(rest) - delete
-            minor = matroid_minor(m, delete, contract)
-            if circuits_isomorphic(minor, t) is not None:
-                return delete, contract
-    return None
+    limit = DEFAULT_MINOR_BUDGET if budget is None else budget
+    if total > limit:
+        raise BudgetExceeded(f"minor search needs {total} candidates, budget is {limit}")
+    hit = find_minor(_circuit_clutter(m), _circuit_clutter(t), budget=3 ** n)
+    return None if hit is None else (hit[0].delete, hit[0].contract)
 
 
 def intersecting_circuits(

@@ -273,8 +273,8 @@ def extreme_point_witness(
 
 def _extreme_points_counted(
     c: Clutter, max_ground: int
-) -> tuple[list[tuple[tuple[Fraction, ...], tuple[int, ...]]], int]:
-    """Verified extreme points, each with its DD ray, sorted by point."""
+) -> tuple[list[tuple[Fraction, ...]], int]:
+    """Verified extreme points in sorted order, and the count of DD rays created."""
     n = len(c.ground)
     if n > max_ground:
         raise TooLarge(f"ground of {n} elements exceeds the cap of {max_ground}")
@@ -285,8 +285,8 @@ def _extreme_points_counted(
         t = ray[n]
         if t > 0:
             _verify_extreme(c, member_bits, ray)
-            points.append((tuple(Fraction(ray[j], t) for j in range(n)), ray))
-    points.sort(key=lambda pr: pr[0])
+            points.append(tuple(Fraction(ray[j], t) for j in range(n)))
+    points.sort()
     return points, created
 
 
@@ -294,7 +294,7 @@ def extreme_points(
     c: Clutter, max_ground: int = MAX_POLY_GROUND
 ) -> list[tuple[Fraction, ...]]:
     """All extreme points of Q(C), exact and verified, in sorted order."""
-    return [p for p, _ in _extreme_points_counted(c, max_ground)[0]]
+    return _extreme_points_counted(c, max_ground)[0]
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,7 @@ def is_ideal(c: Clutter, max_ground: int = MAX_POLY_GROUND) -> IdealnessCertific
     and tight bounds whose full column rank proves it extreme.
     """
     points, created = _extreme_points_counted(c, max_ground)
-    for p, _ in points:
+    for p in points:
         if any(x.denominator != 1 for x in p):
             tight_members, tight_bounds = extreme_point_witness(c, p)
             return IdealnessCertificate(

@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .clutter import (
     DEFAULT_FIND_MINOR_BUDGET,
@@ -21,11 +21,13 @@ from .clutter import (
     MinorSpec,
     apply_chain,
     builtin,
+    compose_chain,
     find_minor,
     is_isomorphic,
     localization,
     minor,
     mult,
+    replay_minor,
     restriction_minor_spec,
 )
 from .errors import (
@@ -225,16 +227,6 @@ def _triple_chain(
     return first, second
 
 
-def _replay_to_target(source: Clutter, chain: Sequence[MinorSpec], target_name: str) -> Clutter:
-    """Apply the chain and insist the result is isomorphic to the named clutter."""
-    result = apply_chain(source, chain)
-    if is_isomorphic(result, builtin(target_name)) is None:
-        raise VerificationFailure(
-            f"replayed witness chain is not isomorphic to {target_name}: {result!r}"
-        )
-    return result
-
-
 # ---------------------------------------------------------------------------
 # the triple condition and its probe
 # ---------------------------------------------------------------------------
@@ -312,7 +304,7 @@ def delta3_witness_u24(space: Subspace) -> tuple[MinorSpec, ...]:
     coords = range(4)
     boxes = {p: range(f.q) for p in coords}
     chain = _triple_chain(coords, boxes, a, b, c, i, j, k)
-    _replay_to_target(mult(space), chain, "delta3")
+    replay_minor(mult(space), compose_chain(chain), "delta3")
     return chain
 
 
@@ -407,7 +399,7 @@ def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
         raise VerificationFailure("unexpected completion point inside the box")
     box_map = {p: boxes[p] for p in range(5)}
     chain = (spec0,) + _triple_chain(range(5), box_map, a, b, c, i, j, k)
-    _replay_to_target(mult(space), chain, "delta3")
+    replay_minor(mult(space), compose_chain(chain), "delta3")
     return chain
 
 
@@ -417,6 +409,32 @@ def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
 
 def _pick(valid: list[int], rng: Optional[random.Random]) -> int:
     return rng.choice(valid) if rng is not None else valid[0]
+
+
+def _rescaled_alpha(
+    space: Subspace, lam: Sequence[int], alpha: Sequence[int]
+) -> tuple[Point, Point, int, Callable[[int, int], int]]:
+    """alpha, checked to lie outside the zero-sum hyperplane sum lam_i x_i = 0.
+
+    Returns alpha, its rescaled image (lam_i alpha_i), whose entries sum to
+    the nonzero functional value sigma, sigma itself, and to_s, which maps
+    a rescaled value in a part back to a value of the space.
+    """
+    f = space.field
+    alpha_s = _validate_point(space, alpha, "alpha")
+    if space.contains(alpha_s):
+        raise PreconditionViolated(f"alpha={alpha_s} is a point of the space")
+    alpha_t = tuple(f.mul(lam[i], alpha_s[i]) for i in range(space.n))
+    sigma = 0
+    for v in alpha_t:
+        sigma = f.add(sigma, v)
+    if sigma == 0:
+        raise VerificationFailure("point outside the space must have nonzero functional value")
+
+    def to_s(part: int, value: int) -> int:
+        return f.div(value, lam[part])
+
+    return alpha_s, alpha_t, sigma, to_s
 
 
 def c5sq_witness(
@@ -454,23 +472,11 @@ def c5sq_witness(
         )
     if isinstance(rng, int):
         rng = random.Random(rng)
-
-    def to_s(part: int, value: int) -> int:
-        return f.div(value, lam[part])
-
     if alpha is None:
-        outside = [p for p in itertools.product(range(q), repeat=3) if not space.contains(p)]
-        alpha_s = _pick(outside, rng)
-    else:
-        alpha_s = _validate_point(space, alpha, "alpha")
-        if space.contains(alpha_s):
-            raise PreconditionViolated(f"alpha={alpha_s} is a point of the space")
-    alpha_t = tuple(f.mul(lam[i], alpha_s[i]) for i in range(3))
-    sigma = 0
-    for v in alpha_t:
-        sigma = f.add(sigma, v)
-    if sigma == 0:
-        raise VerificationFailure("point outside the space must have nonzero functional value")
+        alpha = _pick(
+            [p for p in itertools.product(range(q), repeat=3) if not space.contains(p)], rng
+        )
+    alpha_s, alpha_t, sigma, to_s = _rescaled_alpha(space, lam, alpha)
 
     a0, a0s = alpha_t[0], f.add(alpha_t[0], sigma)
     a_val = _pick(sorted(set(range(q)) - {a0, a0s}), rng)
@@ -517,9 +523,7 @@ def c5sq_witness(
         raise VerificationFailure(
             "intermediate seven-element clutter does not match the predicted five members"
         )
-    final = minor(intermediate, spec2)
-    if is_isomorphic(final, builtin("c5sq")) is None:
-        raise VerificationFailure("final contraction is not the square of the 5-cycle")
+    replay_minor(intermediate, spec2, "c5sq")
     return (spec0, spec1, spec2)
 
 
@@ -585,19 +589,7 @@ def localization_profile(space: Subspace, alpha: Sequence[int]) -> LocalizationP
         raise PreconditionViolated(
             "matroid mismatch: the minimal supports must be all 2-subsets of the coordinates"
         )
-    alpha_s = _validate_point(space, alpha, "alpha")
-    if space.contains(alpha_s):
-        raise PreconditionViolated(f"alpha={alpha_s} is a point of the space")
-    alpha_t = tuple(f.mul(lam[i], alpha_s[i]) for i in range(n))
-    sigma = 0
-    for v in alpha_t:
-        sigma = f.add(sigma, v)
-    if sigma == 0:
-        raise VerificationFailure("point outside the space must have nonzero functional value")
-
-    def to_s(part: int, value: int) -> int:
-        return f.div(value, lam[part])
-
+    alpha_s, alpha_t, sigma, to_s = _rescaled_alpha(space, lam, alpha)
     cl = localization(space, alpha_s)
     actual = set(cl.member_sets())
     by_size: dict[int, set] = {}
@@ -1150,14 +1142,10 @@ def _replay_cond_iii(cl: Clutter, found: tuple, sigma: Mapping) -> tuple:
     name, how, mapping = found
     if mapping is None:  # a constructive witness chain
         chain = tuple(_map_spec(spec, sigma) for spec in how)
-        _replay_to_target(cl, chain, name)
+        replay_minor(cl, compose_chain(chain), name)
         return name, chain, None
     spec = _map_spec(how, sigma)
-    mapping = {x: sigma[e] for x, e in mapping.items()}
-    got = minor(cl, spec)
-    want = {frozenset(mapping[x] for x in m) for m in builtin(name).member_sets()}
-    if set(got.ground) != set(mapping.values()) or set(got.member_sets()) != want:
-        raise VerificationFailure(f"transported {name} minor does not replay")
+    mapping = replay_minor(cl, spec, name, {x: sigma[e] for x, e in mapping.items()})
     return name, spec, mapping
 
 

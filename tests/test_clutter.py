@@ -11,6 +11,7 @@ from clutterforge.clutter import (
     MinorSpec,
     apply_chain,
     builtin,
+    compose_chain,
     find_minor,
     format_clutter,
     format_minor_certificate,
@@ -23,6 +24,7 @@ from clutterforge.clutter import (
     parse_minor_certificate,
     product,
     projection_minor_spec,
+    replay_minor,
     restriction_minor_spec,
 )
 from clutterforge.errors import (
@@ -32,11 +34,12 @@ from clutterforge.errors import (
     OverlapError,
     ParseError,
     TooLarge,
+    VerificationFailure,
 )
 from clutterforge.gf import build_field
 from clutterforge.vspace import project, restrict, span
 from clutterforge.vspace import product as space_product
-from clutterforge.verify import enumerate_subspaces
+from clutterforge.verify import c5sq_witness, enumerate_subspaces
 
 
 @pytest.fixture(scope="module")
@@ -572,6 +575,48 @@ class TestFindMinor:
                     spec, mapping = hit
                     got = (sorted(spec.delete), sorted(spec.contract), sorted(mapping.items()))
                 assert got == pinned.get((host, name)), (host, name)
+
+
+class TestReplayMinor:
+    @pytest.fixture(scope="class")
+    def hit(self):
+        c = mult(span(build_field(3), 3, [(1, 1, 0), (1, 0, 1)]))
+        spec, mapping = find_minor(c, builtin("delta3"))
+        return c, spec, mapping
+
+    def test_accepts_the_search_hit(self, hit):
+        c, spec, mapping = hit
+        assert replay_minor(c, spec, "delta3", mapping) == mapping
+        found = replay_minor(c, spec, builtin("delta3"))
+        assert replay_minor(c, spec, "delta3", found) == found
+
+    def test_refuses_a_map_that_is_not_injective(self, hit):
+        c, spec, mapping = hit
+        bad = {**mapping, 1: mapping[2]}
+        with pytest.raises(VerificationFailure, match="not a bijection"):
+            replay_minor(c, spec, "delta3", bad)
+
+    def test_refuses_a_map_onto_the_wrong_ground(self, hit):
+        c, spec, mapping = hit
+        bad = {**mapping, 1: min(spec.contract)}
+        with pytest.raises(VerificationFailure, match="not a bijection"):
+            replay_minor(c, spec, "delta3", bad)
+
+    def test_refuses_an_element_moved_from_contract_to_delete(self, hit):
+        c, spec, mapping = hit
+        moved = min(spec.contract)
+        bad = MinorSpec(spec.delete | {moved}, spec.contract - {moved})
+        with pytest.raises(VerificationFailure):
+            replay_minor(c, bad, "delta3", mapping)
+        with pytest.raises(VerificationFailure, match="not isomorphic to delta3"):
+            replay_minor(c, bad, "delta3")
+
+    def test_refuses_a_chain_that_misses_the_target(self, f8):
+        space = span(f8, 3, [(1, 1, 0), (1, 0, 1)])
+        chain = c5sq_witness(space)
+        assert replay_minor(mult(space), compose_chain(chain), "c5sq")
+        with pytest.raises(VerificationFailure, match="not isomorphic to c5sq"):
+            replay_minor(mult(space), compose_chain(chain[:-1]), "c5sq")
 
 
 class TestTextFormats:

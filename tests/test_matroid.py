@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -18,7 +19,53 @@ from clutterforge.matroid import (
     matroid_of,
     series_classes,
 )
+from clutterforge.verify import enumerate_subspaces
 from clutterforge.vspace import span, subspace_minor
+
+
+# -- reference implementations: minors, isomorphism and named-minor search
+# written directly from the definitions on circuit families -----------------
+
+def ref_matroid_minor(m, delete, contract):
+    """Circuits avoiding `delete`, less `contract`, minimal and nonempty."""
+    shrunk = {c - contract for c in m.circuits if not c & delete and c - contract}
+    minimal = [c for c in shrunk if not any(d < c for d in shrunk)]
+    kept = [e for e in range(m.size) if e not in delete | contract]
+    relabel = {e: i for i, e in enumerate(kept)}
+    return CircuitMatroid(len(kept), tuple(frozenset(relabel[e] for e in c) for c in minimal))
+
+
+def ref_circuits_isomorphic(m1, m2):
+    """First ground permutation carrying circuits onto circuits, or None."""
+    if m1.size != m2.size:
+        return None
+    want = set(m2.circuits)
+    for perm in itertools.permutations(range(m2.size)):
+        if {frozenset(perm[e] for e in c) for c in m1.circuits} == want:
+            return dict(enumerate(perm))
+    return None
+
+
+def ref_has_minor(m, name):
+    """First (delete, contract) split of the other elements giving the target."""
+    t = TARGETS[name]
+    free = m.size - t.size
+    if free < 0:
+        return None
+    for rest in itertools.combinations(range(m.size), free):
+        for pick in range(2 ** free):
+            delete = frozenset(rest[i] for i in range(free) if pick >> i & 1)
+            contract = frozenset(rest) - delete
+            if ref_circuits_isomorphic(ref_matroid_minor(m, delete, contract), t) is not None:
+                return delete, contract
+    return None
+
+
+@pytest.fixture(scope="module")
+def small_matroids():
+    """Every subspace matroid of GF(2)^4, GF(3)^3 and GF(4)^3, then the targets."""
+    spaces = itertools.chain(*(enumerate_subspaces(q, n) for q, n in ((2, 4), (3, 3), (4, 3))))
+    return [matroid_of(s) for s in spaces] + list(TARGETS.values())
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +245,10 @@ class TestHasMinor:
         with pytest.raises(BudgetExceeded):
             has_minor(big, "U24", budget=3)
 
+    def test_budget_message_states_the_budget_applied(self):
+        with pytest.raises(BudgetExceeded, match="needs 160 candidates, budget is 0$"):
+            has_minor(TARGETS["MK4"], "A3", budget=0)
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             has_minor(CircuitMatroid(17, ()), "A3")
@@ -209,6 +260,40 @@ class TestHasMinor:
             if witness is not None:
                 minor = matroid_minor(m, *witness)
                 assert circuits_isomorphic(minor, TARGETS["A3"]) is not None
+
+
+class TestAgainstReference:
+    def test_minors_on_seeded_splits(self, small_matroids):
+        rng = random.Random(7)
+        for m in small_matroids:
+            for _ in range(6):
+                roles = [rng.randrange(3) for _ in range(m.size)]
+                delete = frozenset(e for e, r in enumerate(roles) if r == 1)
+                contract = frozenset(e for e, r in enumerate(roles) if r == 2)
+                assert matroid_minor(m, delete, contract) == ref_matroid_minor(m, delete, contract)
+
+    def test_named_minor_presence_and_witnesses(self, small_matroids):
+        for m in small_matroids:
+            for name, target in TARGETS.items():
+                witness = has_minor(m, name)
+                assert (witness is None) == (ref_has_minor(m, name) is None), (m, name)
+                if witness is not None:
+                    for minor_of, iso in (
+                        (matroid_minor, circuits_isomorphic),
+                        (ref_matroid_minor, ref_circuits_isomorphic),
+                    ):
+                        assert iso(minor_of(m, *witness), target) is not None
+
+    def test_isomorphism_existence(self, small_matroids):
+        by_size: dict[int, list] = {}
+        for m in small_matroids:
+            by_size.setdefault(m.size, []).append(m)
+        for group in by_size.values():
+            for m1, m2 in itertools.product(group, repeat=2):
+                iso = circuits_isomorphic(m1, m2)
+                assert (iso is None) == (ref_circuits_isomorphic(m1, m2) is None)
+                if iso is not None:
+                    assert {frozenset(iso[e] for e in c) for c in m1.circuits} == set(m2.circuits)
 
 
 class TestIntersectingCircuits:
