@@ -27,7 +27,7 @@ from .errors import (
     VerificationFailure,
     WrongType,
 )
-from .vspace import SetSystem, Subspace
+from .vspace import SetSystem, Subspace, restrict
 
 Label = Hashable
 
@@ -380,8 +380,6 @@ def restriction_minor_spec(space: Subspace, boxes: Sequence[Iterable[int]]) -> M
     elements of the coordinates where all surviving points agree (the
     coordinates the restriction drops).
     """
-    from .vspace import restrict  # local import keeps module load light
-
     system = restrict(space, boxes)
     box_sets = [frozenset(b) for b in boxes]
     delete = frozenset(

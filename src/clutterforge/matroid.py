@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from .errors import (
     BadIndex,
@@ -243,29 +243,37 @@ def classify(m: CircuitMatroid) -> StructureReport:
 # fixed small targets and minor search
 # ---------------------------------------------------------------------------
 
-def _graph_circuits(edges: list[tuple[int, int]]) -> tuple[frozenset[int], ...]:
-    """Circuits of the cycle matroid of a small multigraph: minimal edge sets holding a cycle."""
+def _graph_circuits(edges: Sequence[tuple[int, int]]) -> tuple[frozenset[int], ...]:
+    """Circuits of the cycle matroid of a small multigraph, by one GF(2) elimination.
 
-    def has_cycle(idxs: tuple[int, ...]) -> bool:
-        root: dict[int, int] = {}
-        for i in idxs:
-            u, v = edges[i]
-            while u in root:
-                u = root[u]
-            while v in root:
-                v = root[v]
-            if u == v:
-                return True
-            root[u] = v
-        return False
-
-    circuits: list[frozenset[int]] = []
-    for r in range(1, len(edges) + 1):
-        for idxs in itertools.combinations(range(len(edges)), r):
-            chosen = frozenset(idxs)
-            if not any(c <= chosen for c in circuits) and has_cycle(idxs):
-                circuits.append(chosen)
-    return tuple(circuits)
+    Each edge's vertex-incidence mask (1 << u) ^ (1 << v) is reduced against
+    an XOR basis that also records which edges each basis vector combines;
+    an edge that reduces to zero (a loop at once) closes a cycle. XORs of
+    those cycles are the whole cycle space, and its minimal nonzero elements
+    are the circuits. The minimal filter runs on ints here: this routine
+    builds TARGETS while clutter.py is still importing.
+    """
+    basis: dict[int, tuple[int, int]] = {}  # lowest vertex bit -> (incidence, edges)
+    cycles: list[int] = []
+    for i, (u, v) in enumerate(edges):
+        x, combo = (1 << u) ^ (1 << v), 1 << i
+        while x:
+            low = x & -x
+            if low not in basis:
+                basis[low] = (x, combo)
+                break
+            x ^= basis[low][0]
+            combo ^= basis[low][1]
+        else:
+            cycles.append(combo)
+    space = [0]
+    for c in cycles:
+        space += [s ^ c for s in space]
+    minimal: list[int] = []
+    for s in sorted(space[1:], key=int.bit_count):
+        if not any(c & s == c for c in minimal):
+            minimal.append(s)
+    return tuple(frozenset(i for i in range(len(edges)) if s >> i & 1) for s in minimal)
 
 
 def _build_targets() -> dict[str, CircuitMatroid]:

@@ -694,8 +694,10 @@ def mfmc_check(
     """Search for a weight vector with cover value != packing value.
 
     A refuter only: returns (w, tau, nu) for the first violation among the
-    explicit candidates, then either the full [0, bound]^V sweep (when within
-    budget) or `samples` seeded random draws. None never certifies the
+    explicit candidates, then either `samples` seeded random draws or the
+    full [0, bound]^V sweep. Each vector costs a `tau` and a `nu` over every
+    member, so the sweep raises BudgetExceeded when (bound + 1)^|V| times
+    the member count exceeds MFMC_SWEEP_BUDGET. None never certifies the
     max-flow min-cut property — the structural tests do that.
     """
     n = len(c.ground)
@@ -718,11 +720,10 @@ def mfmc_check(
             if hit is not None:
                 return hit
         return None
-    total = (bound + 1) ** n
-    if total > MFMC_SWEEP_BUDGET:
+    if (bound + 1) ** n * len(c.members) > MFMC_SWEEP_BUDGET:
         raise BudgetExceeded(
-            f"({bound}+1)^{n} weight vectors exceed the sweep budget; "
-            f"pass samples= for seeded sampling"
+            f"({bound}+1)^{n} weight vectors times {len(c.members)} members exceed "
+            f"the sweep budget of {MFMC_SWEEP_BUDGET}; pass samples= for seeded sampling"
         )
     for w in itertools.product(range(bound + 1), repeat=n):
         hit = violation(w)

@@ -673,7 +673,7 @@ def localization_profile(space: Subspace, alpha: Sequence[int]) -> LocalizationP
 # ---------------------------------------------------------------------------
 
 def series_extension_pair(
-    space: Subspace, max_ground: int = 16
+    space: Subspace, max_ground: int = MAX_POLY_GROUND
 ) -> tuple[Subspace, Subspace]:
     """Drop one coordinate of a series pair and check idealness is unchanged.
 

@@ -410,17 +410,14 @@ def disjoint_support_basis(space: Subspace) -> Optional[tuple[Point, ...]]:
     support. Verified by re-spanning before returning.
     """
     m = matroid_mod.matroid_of(space)
-    report = matroid_mod.classify(m)
-    if not report.all_disjoint_circuits:
+    if matroid_mod.intersecting_circuits(m) is not None:
         return None
     rows: list[Point] = []
-    for comp, kind in zip(report.components, report.kinds):
-        if kind != "circuit":
-            continue
-        inside = _zero_constrained(space, frozenset(range(space.n)) - set(comp))
-        if inside.dim != 1 or support(inside.basis[0]) != frozenset(comp):
+    for circuit in sorted(m.circuits, key=min):
+        inside = _zero_constrained(space, frozenset(range(space.n)) - circuit)
+        if inside.dim != 1 or support(inside.basis[0]) != circuit:
             raise VerificationFailure(
-                f"component {comp} does not carry a unique full-support line"
+                f"circuit {sorted(circuit)} does not carry a unique full-support line"
             )
         rows.append(inside.basis[0])
     if len(rows) != space.dim or span(space.field, space.n, rows) != space:

@@ -32,6 +32,73 @@ K4 = MultiGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 K4E = MultiGraph(3, ((0, 1), (0, 2), (0, 2), (1, 2), (1, 2)))
 
 
+# -- reference: the exhaustive graph-side search, every 5-edge subset kept and
+# the other edges split into deletions and contractions with a union-find -----
+
+class _UnionFind:
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def _cyclomatic(g: MultiGraph) -> int:
+    uf = _UnionFind(g.n_vertices)
+    active = set()
+    for u, v in g.edges:
+        uf.union(u, v)
+        active.add(u)
+        active.add(v)
+    roots = {uf.find(v) for v in active}
+    return len(g.edges) - (len(active) - len(roots))
+
+
+def _component_count(g: MultiGraph) -> int:
+    uf = _UnionFind(g.n_vertices)
+    for u, v in g.edges:
+        uf.union(u, v)
+    return len({uf.find(v) for v in range(g.n_vertices)})
+
+
+def ref_has_K4e_graph_minor(g: MultiGraph) -> bool:
+    """Some delete/contract split of the other edges leaves 5 edges forming K4/e."""
+    m = len(g.edges)
+    if m < 5 or _cyclomatic(g) < 3:
+        return False
+    for keep in itertools.combinations(range(m), 5):
+        keep_set = set(keep)
+        rest = [e for e in range(m) if e not in keep_set]
+        for flags in itertools.product((False, True), repeat=len(rest)):
+            uf = _UnionFind(g.n_vertices)
+            for e, contracted in zip(rest, flags):
+                if contracted:
+                    uf.union(*g.edges[e])
+            counts: dict[tuple[int, int], int] = {}
+            vertices = set()
+            ok = True
+            for e in keep:
+                a, b = uf.find(g.edges[e][0]), uf.find(g.edges[e][1])
+                if a == b:
+                    ok = False  # kept edge became a loop
+                    break
+                pair = (a, b) if a <= b else (b, a)
+                counts[pair] = counts.get(pair, 0) + 1
+                vertices.add(a)
+                vertices.add(b)
+            if ok and len(vertices) == 3 and sorted(counts.values()) == [1, 2, 2]:
+                return True
+    return False
+
+
 class TestMultiGraph:
     def test_endpoint_normalization(self):
         g = MultiGraph(3, ((2, 1),))
@@ -148,6 +215,15 @@ class TestK4eMinor:
         g = MultiGraph(2, tuple((0, 1) for _ in range(15)))
         with pytest.raises(BudgetExceeded):
             has_K4e_graph_minor(g)
+
+    def test_matches_the_graph_side_search(self, random_multigraphs):
+        graphs = random_multigraphs
+        assert any(u == v for g in graphs for u, v in g.edges)
+        assert any(len(g.edges) != len(set(g.edges)) for g in graphs)
+        assert any(_component_count(g) > 1 for g in graphs)
+        verdicts = [has_K4e_graph_minor(g) for g in graphs]
+        assert verdicts == [ref_has_K4e_graph_minor(g) for g in graphs]
+        assert 10 <= sum(verdicts) < len(graphs) - 10
 
 
 def _block_is_allowed(g: MultiGraph, block: frozenset[int]) -> bool:

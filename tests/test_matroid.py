@@ -10,6 +10,7 @@ from clutterforge.errors import BadIndex, BudgetExceeded, OverlapError, TooLarge
 from clutterforge.matroid import (
     TARGETS,
     CircuitMatroid,
+    _graph_circuits,
     circuits_isomorphic,
     classify,
     components,
@@ -61,6 +62,31 @@ def ref_has_minor(m, name):
     return None
 
 
+def ref_graph_circuits(edges):
+    """Minimal edge subsets holding a cycle, by enumerating subsets in size order."""
+
+    def has_cycle(idxs):
+        root = {}
+        for i in idxs:
+            u, v = edges[i]
+            while u in root:
+                u = root[u]
+            while v in root:
+                v = root[v]
+            if u == v:
+                return True
+            root[u] = v
+        return False
+
+    circuits = []
+    for r in range(1, len(edges) + 1):
+        for idxs in itertools.combinations(range(len(edges)), r):
+            chosen = frozenset(idxs)
+            if not any(c <= chosen for c in circuits) and has_cycle(idxs):
+                circuits.append(chosen)
+    return tuple(circuits)
+
+
 @pytest.fixture(scope="module")
 def small_matroids():
     """Every subspace matroid of GF(2)^4, GF(3)^3 and GF(4)^3, then the targets."""
@@ -89,6 +115,21 @@ class TestConstruction:
             (1, 3), (2, 4), (0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 4),
         }
         assert len(TARGETS["MK4"].circuits) == 7  # 4 triangles + 3 four-cycles
+
+    def test_graphic_targets_match_subset_enumeration(self):
+        graphs = {
+            "A3": [(0, 1), (0, 1), (0, 1)],
+            "MK4e": [(0, 2), (0, 1), (1, 2), (0, 1), (1, 2)],
+            "MK4": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+        }
+        for name, edges in graphs.items():
+            assert TARGETS[name] == CircuitMatroid(len(edges), ref_graph_circuits(edges))
+
+    def test_graph_circuits_match_subset_enumeration(self, random_multigraphs):
+        for g in random_multigraphs:
+            got = _graph_circuits(g.edges)
+            assert len(got) == len(set(got))
+            assert set(got) == set(ref_graph_circuits(g.edges)), (g.n_vertices, g.edges)
 
     def test_empty_circuit_rejected(self):
         with pytest.raises(ValueError):

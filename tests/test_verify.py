@@ -39,7 +39,7 @@ from clutterforge.errors import (
 )
 from clutterforge.gf import build_field
 from clutterforge.matroid import matroid_of
-from clutterforge.polyhedral import IdealnessCertificate, is_ideal, nu, tau
+from clutterforge.polyhedral import IdealnessCertificate, is_ideal, mfmc_check, nu, tau
 import clutterforge.verify as verify_module
 from clutterforge.verify import (
     LocalizationProfile,
@@ -615,6 +615,17 @@ class TestVerifyTheorem:
         assert weighted.methods["i"] == "refuted: explicit weight vector with covering > packing"
         w, cover, packing_value = weighted.certificates["i"]
         assert cover == tau(mult(r11), list(w)) != packing_value == nu(mult(r11), list(w))
+
+    def test_flow_weight_refuter_refuses_a_sweep_it_cannot_afford(self, f4):
+        # 20 elements and 64 members: 2^20 unit-weight vectors, each a tau and
+        # a nu over every member, would run for tens of minutes
+        cl = mult(span(f4, 5, [(1, 0, 0, 1, 1), (0, 1, 0, 1, 0), (0, 0, 1, 0, 1)]))
+        assert (len(cl.ground), len(cl.members)) == (20, 64)
+        with pytest.raises(BudgetExceeded):
+            mfmc_check(cl, 1)
+        verdict, method, cert = verify_module._mfmc_condition(cl, False, None)
+        assert verdict is None and cert is None
+        assert method.startswith("unknown: packing sweep out of budget")
 
     def test_report_serializes(self, zero_sum_gf3, r11):
         for rep in (verify_theorem(zero_sum_gf3, "1.1"), verify_theorem(r11, "1.4")):
