@@ -10,6 +10,7 @@ order, which caps the ground at 64 elements.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ MAX_GROUND_SIZE = 64
 MAX_MULT_POINTS = 1 << 16
 MAX_ISO_GROUND = 20
 DEFAULT_FIND_MINOR_BUDGET = 3 ** 13
+MAX_COPY_GROUND = 6  # copy tables for targets up to 6! = 720 relabellings
 
 
 def _canonical_key(m: int) -> tuple[int, int]:
@@ -91,10 +93,15 @@ class Clutter:
                 masks.append(m)
             else:
                 mask = 0
-                for e in m:
-                    if e not in index:
-                        raise BadIndex(f"member label {e!r} not in ground")
-                    mask |= 1 << index[e]
+                try:
+                    for e in m:
+                        if e not in index:
+                            raise BadIndex(f"member label {e!r} not in ground")
+                        mask |= 1 << index[e]
+                except TypeError:
+                    raise WrongType(
+                        f"member {m!r} must be a mask or an iterable of hashable labels"
+                    ) from None
                 masks.append(mask)
         object.__setattr__(self, "members", _minimal_masks(masks))
 
@@ -481,6 +488,81 @@ def is_isomorphic(c1: Clutter, c2: Clutter) -> Optional[dict]:
 # minor search
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _labelled_copies(k: int, members: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+    """Every distinct image of the member masks under a relabelling of k positions.
+
+    The orbit of the member set under the symmetric group, reached by a
+    breadth-first search over the adjacent transpositions that generate it,
+    so each of the k!/|Aut| copies is built once: 1 for delta3, 30 for q6,
+    12 for c5sq.
+    """
+    start = frozenset(members)
+    out = [start]
+    seen = {start}
+    for copy in out:
+        for i in range(k - 1):
+            pair = 3 << i
+            image = frozenset(
+                m ^ pair if (m & pair).bit_count() == 1 else m for m in copy
+            )
+            if image not in seen:
+                seen.add(image)
+                out.append(image)
+    return tuple(out)
+
+
+def _footprint(
+    chosen: Sequence[int], buckets: Mapping[int, Sequence[int]], pairs: list[tuple[int, int]]
+) -> Optional[int]:
+    """The first contracted set J under which the chosen patterns are the minor's members.
+
+    J is a union of one footprint per chosen pattern, tried in product order.
+    It works when every member whose footprint lies inside J, and so survives
+    the deletion of everything outside the keep-set and J, contains a chosen
+    pattern; None when no choice works.
+    """
+    for fps in itertools.product(*(buckets[p] for p in chosen)):
+        jmask = 0
+        for fp in fps:
+            jmask |= fp
+        for pat, fp in pairs:
+            if fp & ~jmask:
+                continue  # member still meets the deleted set; it dies
+            if not any(t & ~pat == 0 for t in chosen):
+                break
+        else:
+            return jmask
+    return None
+
+
+def _holds(
+    copies: Iterable[frozenset[int]],
+    combo: Sequence[int],
+    buckets: Mapping[int, Sequence[int]],
+    pairs: list[tuple[int, int]],
+) -> bool:
+    """Whether the keep-set (bits `combo`) holds the target, without labelling it.
+
+    The patterns `_embed` can choose are exactly a labelled copy of the
+    target, and its footprint test depends only on that set of patterns. So
+    the keep-set holds the target when some copy, in keep-set-local bits, is
+    among its patterns and passes `_footprint`.
+    """
+    local: dict[int, int] = {}
+    for pat in buckets:
+        loc = 0
+        for j, b in enumerate(combo):
+            if pat >> b & 1:
+                loc |= 1 << j
+        local[loc] = pat
+    have = local.keys()
+    return any(
+        have >= copy and _footprint([local[p] for p in copy], buckets, pairs) is not None
+        for copy in copies
+    )
+
+
 def _exhaustive_find_minor(c: Clutter, target: Clutter) -> Optional[tuple[MinorSpec, dict]]:
     """First embedding of the target over keep-sets K in combination order.
 
@@ -491,11 +573,18 @@ def _exhaustive_find_minor(c: Clutter, target: Clutter) -> Optional[tuple[MinorS
     minimalized, only under patterns of a target-member size: `_embed`
     never matches any other. Buckets keep first-seen order, so the search
     explores, and returns, exactly what the unpruned one would.
+
+    Decide, then label: for targets of at most MAX_COPY_GROUND elements,
+    each K is first decided by `_holds` against the target's labelled
+    copies, and `_embed` labels only the first K that holds it. `_holds` is
+    true exactly when `_embed` finds a hit, so the search returns exactly
+    what labelling every K would.
     """
     big_n = len(c.ground)
     k = len(target.ground)
     tmembers = sorted(target.member_sets(), key=lambda s: -len(s))
     want = Counter(len(t) for t in tmembers)
+    copies = _labelled_copies(k, target.members) if k <= MAX_COPY_GROUND else None
     full = (1 << big_n) - 1
     for combo in itertools.combinations(range(big_n), k):
         kmask = 0
@@ -515,6 +604,8 @@ def _exhaustive_find_minor(c: Clutter, target: Clutter) -> Optional[tuple[MinorS
         if any(have[size] < count for size, count in want.items()):
             continue
         buckets = {pat: _minimal_masks(fps) for pat, fps in grouped.items()}
+        if copies is not None and not _holds(copies, combo, buckets, pairs):
+            continue
         found = _embed(c, target, kmask, pairs, buckets, tmembers, full)
         if found is not None:
             return found
@@ -539,33 +630,22 @@ def _embed(
         by_size.setdefault(pat.bit_count(), []).append(pat)
 
     def leaf() -> Optional[tuple[MinorSpec, dict]]:
-        that = list(chosen)
-        for fps in itertools.product(*(buckets[p] for p in that)):
-            jmask = 0
-            for fp in fps:
-                jmask |= fp
-            ok = True
-            for pat, fp in pairs:
-                if fp & ~jmask:
-                    continue  # member still meets the deleted set; it dies
-                if not any(t & ~pat == 0 for t in that):
-                    ok = False
-                    break
-            if ok:
-                imask = full & ~kmask & ~jmask
-                spec = MinorSpec(
-                    frozenset(c.ground[b] for b in _bits(imask)),
-                    frozenset(c.ground[b] for b in _bits(jmask)),
-                )
-                # complete phi on target labels outside every member
-                free_bits = [b for b in _bits(kmask & ~used_mask)]
-                rest = [x for x in target.ground if x not in phi]
-                mapping = dict(phi)
-                for x, b in zip(rest, free_bits):
-                    mapping[x] = b
-                label_map = {x: c.ground[b] for x, b in mapping.items()}
-                return spec, replay_minor(c, spec, target, label_map)
-        return None
+        jmask = _footprint(chosen, buckets, pairs)
+        if jmask is None:
+            return None
+        imask = full & ~kmask & ~jmask
+        spec = MinorSpec(
+            frozenset(c.ground[b] for b in _bits(imask)),
+            frozenset(c.ground[b] for b in _bits(jmask)),
+        )
+        # complete phi on target labels outside every member
+        free_bits = [b for b in _bits(kmask & ~used_mask)]
+        rest = [x for x in target.ground if x not in phi]
+        mapping = dict(phi)
+        for x, b in zip(rest, free_bits):
+            mapping[x] = b
+        label_map = {x: c.ground[b] for x, b in mapping.items()}
+        return spec, replay_minor(c, spec, target, label_map)
 
     def bt(i: int) -> Optional[tuple[MinorSpec, dict]]:
         nonlocal used_mask
@@ -629,7 +709,10 @@ def find_minor(
     Within budget (default ground size 13, measured as 3^|ground|) the search
     is exhaustive, so None certifies absence. Beyond it, a localization-guided
     search contracts one element per part first and raises BudgetExceeded if
-    that fails — absence is then not certified.
+    that fails — absence is then not certified. Either way, for targets of at
+    most MAX_COPY_GROUND elements, each keep-set is decided against the
+    target's labelled copies before any label map is tried, and only the
+    first keep-set that holds the target is labelled.
     """
     k = len(target.ground)
     if k > len(c.ground):

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadIndex, BudgetExceeded, ParseError
+from .errors import BadIndex, BudgetExceeded, ParseError, WrongShape, WrongType
 from .matroid import CircuitMatroid, _graph_circuits, has_minor
 
 MAX_MINOR_EDGES = 14
@@ -26,10 +26,18 @@ class MultiGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_vertices, int):
+            raise WrongType(f"vertex count must be an int, got {type(self.n_vertices).__name__}")
         if self.n_vertices < 0:
             raise BadIndex("vertex count must be nonnegative")
         norm = []
-        for u, v in self.edges:
+        for edge in self.edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise WrongShape(f"edge {edge!r} is not a pair of vertices") from None
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise WrongType(f"edge {edge!r} has a non-integer endpoint")
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise BadIndex(f"edge ({u}, {v}) out of range")
             norm.append((u, v) if u <= v else (v, u))

@@ -635,7 +635,11 @@ def packs(c: Clutter) -> bool:
     exactly when some cover has at most nu elements. The empty clutter
     packs (0 = 0), as does one with the empty member (both values infinite).
     """
-    members = c.members
+    return _packs(c.members)
+
+
+def _packs(members: Sequence[int]) -> bool:
+    """`packs` on an antichain of masks in (cardinality, value) order."""
     if not members or members[0] == 0:
         return True
     return _covered_within(members, _max_disjoint(members))
@@ -653,7 +657,8 @@ def has_packing_property(
     antichain without re-minimalizing: deleting e keeps the members avoiding
     e, a subfamily and so an antichain; contracting e keeps every member
     through e, less e, and drops a member avoiding e only when it contains
-    one of those. Its Clutter is built only when the shape is new.
+    one of those. The sweep walks (ground, members) pairs and builds no
+    Clutter: the masks are already in the canonical form construction gives.
     """
     limit = PACKING_BUDGET if budget is None else budget
     if 3 ** len(c.ground) > limit:
@@ -662,26 +667,28 @@ def has_packing_property(
         )
     seen = {(len(c.ground), c.members)}
 
-    def visit(cur: Clutter, delete: frozenset, contract: frozenset) -> Optional[MinorSpec]:
-        if not packs(cur):
+    def visit(
+        ground: tuple, members: tuple[int, ...], delete: frozenset, contract: frozenset
+    ) -> Optional[MinorSpec]:
+        if not _packs(members):
             return MinorSpec(delete, contract)
-        size = len(cur.ground) - 1
-        for i, e in enumerate(cur.ground):
+        size = len(ground) - 1
+        for i, e in enumerate(ground):
             for build in (_delete_members, _contract_members):
-                key = (size, build(cur.members, i))
+                key = (size, build(members, i))
                 if key in seen:
                     continue
                 seen.add(key)
-                child = Clutter(cur.ground[:i] + cur.ground[i + 1:], key[1])
+                child = ground[:i] + ground[i + 1:]
                 if build is _delete_members:
-                    hit = visit(child, delete | {e}, contract)
+                    hit = visit(child, key[1], delete | {e}, contract)
                 else:
-                    hit = visit(child, delete, contract | {e})
+                    hit = visit(child, key[1], delete, contract | {e})
                 if hit is not None:
                     return hit
         return None
 
-    return visit(c, frozenset(), frozenset())
+    return visit(c.ground, c.members, frozenset(), frozenset())
 
 
 def mfmc_check(

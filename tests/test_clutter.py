@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+import clutterforge.clutter as clutter_module
 from clutterforge.clutter import (
+    MAX_COPY_GROUND,
     Clutter,
     MinorSpec,
     apply_chain,
@@ -27,6 +29,7 @@ from clutterforge.clutter import (
     replay_minor,
     restriction_minor_spec,
 )
+from clutterforge.clutter import _embed, _holds, _labelled_copies, _minimal_masks
 from clutterforge.errors import (
     BadIndex,
     BudgetExceeded,
@@ -37,6 +40,7 @@ from clutterforge.errors import (
     VerificationFailure,
 )
 from clutterforge.gf import build_field
+from clutterforge.matroid import TARGETS, _circuit_clutter
 from clutterforge.vspace import project, restrict, span
 from clutterforge.vspace import product as space_product
 from clutterforge.verify import c5sq_witness, enumerate_subspaces
@@ -575,6 +579,111 @@ class TestFindMinor:
                     spec, mapping = hit
                     got = (sorted(spec.delete), sorted(spec.contract), sorted(mapping.items()))
                 assert got == pinned.get((host, name)), (host, name)
+
+
+def _planted_clutter(rng: random.Random, target: Clutter, size: int) -> Clutter:
+    """A clutter holding the target: contracting one spare group and deleting
+    the other leaves the target's members on random elements."""
+    k = len(target.ground)
+    image = rng.sample(range(size), size)
+    cut = rng.randint(k, size)
+    contract, delete = image[k:cut], image[cut:]
+    members = [
+        {image[target.ground.index(x)] for x in t}
+        | set(rng.sample(contract, rng.randint(0, min(2, len(contract)))))
+        for t in target.member_sets()
+    ]
+    if delete:
+        members += [
+            {rng.choice(delete)} | {e for e in range(size) if rng.random() < 0.3}
+            for _ in range(rng.randint(0, 3))
+        ]
+    return Clutter(tuple(range(size)), members)
+
+
+def _random_clutter(rng: random.Random, size: int) -> Clutter:
+    members = [
+        {e for e in range(size) if rng.random() < 0.45} or {rng.randrange(size)}
+        for _ in range(rng.randint(2, 9))
+    ]
+    return Clutter(tuple(range(size)), members)
+
+
+class TestDecideThenLabel:
+    SEARCHED = {
+        "delta3": builtin("delta3"),
+        "q6": builtin("q6"),
+        "c5sq": builtin("c5sq"),
+        "U24": _circuit_clutter(TARGETS["U24"]),
+        "MK4e": _circuit_clutter(TARGETS["MK4e"]),
+    }
+
+    def test_copy_counts_of_builtins(self):
+        counts = {
+            name: len(_labelled_copies(len(t.ground), t.members))
+            for name, t in self.SEARCHED.items()
+            if name in ("delta3", "q6", "c5sq")
+        }
+        assert counts == {"delta3": 1, "q6": 30, "c5sq": 12}
+
+    def test_copies_are_the_relabelled_images(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            k = rng.randint(1, 6)
+            target = _random_clutter(rng, k)
+            brute = set()
+            for perm in itertools.permutations(range(k)):
+                image = frozenset(
+                    sum(1 << perm[b] for b in range(k) if m >> b & 1) for m in target.members
+                )
+                brute.add(image)
+            copies = _labelled_copies(k, target.members)
+            assert len(copies) == len(brute) and set(copies) == brute, target
+
+    def test_decision_matches_embed_on_every_keep_set(self):
+        # every keep-set, including those the pattern-count filter would skip
+        rng = random.Random(9)
+        agreed = {name: [0, 0] for name in self.SEARCHED}
+        for trial in range(30):
+            for name, target in self.SEARCHED.items():
+                k = len(target.ground)
+                size = rng.randint(k, 8)
+                if trial % 2:
+                    c = _planted_clutter(rng, target, size)
+                else:
+                    c = _random_clutter(rng, size)
+                tmembers = sorted(target.member_sets(), key=lambda t: -len(t))
+                copies = _labelled_copies(k, target.members)
+                full = (1 << size) - 1
+                for combo in itertools.combinations(range(size), k):
+                    kmask = sum(1 << b for b in combo)
+                    pairs = [(m & kmask, m & ~kmask) for m in c.members]
+                    grouped: dict = {}
+                    for pat, fp in pairs:
+                        grouped.setdefault(pat, []).append(fp)
+                    buckets = {pat: _minimal_masks(fps) for pat, fps in grouped.items()}
+                    decided = _holds(copies, combo, buckets, pairs)
+                    hit = _embed(c, target, kmask, pairs, buckets, tmembers, full)
+                    assert decided == (hit is not None), (name, c, combo)
+                    agreed[name][decided] += 1
+        for name, (no, yes) in agreed.items():
+            assert no >= 100 and yes >= 10, (name, no, yes)
+
+    def test_target_above_copy_table_size_is_labelled_directly(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("copy table built for a target above the constant")
+
+        monkeypatch.setattr(clutter_module, "_labelled_copies", refuse)
+        rng = random.Random(4)
+        size = MAX_COPY_GROUND + 1
+        target = _random_clutter(rng, size)
+        outcomes = set()
+        for trial in range(6):
+            c = _planted_clutter(rng, target, size + 1) if trial % 2 else _random_clutter(rng, size + 1)
+            hit = find_minor(c, target)
+            assert (hit is not None) == naive_has_minor(c, target), c
+            outcomes.add(hit is not None)
+        assert outcomes == {False, True}
 
 
 class TestReplayMinor:

@@ -15,6 +15,7 @@ import clutterforge
 from clutterforge.clutter import Clutter, builtin, mult
 from clutterforge.errors import ClutterforgeError
 from clutterforge.gf import build_field
+from clutterforge.graphs import MultiGraph
 from clutterforge.matroid import CircuitMatroid, has_minor, matroid_of
 from clutterforge.vspace import Subspace
 
@@ -70,22 +71,28 @@ def test_import_loads_no_process_pool():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, builtin_type",
     [
-        lambda: Subspace(build_field(3), 2, ((0, 1), (1, 0))),
-        lambda: Clutter((1, 1), [{1}]),
-        lambda: CircuitMatroid(3, (frozenset({0, 1}), frozenset({0, 1}))),
-        lambda: CircuitMatroid(3, (frozenset(),)),
-        lambda: CircuitMatroid(3, (frozenset({0}), frozenset({0, 1}))),
-        lambda: CircuitMatroid(4, (frozenset({0, 1}), frozenset({1, 2}))),
+        (lambda: Subspace(build_field(3), 2, ((0, 1), (1, 0))), ValueError),
+        (lambda: Clutter((1, 1), [{1}]), ValueError),
+        (lambda: CircuitMatroid(3, (frozenset({0, 1}), frozenset({0, 1}))), ValueError),
+        (lambda: CircuitMatroid(3, (frozenset(),)), ValueError),
+        (lambda: CircuitMatroid(3, (frozenset({0}), frozenset({0, 1}))), ValueError),
+        (lambda: CircuitMatroid(4, (frozenset({0, 1}), frozenset({1, 2}))), ValueError),
+        (lambda: MultiGraph(2, ((0,),)), ValueError),
+        (lambda: MultiGraph("2", ()), TypeError),
+        (lambda: MultiGraph(2, ((0, "1"),)), TypeError),
+        (lambda: Clutter((1, 2), (1.5,)), TypeError),
+        (lambda: Clutter((1, 2), [[[1]]]), TypeError),
     ],
     ids=["non-rref-basis", "duplicate-labels", "duplicate-circuits", "empty-circuit",
-         "nested-circuits", "elimination-fails"],
+         "nested-circuits", "elimination-fails", "edge-not-a-pair", "vertex-count-not-int",
+         "edge-endpoint-not-int", "member-not-iterable", "member-label-unhashable"],
 )
-def test_constructor_errors_derive_from_clutterforge_error(build):
+def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
     with pytest.raises(ClutterforgeError) as info:
         build()
-    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value, builtin_type)
 
 
 @pytest.mark.parametrize(
