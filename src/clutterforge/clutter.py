@@ -156,8 +156,11 @@ class MinorSpec:
     contract: frozenset = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delete", frozenset(self.delete))
-        object.__setattr__(self, "contract", frozenset(self.contract))
+        try:
+            object.__setattr__(self, "delete", frozenset(self.delete))
+            object.__setattr__(self, "contract", frozenset(self.contract))
+        except TypeError as exc:
+            raise WrongType(f"delete and contract must be sets of labels: {exc}") from exc
         overlap = self.delete & self.contract
         if overlap:
             raise OverlapError(f"delete and contract overlap on {sorted(map(str, overlap))}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DivisionByZero, NotPrimePower, UnsupportedField, VerificationFailure
+from .errors import DivisionByZero, NotPrimePower, UnsupportedField, VerificationFailure, WrongType
 
 MAX_ORDER = 32
 
@@ -121,6 +121,8 @@ class GF:
     """A finite field of order q with table-driven arithmetic on ints 0..q-1."""
 
     def __init__(self, q: int):
+        if not isinstance(q, int) or isinstance(q, bool):
+            raise WrongType(f"field order must be an int, got {type(q).__name__}")
         if q > MAX_ORDER:
             raise UnsupportedField(f"field orders above {MAX_ORDER} are not supported, got {q}")
         p, k = _prime_power(q)
@@ -271,11 +273,12 @@ class GF:
         return n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_field(q: int) -> GF:
     """Build (and cache) the field of order q.
 
-    Raises NotPrimePower if q is not a prime power and UnsupportedField for
-    prime powers above MAX_ORDER.
+    Raises WrongType if q is not an int, NotPrimePower if q is not a prime
+    power and UnsupportedField for prime powers above MAX_ORDER. The cache
+    is typed, so build_field(3.0) reaches that check, not the cached GF(3).
     """
     return GF(q)

@@ -22,6 +22,7 @@ from .errors import (
     TooLarge,
     UnknownName,
     VerificationFailure,
+    WrongType,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,7 +42,11 @@ class CircuitMatroid:
     source: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.size, int):
+            raise WrongType(f"ground size must be an int, got {type(self.size).__name__}")
         raw = [frozenset(c) for c in self.circuits]
+        if not all(isinstance(e, int) for c in raw for e in c):
+            raise WrongType("circuit elements must be ints")
         circs = tuple(sorted(set(raw), key=lambda s: (len(s), sorted(s))))
         if len(circs) != len(raw):
             raise PreconditionViolated("duplicate circuits")
@@ -66,9 +71,6 @@ class CircuitMatroid:
 
     # -- basic oracle --------------------------------------------------------
 
-    def is_independent(self, subset: frozenset[int]) -> bool:
-        return not any(c <= subset for c in self.circuits)
-
     def rank(self, subset: Optional[frozenset[int]] = None) -> int:
         """Rank of a subset (default: whole ground) via greedy growth."""
         universe = sorted(range(self.size) if subset is None else subset)
@@ -78,12 +80,6 @@ class CircuitMatroid:
             if any(c <= indep for c in self.circuits):
                 indep.discard(e)
         return len(indep)
-
-    def elements_in_circuits(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.circuits:
-            out |= c
-        return frozenset(out)
 
 
 def matroid_of(space: "Subspace") -> CircuitMatroid:
@@ -130,6 +126,8 @@ def matroid_minor(m: CircuitMatroid, delete: frozenset[int] = frozenset(), contr
     if delete & contract:
         raise OverlapError(f"delete and contract overlap on {sorted(delete & contract)}")
     for e in delete | contract:
+        if not isinstance(e, int):
+            raise WrongType(f"element {e!r} is not an int")
         if e < 0 or e >= m.size:
             raise BadIndex(f"element {e} outside ground 0..{m.size - 1}")
     circuits = Clutter(tuple(range(m.size)), tuple(c for c in m.circuits if not c <= contract))
@@ -207,35 +205,31 @@ class StructureReport:
 def classify(m: CircuitMatroid) -> StructureReport:
     """Classify every component as coloop, single circuit, or subdivision.
 
-    A component is a subdivision component when contracting all but one
-    element of each of its series classes leaves t >= 3 elements with every
-    2-subset a circuit.
+    A component is a subdivision component when it has t >= 3 series
+    classes and its circuits are exactly their pairwise unions: contracting
+    all but one element of each class then leaves every 2-subset of t
+    elements a circuit.
     """
     comps = components(m)
+    all_classes = series_classes(m)
     kinds: list[str] = []
     ts: list[Optional[int]] = []
     for comp in comps:
         comp_set = frozenset(comp)
         local = [c for c in m.circuits if c <= comp_set]
+        classes = [frozenset(cl) for cl in all_classes if cl[0] in comp_set]
+        unions = {a | b for a, b in itertools.combinations(classes, 2)}
+        t = None
         if not local:
-            kinds.append("coloop")
-            ts.append(None)
-            continue
-        if len(local) == 1 and local[0] == comp_set:
-            kinds.append("circuit")
-            ts.append(None)
-            continue
-        classes = [cl for cl in series_classes(m) if set(cl) <= comp_set]
-        contract = frozenset(e for cl in classes for e in cl[1:])
-        reduced = matroid_minor(m, frozenset(range(m.size)) - comp_set, contract)
-        t = reduced.size
-        want = {frozenset(p) for p in itertools.combinations(range(t), 2)}
-        if t >= 3 and set(reduced.circuits) == want:
-            kinds.append("subdivision")
-            ts.append(t)
+            kind = "coloop"
+        elif local == [comp_set]:
+            kind = "circuit"
+        elif len(classes) >= 3 and set(local) == unions:
+            kind, t = "subdivision", len(classes)
         else:
-            kinds.append("unclassified")
-            ts.append(None)
+            kind = "unclassified"
+        kinds.append(kind)
+        ts.append(t)
     return StructureReport(comps, tuple(kinds), tuple(ts))
 
 

@@ -705,8 +705,11 @@ def mfmc_check(
     full [0, bound]^V sweep. Each vector costs a `tau` and a `nu` over every
     member, so the sweep raises BudgetExceeded when (bound + 1)^|V| times
     the member count exceeds MFMC_SWEEP_BUDGET. None never certifies the
-    max-flow min-cut property — the structural tests do that.
+    max-flow min-cut property — the structural tests do that. A negative
+    bound raises PreconditionViolated.
     """
+    if bound < 0:
+        raise PreconditionViolated(f"weight bound must be >= 0, got {bound}")
     n = len(c.ground)
 
     def violation(w: Sequence[int]) -> Optional[tuple[tuple[int, ...], Weight, Weight]]:

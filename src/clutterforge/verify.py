@@ -55,6 +55,8 @@ from .polyhedral import (
 from .vspace import (
     Point,
     Subspace,
+    _nullspace,
+    _support_line,
     disjoint_support_basis,
     factor,
     monomial_orbits,
@@ -70,6 +72,8 @@ THEOREM_IDS = ("1.1", "1.2", "1.3", "1.4")
 
 def gaussian_binomial(n: int, r: int, q: int) -> int:
     """Number of r-dimensional subspaces of an n-dimensional space over GF(q)."""
+    if r < 0 or r > n:
+        return 0
     num = 1
     den = 1
     for i in range(r):
@@ -146,29 +150,15 @@ def _hyperplane_scaling(space: Subspace) -> Optional[tuple[int, ...]]:
     all the 2-subsets of coordinates. Normalized so that lam[0] = 1.
     """
     f = space.field
-    n = space.n
-    if space.dim != n - 1:
+    if space.dim != space.n - 1:
         return None
-    pivots = set(space.pivots)
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
+    (normal,) = _nullspace(f, space.basis, space.n)
+    if 0 in normal:
         return None
-    fc = free[0]
-    lam = [0] * n
-    lam[fc] = 1
-    for row, p in zip(space.basis, space.pivots):
-        lam[p] = f.neg(row[fc])
-    if any(v == 0 for v in lam):
-        return None
-    scale = f.inv(lam[0])
-    lam = [f.mul(scale, v) for v in lam]
-    for row in space.basis:
-        acc = 0
-        for lv, rv in zip(lam, row):
-            acc = f.add(acc, f.mul(lv, rv))
-        if acc:
-            raise VerificationFailure("hyperplane coefficients fail to annihilate the basis")
-    return tuple(lam)
+    lam = f.vec_scale(f.inv(normal[0]), normal)
+    if any(functools.reduce(f.add, map(f.mul, lam, row)) for row in space.basis):
+        raise VerificationFailure("hyperplane coefficients fail to annihilate the basis")
+    return lam
 
 
 def _star_holds(a: Point, b: Point, c: Point, i: int, j: int, k: int) -> bool:
@@ -308,22 +298,6 @@ def delta3_witness_u24(space: Subspace) -> tuple[MinorSpec, ...]:
     return chain
 
 
-def _points_with_support(space: Subspace, supp: frozenset[int]) -> list[Point]:
-    return [p for p in sorted(space.points()) if frozenset(i for i, v in enumerate(p) if v) == supp]
-
-
-def _circuit_point(space: Subspace, supp: frozenset[int], unit_at: int) -> Point:
-    """The point supported exactly on a minimal support, scaled to 1 at unit_at."""
-    f = space.field
-    pts = _points_with_support(space, supp)
-    if len(pts) != f.q - 1:
-        raise VerificationFailure(
-            f"support {sorted(supp)} carries {len(pts)} points, expected a single line"
-        )
-    p = pts[0]
-    return f.vec_scale(f.inv(p[unit_at]), p)
-
-
 def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
     """A verified triangle minor chain for rank-2 K4-contraction point sets.
 
@@ -362,9 +336,14 @@ def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
     c4, c5 = u, v
     (c2,) = set(pair_of[u]) - {u}
     (c3,) = set(pair_of[v]) - {v}
-    v1 = _circuit_point(space, frozenset({c1, c4, c5}), c1)
-    v2 = _circuit_point(space, frozenset({c2, c4}), c2)
-    v3 = _circuit_point(space, frozenset({c3, c5}), c3)
+
+    def circuit_point(supp: frozenset[int], unit_at: int) -> Point:
+        p = _support_line(space, supp)
+        return f.vec_scale(f.inv(p[unit_at]), p)
+
+    v1 = circuit_point(frozenset({c1, c4, c5}), c1)
+    v2 = circuit_point(frozenset({c2, c4}), c2)
+    v3 = circuit_point(frozenset({c3, c5}), c3)
     x, y = v1[c4], v1[c5]
     z = v2[c4]
     if v3[c5] == z:

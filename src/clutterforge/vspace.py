@@ -275,7 +275,7 @@ def monomial_orbits(spaces: Sequence[Subspace]) -> list[tuple[int, dict]]:
     return orbits
 
 
-def _nullspace(field: GF, mat: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
+def _nullspace(field: GF, mat: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     """Basis of {t : mat @ t = 0} over GF(q)."""
     reduced, pivots = _rref(field, mat) if mat else ((), ())
     pivot_set = set(pivots)
@@ -306,6 +306,19 @@ def _zero_constrained(space: Subspace, zero_coords: Iterable[int]) -> Subspace:
                 x = field.vec_add(x, field.vec_scale(c, space.basis[j]))
         rows.append(x)
     return span(field, space.n, rows)
+
+
+def _support_line(space: Subspace, supp: frozenset[int]) -> Point:
+    """The point spanning the space's only line with support exactly supp.
+
+    Zero-constrains the coordinates outside supp; the result is RREF, so the
+    point is 1 at min(supp). Raises VerificationFailure unless the
+    constrained space is one line with exactly that support.
+    """
+    inside = _zero_constrained(space, frozenset(range(space.n)) - supp)
+    if inside.dim != 1 or support(inside.basis[0]) != supp:
+        raise VerificationFailure(f"support {sorted(supp)} does not carry a unique line")
+    return inside.basis[0]
 
 
 def subspace_minor(
@@ -412,14 +425,7 @@ def disjoint_support_basis(space: Subspace) -> Optional[tuple[Point, ...]]:
     m = matroid_mod.matroid_of(space)
     if matroid_mod.intersecting_circuits(m) is not None:
         return None
-    rows: list[Point] = []
-    for circuit in sorted(m.circuits, key=min):
-        inside = _zero_constrained(space, frozenset(range(space.n)) - circuit)
-        if inside.dim != 1 or support(inside.basis[0]) != circuit:
-            raise VerificationFailure(
-                f"circuit {sorted(circuit)} does not carry a unique full-support line"
-            )
-        rows.append(inside.basis[0])
+    rows = [_support_line(space, circuit) for circuit in sorted(m.circuits, key=min)]
     if len(rows) != space.dim or span(space.field, space.n, rows) != space:
         raise VerificationFailure("disjoint-support rows fail to span the space")
     return tuple(rows)
@@ -506,34 +512,12 @@ def sunflower_basis(space: Subspace) -> Optional[SunflowerWitness]:
         )
     if report.kinds[0] != "subdivision":
         return None
-    classes = [tuple(c) for c in matroid_mod.series_classes(m)]
-    head = classes[0]
-    field = space.field
-    rows: list[Point] = []
-    for cls in classes[1:]:
-        allowed = set(head) | set(cls)
-        inside = _zero_constrained(space, frozenset(range(space.n)) - allowed)
-        if inside.dim != 1 or support(inside.basis[0]) != frozenset(allowed):
-            raise VerificationFailure(
-                f"classes {head} and {cls} do not carry a unique circuit point"
-            )
-        rows.append(inside.basis[0])
-    h0 = head[0]
-    ref = rows[0]
-    scaled = [ref]
-    for y in rows[1:]:
-        lam = field.div(y[h0], ref[h0])
-        y2 = field.vec_scale(field.inv(lam), y)
-        if any(y2[c] != ref[c] for c in head):
-            raise VerificationFailure("head parts of circuit points are not proportional")
-        scaled.append(y2)
+    classes = matroid_mod.series_classes(m)
+    head = frozenset(classes[0])
+    # each line is 1 at coordinate 0: validate's shared-head check tests proportionality
+    rows = tuple(_support_line(space, head | frozenset(cls)) for cls in classes[1:])
     permutation = tuple(itertools.chain.from_iterable(classes))
-    witness = SunflowerWitness(
-        field,
-        permutation,
-        tuple(len(c) for c in classes),
-        tuple(scaled),
-    )
+    witness = SunflowerWitness(space.field, permutation, tuple(len(c) for c in classes), rows)
     return witness.validate(space)
 
 

@@ -8,6 +8,7 @@ import pytest
 from clutterforge.gf import build_field
 from clutterforge.graphs import MultiGraph
 from clutterforge.verify import enumerate_subspaces
+from clutterforge.vspace import support
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +49,34 @@ def subspaces_gf4_3():
 @pytest.fixture(scope="session")
 def subspaces_gf3_4():
     return list(enumerate_subspaces(3, 4))
+
+
+@pytest.fixture(scope="session")
+def structure_spaces():
+    """Every subspace of GF(2)^4, GF(2)^5, GF(3)^3, GF(3)^4, GF(4)^3, GF(4)^4, GF(5)^3 and GF(8)^3."""
+    shapes = ((2, 4), (2, 5), (3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (8, 3))
+    return [s for q, n in shapes for s in enumerate_subspaces(q, n)]
+
+
+def _support_line_by_scan(space, supp):
+    """The line of the space with support exactly supp, found by scanning every point.
+
+    The points supported inside supp must be one line (q points) whose q - 1
+    nonzero points all have support supp. Returns the first of those in
+    sorted order, scaled to 1 at min(supp), or None.
+    """
+    inside = [p for p in sorted(space.points()) if support(p) <= supp]
+    exact = [p for p in inside if support(p) == supp]
+    if len(inside) != space.q or len(exact) != space.q - 1:
+        return None
+    f = space.field
+    return f.vec_scale(f.inv(exact[0][min(supp)]), exact[0])
+
+
+@pytest.fixture(scope="session")
+def support_line_by_scan():
+    """The point-scan route to a support's line, the reference for vspace._support_line."""
+    return _support_line_by_scan
 
 
 @pytest.fixture(scope="session")

@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 import clutterforge
-from clutterforge.clutter import Clutter, builtin, mult
+from clutterforge.clutter import Clutter, MinorSpec, builtin, mult
 from clutterforge.errors import ClutterforgeError
 from clutterforge.gf import build_field
 from clutterforge.graphs import MultiGraph
-from clutterforge.matroid import CircuitMatroid, has_minor, matroid_of
+from clutterforge.matroid import TARGETS, CircuitMatroid, has_minor, matroid_minor, matroid_of
+from clutterforge.polyhedral import mfmc_check
 from clutterforge.vspace import Subspace
 
 PACKAGE_DIR = Path(clutterforge.__file__).parent
@@ -84,10 +85,14 @@ def test_import_loads_no_process_pool():
         (lambda: MultiGraph(2, ((0, "1"),)), TypeError),
         (lambda: Clutter((1, 2), (1.5,)), TypeError),
         (lambda: Clutter((1, 2), [[[1]]]), TypeError),
+        (lambda: CircuitMatroid(3, [frozenset({"a"})]), TypeError),
+        (lambda: CircuitMatroid("3", [frozenset({0})]), TypeError),
+        (lambda: MinorSpec(delete=5), TypeError),
     ],
     ids=["non-rref-basis", "duplicate-labels", "duplicate-circuits", "empty-circuit",
          "nested-circuits", "elimination-fails", "edge-not-a-pair", "vertex-count-not-int",
-         "edge-endpoint-not-int", "member-not-iterable", "member-label-unhashable"],
+         "edge-endpoint-not-int", "member-not-iterable", "member-label-unhashable",
+         "circuit-element-not-int", "ground-size-not-int", "minor-spec-not-a-set"],
 )
 def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
     with pytest.raises(ClutterforgeError) as info:
@@ -101,8 +106,15 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: mult([(0, 1)]), TypeError),
         (lambda: builtin("k5"), KeyError),
         (lambda: has_minor(matroid_of(Subspace(build_field(2), 3, ((1, 0, 1),))), "F7"), KeyError),
+        (lambda: build_field("3"), TypeError),
+        (lambda: build_field(3.0), TypeError),
+        (lambda: matroid_minor(TARGETS["A3"], frozenset({"a"})), TypeError),
+        (lambda: mfmc_check(builtin("delta3"), -1, samples=3), ValueError),
+        (lambda: mfmc_check(builtin("delta3"), -1), ValueError),
     ],
-    ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target"],
+    ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
+         "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sampled",
+         "mfmc-negative-bound-sweep"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

@@ -10,6 +10,7 @@ from clutterforge.errors import BadIndex, BudgetExceeded, OverlapError, TooLarge
 from clutterforge.matroid import (
     TARGETS,
     CircuitMatroid,
+    StructureReport,
     _graph_circuits,
     circuits_isomorphic,
     classify,
@@ -85,6 +86,35 @@ def ref_graph_circuits(edges):
             if not any(c <= chosen for c in circuits) and has_cycle(idxs):
                 circuits.append(chosen)
     return tuple(circuits)
+
+
+def ref_classify(m):
+    """Classification by the minor round trip: contract all but one element of
+    each series class of a component, then ask whether every 2-subset of the
+    t >= 3 survivors is a circuit."""
+    kinds, ts = [], []
+    for comp in components(m):
+        comp_set = frozenset(comp)
+        local = [c for c in m.circuits if c <= comp_set]
+        if not local:
+            kinds.append("coloop")
+            ts.append(None)
+            continue
+        if len(local) == 1 and local[0] == comp_set:
+            kinds.append("circuit")
+            ts.append(None)
+            continue
+        classes = [cl for cl in series_classes(m) if set(cl) <= comp_set]
+        contract = frozenset(e for cl in classes for e in cl[1:])
+        reduced = matroid_minor(m, frozenset(range(m.size)) - comp_set, contract)
+        pairs = {frozenset(p) for p in itertools.combinations(range(reduced.size), 2)}
+        if reduced.size >= 3 and set(reduced.circuits) == pairs:
+            kinds.append("subdivision")
+            ts.append(reduced.size)
+        else:
+            kinds.append("unclassified")
+            ts.append(None)
+    return StructureReport(components(m), tuple(kinds), tuple(ts))
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +354,16 @@ class TestAgainstReference:
                         (ref_matroid_minor, ref_circuits_isomorphic),
                     ):
                         assert iso(minor_of(m, *witness), target) is not None
+
+    def test_classify_matches_the_minor_round_trip(self, structure_spaces, random_multigraphs):
+        matroids = [matroid_of(s) for s in structure_spaces] + list(TARGETS.values())
+        matroids += [CircuitMatroid(len(g.edges), _graph_circuits(g.edges)) for g in random_multigraphs]
+        kinds = set()
+        for m in matroids:
+            report = classify(m)
+            assert report == ref_classify(m), m
+            kinds.update(report.kinds)
+        assert kinds == {"coloop", "circuit", "subdivision", "unclassified"}
 
     def test_isomorphism_existence(self, small_matroids):
         by_size: dict[int, list] = {}

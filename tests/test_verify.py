@@ -98,6 +98,9 @@ class TestEnumeration:
         assert gaussian_binomial(4, 2, 3) == 130
         assert gaussian_binomial(2, 1, 5) == 6
         assert gaussian_binomial(3, 0, 9) == 1
+        for r in (5, -1):
+            value = gaussian_binomial(3, r, 3)
+            assert value == 0 and type(value) is int
 
     def test_counts_match_enumeration(self):
         for q, n, expect in [(2, 3, 16), (3, 3, 28), (4, 3, 44), (3, 4, 212), (5, 2, 8)]:
@@ -277,6 +280,30 @@ class TestDelta3WitnessK4e:
         chain = delta3_witness_k4e(space)
         final = apply_chain(mult(space), chain)
         assert is_isomorphic(final, builtin("delta3")) is not None
+
+    def test_chains_match_the_point_scan_route(self, monkeypatch, support_line_by_scan):
+        # every tenth 3-dimensional subspace of GF(4)^5; about a fifth have the K4/e shape
+        spaces = [s for s in enumerate_subspaces(4, 5) if s.dim == 3][::10]
+
+        def outcomes():
+            out = []
+            for space in spaces:
+                try:
+                    out.append(delta3_witness_k4e(space))
+                except (VerificationFailure, WrongShape) as exc:
+                    out.append((type(exc), str(exc)))
+            return out
+
+        def line_by_scan(space, supp):
+            line = support_line_by_scan(space, supp)
+            if line is None:
+                raise VerificationFailure(f"support {sorted(supp)} does not carry a unique line")
+            return line
+
+        direct = outcomes()
+        monkeypatch.setattr(verify_module, "_support_line", line_by_scan)
+        assert outcomes() == direct
+        assert sum(isinstance(o[0], MinorSpec) for o in direct) > 50
 
     def test_small_field_rejected(self, f2):
         space = span(f2, 5, self.BASE)

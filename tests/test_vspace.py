@@ -15,10 +15,12 @@ from clutterforge.errors import (
     TooLarge,
     VerificationFailure,
 )
+from clutterforge.verify import enumerate_subspaces
 from clutterforge.vspace import (
     SetSystem,
     Subspace,
     SunflowerWitness,
+    _support_line,
     disjoint_support_basis,
     enumerate_points,
     factor,
@@ -275,6 +277,36 @@ class TestDisjointSupportBasis:
                 for a, b in itertools.combinations(basis, 2):
                     assert not (support(a) & support(b))
                 assert span(s.field, s.n, basis) == s
+
+
+class TestSupportLine:
+    def test_circuit_lines_match_the_point_scan(self, structure_spaces, support_line_by_scan):
+        from clutterforge.matroid import matroid_of
+
+        for s in structure_spaces:
+            for circuit in matroid_of(s).circuits:
+                line = support_line_by_scan(s, circuit)
+                assert line is not None
+                assert _support_line(s, circuit) == line
+
+    def test_every_support_matches_the_point_scan(
+        self, subspaces_gf3_3, subspaces_gf4_3, support_line_by_scan
+    ):
+        spaces = itertools.chain(
+            enumerate_subspaces(2, 4), enumerate_subspaces(2, 5), subspaces_gf3_3, subspaces_gf4_3
+        )
+        lines = 0
+        for s in spaces:
+            for r in range(1, s.n + 1):
+                for supp in map(frozenset, itertools.combinations(range(s.n), r)):
+                    line = support_line_by_scan(s, supp)
+                    if line is None:
+                        with pytest.raises(VerificationFailure):
+                            _support_line(s, supp)
+                    else:
+                        assert _support_line(s, supp) == line
+                        lines += 1
+        assert lines > 0
 
 
 class TestSunflowerBasis:
