@@ -1,27 +1,30 @@
 """Command-line front end: parse instances, run analyses and sweeps, emit
 certificates and reports.
 
-Subcommands: field, analyze, witness, sweep, localize, matroid. Output is
-deterministic (fixed ordering, no timestamps); ``--json`` switches every
-subcommand to machine-readable output. Exit codes: 0 success (for sweeps:
-zero disagreements), 1 input or usage errors (including failed certificate
-checks and sweep disagreements), 2 verdicts left UNKNOWN by budget limits.
+Subcommands: field, analyze, witness, sweep, localize, matroid. The CLI
+only renders: ``analyze`` reports verify's condition functions, and each
+subcommand builds one JSON object and one list of text lines and prints
+one of them through ``_emit``. Output is deterministic (fixed ordering, no
+timestamps); ``--json`` switches every subcommand to machine-readable
+output. Exit codes: 0 success (for sweeps: zero disagreements), 1 input or
+usage errors (including failed certificate checks and sweep disagreements),
+2 verdicts left UNKNOWN by budget limits.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, TextIO
 
 from .clutter import (
     Clutter,
     builtin,
     compose_chain,
-    find_minor,
     format_minor_certificate,
     localization,
     mult,
@@ -33,15 +36,17 @@ from .errors import (
     ClutterforgeError,
     ParseError,
     PreconditionViolated,
-    TooLarge,
     VerificationFailure,
 )
 from .gf import build_field
 from .matroid import TARGETS, circuits_isomorphic, classify, matroid_of, series_classes
-from .polyhedral import MAX_POLY_GROUND, is_ideal
+from .polyhedral import MAX_POLY_GROUND
 from .verify import (
     DEFAULT_ENUM_BUDGET,
+    _factor_pieces,
+    _ideal_condition,
     _mfmc_condition,
+    _search_minors,
     c5sq_witness,
     delta3_witness_k4e,
     delta3_witness_u24,
@@ -50,14 +55,7 @@ from .verify import (
     summarize_certificate,
     sweep_theorem,
 )
-from .vspace import (
-    Point,
-    Subspace,
-    disjoint_support_basis,
-    factor,
-    parse_subspace,
-    sunflower_basis,
-)
+from .vspace import Point, Subspace, disjoint_support_basis, parse_subspace
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -82,13 +80,12 @@ def _env_budget() -> Optional[int]:
         raise ParseError(f"CLUTTERFORGE_BUDGET must be an integer, got {raw!r}") from exc
 
 
-def _read_subspace(path: str) -> Subspace:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_subspace(text)
 
 
 def _parse_alpha(text: str) -> tuple[int, ...]:
@@ -104,6 +101,13 @@ def _fmt_verdict(value: Optional[bool]) -> str:
     return "yes" if value else "no"
 
 
+def _emit(
+    args: argparse.Namespace, data: dict[str, Any], lines: list[str], file: Optional[TextIO] = None
+) -> None:
+    """Print the JSON object under --json, else the text lines, to file or else stdout."""
+    print(json.dumps(data) if args.json else "\n".join(lines), file=file)
+
+
 # ---------------------------------------------------------------------------
 # field
 # ---------------------------------------------------------------------------
@@ -116,9 +120,6 @@ def cmd_field(args: argparse.Namespace) -> int:
     f = build_field(args.q)
     add = _field_table(f, f.add)
     mul = _field_table(f, f.mul)
-    if args.json:
-        print(json.dumps({"q": f.q, "add": add, "mul": mul}))
-        return EXIT_OK
     width = len(str(f.q - 1))
 
     def table(symbol: str, rows: list[list[int]]) -> list[str]:
@@ -129,28 +130,21 @@ def cmd_field(args: argparse.Namespace) -> int:
             lines.append(f"{a:>{width}} | {body}")
         return lines
 
-    out = [f"GF({f.q})", ""]
-    out += table("+", add)
-    out.append("")
-    out += table("x", mul)
-    print("\n".join(out))
+    lines = [f"GF({f.q})", "", *table("+", add), "", *table("x", mul)]
+    _emit(args, {"q": f.q, "add": add, "mul": mul}, lines)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# analyze
+# analyze: renders verify's condition functions
 # ---------------------------------------------------------------------------
 
 def _analysis_ideal(cl: Clutter, max_ground: int) -> tuple[dict[str, Any], list[str]]:
-    try:
-        cert = is_ideal(cl, max_ground=max_ground)
-    except TooLarge:
-        line = (
-            f"ideal: UNKNOWN (ground size {len(cl.ground)} exceeds the "
-            f"polyhedral budget {max_ground})"
-        )
+    verdict, method, cert = _ideal_condition(cl, max_ground)
+    if verdict is None:
+        line = f"ideal: UNKNOWN ({method.removeprefix('unknown: ')})"
         return {"verdict": None, "reason": "budget"}, [line]
-    if cert.integral:
+    if verdict:
         line = (
             f"ideal: IDEAL (0 fractional extreme points of "
             f"{cert.candidates_examined} candidates examined)"
@@ -158,7 +152,7 @@ def _analysis_ideal(cl: Clutter, max_ground: int) -> tuple[dict[str, Any], list[
     else:
         point = ", ".join(str(x) for x in cert.fractional_point)
         line = f"ideal: NOT IDEAL (fractional extreme point: ({point}))"
-    return {"verdict": cert.integral, "certificate": summarize_certificate(cert)}, [line]
+    return {"verdict": verdict, "certificate": summarize_certificate(cert)}, [line]
 
 
 def _analysis_mfmc(
@@ -174,19 +168,15 @@ def _analysis_minors(
 ) -> tuple[dict[str, Any], list[str]]:
     data: dict[str, Any] = {}
     lines: list[str] = []
-    for name in _MINOR_TARGET_NAMES:
-        try:
-            hit = find_minor(cl, builtin(name), budget=minor_budget)
-        except BudgetExceeded:
+    for name, hit in _search_minors(cl, _MINOR_TARGET_NAMES, minor_budget):
+        if isinstance(hit, BudgetExceeded):
             data[name] = None
             lines.append(f"minor {name}: UNKNOWN (search out of budget)")
-            continue
-        if hit is None:
+        elif hit is None:
             data[name] = {"present": False}
             lines.append(f"minor {name}: none (exhaustive search)")
         else:
-            spec, mapping = hit
-            cert = format_minor_certificate(spec, mapping)
+            cert = format_minor_certificate(*hit)
             data[name] = {"present": True, "certificate": cert}
             lines.append(f"minor {name}: {cert}")
     return data, lines
@@ -195,36 +185,26 @@ def _analysis_minors(
 def _analysis_structure(
     space: Subspace, basis: Optional[tuple[Point, ...]]
 ) -> tuple[dict[str, Any], list[str]]:
-    lines: list[str] = []
     if basis is None:
-        lines.append("disjoint-support basis: none")
+        lines = ["disjoint-support basis: none"]
     else:
         rows = "; ".join(",".join(str(v) for v in row) for row in basis) or "(empty)"
-        lines.append(f"disjoint-support basis: {rows}")
-    pieces = factor(space)
+        lines = [f"disjoint-support basis: {rows}"]
     piece_data = []
-    for coords, piece in pieces:
+    for coords, piece, witness in _factor_pieces(space):
         entry: dict[str, Any] = {"coords": list(coords), "dim": piece.dim}
-        if piece.dim <= 1:
-            desc = "dimension <= 1"
-        else:
-            witness = sunflower_basis(piece)
-            if witness is None:
-                desc = "no sunflower basis"
-            else:
-                desc = (
-                    f"sunflower basis, head size {len(witness.head)}, "
-                    f"{witness.r} blocks"
-                )
+        line = f"factor on coordinates {','.join(map(str, coords))}: dim {piece.dim}"
+        if piece.dim > 1:
+            desc = "no sunflower basis"
+            if witness is not None:
+                desc = f"sunflower basis, head size {len(witness.head)}, {witness.r} blocks"
                 entry["sunflower"] = {
                     "head": list(witness.head),
                     "block_sizes": list(witness.block_sizes),
                 }
             entry["description"] = desc
-        lines.append(
-            f"factor on coordinates {','.join(map(str, coords))}: dim {piece.dim}"
-            + (f" ({desc})" if piece.dim > 1 else "")
-        )
+            line += f" ({desc})"
+        lines.append(line)
         piece_data.append(entry)
     classes = series_classes(matroid_of(space))
     cls_txt = " ".join("{" + ",".join(map(str, c)) + "}" for c in classes)
@@ -238,14 +218,9 @@ def _analysis_structure(
 
 
 def _check_certificate(space: Subspace, cert_path: str) -> tuple[bool, str]:
-    try:
-        with open(cert_path, "r", encoding="utf-8") as fh:
-            content = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {cert_path}: {exc}") from exc
     target_name = None
     cert_line = None
-    for line in content.splitlines():
+    for line in _read_text(cert_path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -273,13 +248,10 @@ def _check_certificate(space: Subspace, cert_path: str) -> tuple[bool, str]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    space = _read_subspace(args.input)
+    space = parse_subspace(_read_text(args.input))
     if args.check_cert:
         ok, detail = _check_certificate(space, args.check_cert)
-        if args.json:
-            print(json.dumps({"instance": instance_id(space), "check": ok, "detail": detail}))
-        else:
-            print(detail)
+        _emit(args, {"instance": instance_id(space), "check": ok, "detail": detail}, [detail])
         return EXIT_OK if ok else EXIT_ERROR
     budget = args.budget if args.budget is not None else _env_budget()
     run_all = not (args.ideal or args.mfmc or args.minors or args.structure)
@@ -292,28 +264,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     lines: list[str] = [f"instance: {instance_id(space)}"]
     unknown = False
     if ideal:
-        data, txt = _analysis_ideal(cl, args.max_ground)
-        report["ideal"] = data
+        report["ideal"], txt = _analysis_ideal(cl, args.max_ground)
         lines += txt
-        unknown |= data["verdict"] is None
+        unknown |= report["ideal"]["verdict"] is None
     if mfmc:
-        data, txt = _analysis_mfmc(cl, basis is not None, budget)
-        report["mfmc"] = data
+        report["mfmc"], txt = _analysis_mfmc(cl, basis is not None, budget)
         lines += txt
-        unknown |= data["verdict"] is None
+        unknown |= report["mfmc"]["verdict"] is None
     if minors:
-        data, txt = _analysis_minors(cl, budget)
-        report["minors"] = data
+        report["minors"], txt = _analysis_minors(cl, budget)
         lines += txt
-        unknown |= any(v is None for v in data.values())
+        unknown |= None in report["minors"].values()
     if structure:
-        data, txt = _analysis_structure(space, basis)
-        report["structure"] = data
+        report["structure"], txt = _analysis_structure(space, basis)
         lines += txt
-    if args.json:
-        print(json.dumps(report))
-    else:
-        print("\n".join(lines))
+    _emit(args, report, lines)
     return EXIT_UNKNOWN if unknown else EXIT_OK
 
 
@@ -322,7 +287,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    space = _read_subspace(args.input)
+    space = parse_subspace(_read_text(args.input))
     builder, target_name = _WITNESS_BUILDERS[args.kind]
     if args.kind == "c5sq":
         alpha = _parse_alpha(args.alpha) if args.alpha else None
@@ -344,27 +309,20 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(cert_text)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "instance": instance_id(space),
-                    "kind": args.kind,
-                    "target": target_name,
-                    "steps": [summarize_certificate(s) for s in chain],
-                    "certificate": cert_line,
-                }
-            )
-        )
-    else:
-        out = [f"instance: {instance_id(space)}", f"target: {target_name}"]
-        for idx, spec in enumerate(chain):
-            d = ",".join(sorted(map(str, spec.delete)))
-            c = ",".join(sorted(map(str, spec.contract)))
-            out.append(f"step {idx}: delete {{{d}}} contract {{{c}}}")
-        out.append(f"replay: isomorphic to {target_name}")
-        out.append(cert_line)
-        print("\n".join(out))
+    data = {
+        "instance": instance_id(space),
+        "kind": args.kind,
+        "target": target_name,
+        "steps": [summarize_certificate(s) for s in chain],
+        "certificate": cert_line,
+    }
+    lines = [f"instance: {instance_id(space)}", f"target: {target_name}"]
+    for idx, spec in enumerate(chain):
+        d = ",".join(sorted(map(str, spec.delete)))
+        c = ",".join(sorted(map(str, spec.contract)))
+        lines.append(f"step {idx}: delete {{{d}}} contract {{{c}}}")
+    lines += [f"replay: isomorphic to {target_name}", cert_line]
+    _emit(args, data, lines)
     return EXIT_OK
 
 
@@ -388,47 +346,38 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     total = len(reports)
     disagreements = sum(1 for r in reports if not r["agreement"])
     unknowns = sum(len(r["unknown"]) for r in reports)
-    if args.json:
-        text = json.dumps(
-            {
-                "q": args.q,
-                "n": args.n,
-                "theorem": reports[0]["theorem"] if reports else str(args.theorem),
-                "total": total,
-                "disagreements": disagreements,
-                "unknown_verdicts": unknowns,
-                "reports": reports,
-            }
-        )
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+    data = {
+        "q": args.q,
+        "n": args.n,
+        "theorem": reports[0]["theorem"] if reports else str(args.theorem),
+        "total": total,
+        "disagreements": disagreements,
+        "unknown_verdicts": unknowns,
+        "reports": reports,
+    }
+    rows = io.StringIO()
+    writer = csv.writer(rows, lineterminator="\n")
+    writer.writerow(
+        ["instance", "i", "ii", "iii", "agreement", "unknown", "method_i", "method_ii", "method_iii"]
+    )
+    for r in reports:
         writer.writerow(
-            ["instance", "i", "ii", "iii", "agreement", "unknown", "method_i", "method_ii", "method_iii"]
+            [
+                r["instance"],
+                _fmt_verdict(r["i"]),
+                _fmt_verdict(r["ii"]),
+                _fmt_verdict(r["iii"]),
+                "yes" if r["agreement"] else "NO",
+                ";".join(r["unknown"]),
+                r["methods"].get("i", ""),
+                r["methods"].get("ii", ""),
+                r["methods"].get("iii", ""),
+            ]
         )
-        for r in reports:
-            writer.writerow(
-                [
-                    r["instance"],
-                    _fmt_verdict(r["i"]),
-                    _fmt_verdict(r["ii"]),
-                    _fmt_verdict(r["iii"]),
-                    "yes" if r["agreement"] else "NO",
-                    ";".join(r["unknown"]),
-                    r["methods"].get("i", ""),
-                    r["methods"].get("ii", ""),
-                    r["methods"].get("iii", ""),
-                ]
-            )
-        buf.write(
-            f"# total={total} disagreements={disagreements} unknown_verdicts={unknowns}\n"
-        )
-        text = buf.getvalue().rstrip("\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    rows.write(f"# total={total} disagreements={disagreements} unknown_verdicts={unknowns}")
+    lines = [rows.getvalue()]  # one chunk: the CSV rows and the summary line
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as fh:
+        _emit(args, data, lines, fh)
     return EXIT_OK if disagreements == 0 else EXIT_ERROR
 
 
@@ -437,65 +386,52 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_localize(args: argparse.Namespace) -> int:
-    space = _read_subspace(args.input)
+    space = parse_subspace(_read_text(args.input))
     alpha = _parse_alpha(args.alpha)
     try:
         profile = localization_profile(space, alpha)
     except PreconditionViolated:
         profile = None
     if profile is not None:
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "instance": instance_id(space),
-                        "alpha": list(profile.alpha),
-                        "sigma": profile.sigma,
-                        "profile": summarize_certificate(profile),
-                    }
-                )
+        data = {
+            "instance": instance_id(space),
+            "alpha": list(profile.alpha),
+            "sigma": profile.sigma,
+            "profile": summarize_certificate(profile),
+        }
+        lines = [
+            f"instance: {instance_id(space)}",
+            f"alpha: {','.join(map(str, profile.alpha))} (functional value {profile.sigma})",
+            "size-1 members: " + " ".join(f"({p},{v})" for p, v in profile.size_one),
+            f"size-2 components: {len(profile.components)}",
+        ]
+        for comp in profile.components:
+            lines.append(
+                f"  component {comp.head}: {len(comp.edges)} edges, "
+                f"left {list(comp.left)}, right {list(comp.right)}"
             )
-        else:
-            out = [
-                f"instance: {instance_id(space)}",
-                f"alpha: {','.join(map(str, profile.alpha))} (functional value {profile.sigma})",
-                "size-1 members: "
-                + " ".join(f"({p},{v})" for p, v in profile.size_one),
-                f"size-2 components: {len(profile.components)}",
-            ]
-            for comp in profile.components:
-                out.append(
-                    f"  component {comp.head}: {len(comp.edges)} edges, "
-                    f"left {list(comp.left)}, right {list(comp.right)}"
-                )
-            out.append(f"members of size >= 3: {len(profile.residual)}")
-            print("\n".join(out))
-        return EXIT_OK
-    # shapes without the closed-form census: report the raw localization
-    cl = localization(space, alpha)
-    sizes: dict[int, int] = {}
-    for mem in cl.member_sets():
-        sizes[len(mem)] = sizes.get(len(mem), 0) + 1
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "instance": instance_id(space),
-                    "alpha": list(alpha),
-                    "profile": None,
-                    "member_count": len(cl.members),
-                    "size_histogram": {str(k): v for k, v in sorted(sizes.items())},
-                }
-            )
-        )
+        lines.append(f"members of size >= 3: {len(profile.residual)}")
     else:
+        # shapes without the closed-form census: report the raw localization
+        cl = localization(space, alpha)
+        sizes: dict[int, int] = {}
+        for mem in cl.member_sets():
+            sizes[len(mem)] = sizes.get(len(mem), 0) + 1
+        data = {
+            "instance": instance_id(space),
+            "alpha": list(alpha),
+            "profile": None,
+            "member_count": len(cl.members),
+            "size_histogram": {str(k): v for k, v in sorted(sizes.items())},
+        }
         hist = " ".join(f"size {k}: {v}" for k, v in sorted(sizes.items()))
-        print(
-            f"instance: {instance_id(space)}\n"
-            f"alpha: {','.join(map(str, alpha))}\n"
+        lines = [
+            f"instance: {instance_id(space)}",
+            f"alpha: {','.join(map(str, alpha))}",
             f"no closed-form census for this shape; raw localization has "
-            f"{len(cl.members)} members ({hist})"
-        )
+            f"{len(cl.members)} members ({hist})",
+        ]
+    _emit(args, data, lines)
     return EXIT_OK
 
 
@@ -504,7 +440,7 @@ def cmd_localize(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_matroid(args: argparse.Namespace) -> int:
-    space = _read_subspace(args.input)
+    space = parse_subspace(_read_text(args.input))
     m = matroid_of(space)
     report = classify(m)
     matches = [
@@ -522,24 +458,21 @@ def cmd_matroid(args: argparse.Namespace) -> int:
         "kinds": list(report.kinds),
         "named_matches": matches,
     }
-    if args.json:
-        print(json.dumps(data))
-    else:
-        circuits = " ".join("{" + ",".join(map(str, c)) + "}" for c in data["circuits"])
-        out = [
-            f"instance: {instance_id(space)}",
-            f"elements: {m.size}, rank: {m.rank()}",
-            f"circuits: {circuits or '(none)'}",
-            "series classes: "
-            + " ".join("{" + ",".join(map(str, c)) + "}" for c in data["series_classes"]),
-            "components: "
-            + "; ".join(
-                f"{{{','.join(map(str, comp))}}}: {kind}"
-                for comp, kind in zip(report.components, report.kinds)
-            ),
-            f"named matches: {', '.join(matches) if matches else '(none)'}",
-        ]
-        print("\n".join(out))
+    circuits = " ".join("{" + ",".join(map(str, c)) + "}" for c in data["circuits"])
+    lines = [
+        f"instance: {instance_id(space)}",
+        f"elements: {m.size}, rank: {m.rank()}",
+        f"circuits: {circuits or '(none)'}",
+        "series classes: "
+        + " ".join("{" + ",".join(map(str, c)) + "}" for c in data["series_classes"]),
+        "components: "
+        + "; ".join(
+            f"{{{','.join(map(str, comp))}}}: {kind}"
+            for comp, kind in zip(report.components, report.kinds)
+        ),
+        f"named matches: {', '.join(matches) if matches else '(none)'}",
+    ]
+    _emit(args, data, lines)
     return EXIT_OK
 
 
@@ -559,7 +492,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_field = sub.add_parser("field", help="print GF(q) addition and multiplication tables")
     p_field.add_argument("--q", type=int, required=True)
-    p_field.add_argument("--json", action="store_true")
     p_field.set_defaults(func=cmd_field)
 
     p_an = sub.add_parser("analyze", help="analyze one subspace instance")
@@ -572,7 +504,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--max-ground", type=int, default=MAX_POLY_GROUND, help="polyhedral ground cap")
     p_an.add_argument("--check-cert", metavar="CERT", default=None,
                       help="re-validate a previously emitted minor certificate")
-    p_an.add_argument("--json", action="store_true")
     p_an.set_defaults(func=cmd_analyze)
 
     p_wit = sub.add_parser("witness", help="build and replay a constructive minor chain")
@@ -581,7 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wit.add_argument("--alpha", default=None, help="comma-separated point (c5sq only)")
     p_wit.add_argument("--seed", type=int, default=None, help="randomize free choices (c5sq only)")
     p_wit.add_argument("--out", default=None, help="write the certificate to this file")
-    p_wit.add_argument("--json", action="store_true")
     p_wit.set_defaults(func=cmd_witness)
 
     p_sw = sub.add_parser("sweep", help="run one statement over every subspace of GF(q)^n")
@@ -592,20 +522,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_sw.add_argument("--budget", type=int, default=None, help="search budget override")
     p_sw.add_argument("--max-ground", type=int, default=MAX_POLY_GROUND, help="polyhedral ground cap")
-    p_sw.add_argument("--json", action="store_true")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_loc = sub.add_parser("localize", help="profile one localization of a subspace")
     p_loc.add_argument("input", help="subspace file (text or JSON)")
     p_loc.add_argument("--alpha", required=True, help="comma-separated point to localize at")
-    p_loc.add_argument("--json", action="store_true")
     p_loc.set_defaults(func=cmd_localize)
 
     p_mat = sub.add_parser("matroid", help="describe the matroid of minimal supports")
     p_mat.add_argument("input", help="subspace file (text or JSON)")
-    p_mat.add_argument("--json", action="store_true")
     p_mat.set_defaults(func=cmd_matroid)
 
+    for p_sub in sub.choices.values():
+        p_sub.add_argument("--json", action="store_true")
     return parser
 
 

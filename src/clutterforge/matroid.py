@@ -44,7 +44,10 @@ class CircuitMatroid:
     def __post_init__(self) -> None:
         if not isinstance(self.size, int):
             raise WrongType(f"ground size must be an int, got {type(self.size).__name__}")
-        raw = [frozenset(c) for c in self.circuits]
+        try:
+            raw = [frozenset(c) for c in self.circuits]
+        except TypeError as exc:
+            raise WrongType(f"circuits must be sets of ints: {exc}") from exc
         if not all(isinstance(e, int) for c in raw for e in c):
             raise WrongType("circuit elements must be ints")
         circs = tuple(sorted(set(raw), key=lambda s: (len(s), sorted(s))))
@@ -121,8 +124,11 @@ def matroid_minor(m: CircuitMatroid, delete: frozenset[int] = frozenset(), contr
     """
     from .clutter import Clutter, MinorSpec, _bits, minor
 
-    delete = frozenset(delete)
-    contract = frozenset(contract)
+    try:
+        delete = frozenset(delete)
+        contract = frozenset(contract)
+    except TypeError as exc:
+        raise WrongType(f"delete and contract must be sets of ints: {exc}") from exc
     if delete & contract:
         raise OverlapError(f"delete and contract overlap on {sorted(delete & contract)}")
     for e in delete | contract:

@@ -30,6 +30,7 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
     VerificationFailure,
+    WrongType,
 )
 
 MAX_POLY_GROUND = 14
@@ -705,9 +706,11 @@ def mfmc_check(
     full [0, bound]^V sweep. Each vector costs a `tau` and a `nu` over every
     member, so the sweep raises BudgetExceeded when (bound + 1)^|V| times
     the member count exceeds MFMC_SWEEP_BUDGET. None never certifies the
-    max-flow min-cut property — the structural tests do that. A negative
-    bound raises PreconditionViolated.
+    max-flow min-cut property — the structural tests do that. A bound that
+    is not an int raises WrongType, a negative one PreconditionViolated.
     """
+    if not isinstance(bound, int):
+        raise WrongType(f"weight bound must be an int, got {type(bound).__name__}")
     if bound < 0:
         raise PreconditionViolated(f"weight bound must be >= 0, got {bound}")
     n = len(c.ground)

@@ -890,23 +890,48 @@ _MINOR_TARGETS = {
 }
 
 
+def _factor_pieces(space: Subspace) -> list[tuple[tuple[int, ...], Subspace, Any]]:
+    """Each coordinate factor of the space with its sunflower witness, None
+    when it has none, or "dimension <= 1" when it needs none."""
+    return [
+        (coords, piece, "dimension <= 1" if piece.dim <= 1 else sunflower_basis(piece))
+        for coords, piece in factor(space)
+    ]
+
+
 def _structure_condition(space: Subspace, t: str) -> tuple[bool, str, Any]:
     """Condition (ii), the structural side, as (verdict, method, certificate)."""
     if t == "1.2":
-        details: list[tuple[tuple[int, ...], Any]] = []
-        ok = True
-        for coords, piece in factor(space):
-            if piece.dim <= 1:
-                details.append((coords, "dimension <= 1"))
-                continue
-            witness = sunflower_basis(piece)
-            details.append((coords, witness))
-            if witness is None:
-                ok = False
+        details = tuple((coords, detail) for coords, _, detail in _factor_pieces(space))
         method = "coordinate factorization with per-factor dimension/sunflower detection"
-        return ok, method, tuple(details)
+        return all(detail is not None for _, detail in details), method, details
     basis = disjoint_support_basis(space)
     return basis is not None, "pairwise-disjoint-support basis detector", basis
+
+
+def _ideal_condition(cl: Clutter, max_ground: int) -> tuple[Optional[bool], str, Any]:
+    """Condition (i) of statements 1.1-1.3 as (verdict, method, certificate)."""
+    try:
+        cert = is_ideal(cl, max_ground=max_ground)
+    except TooLarge:
+        method = (
+            f"unknown: ground size {len(cl.ground)} exceeds the polyhedral "
+            f"budget {max_ground}"
+        )
+        return None, method, None
+    return cert.integral, "exact extreme-point enumeration", cert
+
+
+def _search_minors(
+    cl: Clutter, names: Sequence[str], budget: Optional[int]
+) -> Iterator[tuple[str, Any]]:
+    """Each named target with its find_minor outcome, one at a time: the hit,
+    None when the minor is absent, or the BudgetExceeded the search raised."""
+    for name in names:
+        try:
+            yield name, find_minor(cl, builtin(name), budget=budget)
+        except BudgetExceeded as exc:
+            yield name, exc
 
 
 def _mfmc_condition(
@@ -980,22 +1005,12 @@ def verify_theorem(
     cond_ii, methods["ii"], certs["ii"] = _structure_condition(space, t)
 
     # -- condition (i): polyhedral / flow side -----------------------------
-    cond_i: Optional[bool] = None
     if t == "1.4":
         cond_i, methods["i"], cert_i = _mfmc_condition(cl, cond_ii, packing_budget)
-        if cert_i is not None:
-            certs["i"] = cert_i
     else:
-        try:
-            cert = is_ideal(cl, max_ground=max_ground)
-            cond_i = cert.integral
-            certs["i"] = cert
-            methods["i"] = "exact extreme-point enumeration"
-        except TooLarge:
-            methods["i"] = (
-                f"unknown: ground size {len(cl.ground)} exceeds the polyhedral "
-                f"budget {max_ground}"
-            )
+        cond_i, methods["i"], cert_i = _ideal_condition(cl, max_ground)
+    if cert_i is not None:
+        certs["i"] = cert_i
 
     # -- condition (iii): forbidden-minor side -----------------------------
     limit = DEFAULT_FIND_MINOR_BUDGET if minor_budget is None else minor_budget
@@ -1003,13 +1018,10 @@ def verify_theorem(
     found: Optional[tuple] = None
     search_unknown = not searchable
     if searchable:
-        for name in _MINOR_TARGETS[t]:
-            try:
-                hit = find_minor(cl, builtin(name), budget=minor_budget)
-            except BudgetExceeded:
+        for name, hit in _search_minors(cl, _MINOR_TARGETS[t], minor_budget):
+            if isinstance(hit, BudgetExceeded):
                 search_unknown = True
-                continue
-            if hit is not None:
+            elif hit is not None:
                 found = (name, hit[0], hit[1])
                 break
     elif t == "1.3":

@@ -26,6 +26,7 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
     VerificationFailure,
+    WrongType,
 )
 from .gf import GF, build_field
 
@@ -95,6 +96,8 @@ class Subspace:
     basis: tuple[Point, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, int):
+            raise WrongType(f"ambient dimension must be an int, got {type(self.n).__name__}")
         if self.n < 1:
             raise DimensionMismatch(f"ambient dimension must be >= 1, got {self.n}")
         rows = tuple(_validate_vector(self.field, self.n, r) for r in self.basis)
@@ -116,7 +119,10 @@ class Subspace:
         return tuple(next(i for i, v in enumerate(row) if v) for row in self.basis)
 
     def points(self, cap: int = POINT_CAP) -> tuple[Point, ...]:
-        return _points_cached(self, cap)
+        count = self.q ** self.dim
+        if count > cap:
+            raise TooLarge(f"{count} points exceeds the enumeration cap {cap}")
+        return _points_cached(self)
 
     def contains(self, x: Sequence[int]) -> bool:
         v = list(_validate_vector(self.field, self.n, x))
@@ -132,10 +138,9 @@ class Subspace:
 
 
 @lru_cache(maxsize=4096)
-def _points_cached(space: Subspace, cap: int) -> tuple[Point, ...]:
-    count = space.q ** space.dim
-    if count > cap:
-        raise TooLarge(f"{count} points exceeds the enumeration cap {cap}")
+def _points_cached(space: Subspace) -> tuple[Point, ...]:
+    """The sorted points of the space, cached on the space alone: every
+    caller's cap is checked in Subspace.points before the lookup."""
     field = space.field
     scaled = [[field.vec_scale(c, row) for c in range(space.q)] for row in space.basis]
     out: list[Point] = []
@@ -580,6 +585,8 @@ def parse_subspace(text: str) -> Subspace:
             raise ParseError(f"bad JSON subspace: {exc}") from exc
         if not isinstance(q, int) or not isinstance(n, int) or not isinstance(gens, list):
             raise ParseError("JSON subspace fields must be q:int, n:int, generators:list")
+        if not all(isinstance(g, list) for g in gens):
+            raise ParseError("JSON generator rows must be lists")
         rows = [tuple(g) for g in gens]
     else:
         lines = [ln for ln in stripped.splitlines() if ln.strip()]

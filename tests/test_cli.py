@@ -4,10 +4,10 @@ output shapes, certificate round trips, and budget handling."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-import clutterforge.cli
 import clutterforge.matroid
 import clutterforge.verify
 from clutterforge.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, main
@@ -116,14 +116,13 @@ class TestAnalyze:
 
     def test_json_report_searches_each_minor_once(self, capsys, gf4_plane, monkeypatch):
         targets = []
-        for module in (clutterforge.cli, clutterforge.verify):
-            real = module.find_minor
+        real = clutterforge.verify.find_minor
 
-            def counting(cl, target, *args, real=real, **kwargs):
-                targets.append(target)
-                return real(cl, target, *args, **kwargs)
+        def counting(cl, target, *args, **kwargs):
+            targets.append(target)
+            return real(cl, target, *args, **kwargs)
 
-            monkeypatch.setattr(module, "find_minor", counting)
+        monkeypatch.setattr(clutterforge.verify, "find_minor", counting)
         code, _, _ = run_cli(capsys, "analyze", gf4_plane, "--json")
         assert code == EXIT_OK
         assert len(targets) == 3
@@ -159,6 +158,31 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", gf4_plane, "--check-cert", str(cert))
         assert code == EXIT_ERROR
         assert "ParseError" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"3 3\n1 \xff 0\n",
+            b'{"q": 3, "n": 3, "generators": [1]}',
+            b'{"q": 3, "n": 3, "generators": [null]}',
+        ],
+        ids=["undecodable-bytes", "json-row-int", "json-row-null"],
+    )
+    def test_unreadable_instance_is_a_parse_error(self, capsys, tmp_path, content):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        code, _, err = run_cli(capsys, "analyze", str(bad))
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ParseError")
+        assert "Traceback" not in err
+
+    def test_undecodable_certificate_is_a_parse_error(self, capsys, gf4_plane, tmp_path):
+        cert = tmp_path / "cert.txt"
+        cert.write_bytes(b"target: q6\n\xff\n")
+        code, _, err = run_cli(capsys, "analyze", gf4_plane, "--check-cert", str(cert))
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ParseError")
+        assert "Traceback" not in err
 
 
 class TestWitness:
@@ -379,3 +403,31 @@ class TestMatroid:
         assert data["rank"] == 2
         assert data["named_matches"] == ["U24"]
         assert len(data["circuits"]) == 4
+
+
+# Exit code and stdout of these runs, byte for byte. A file under cli_golden/
+# changes only with an intended change of the CLI's output.
+GOLDEN = Path(__file__).parent / "cli_golden"
+_ANALYZE_CODES = {
+    "gf4_plane": EXIT_OK,
+    "gf3_overlapping": EXIT_OK,
+    "gf8_hyperplane": EXIT_UNKNOWN,
+    "gf4_u24": EXIT_UNKNOWN,
+}
+PINNED = [
+    *((f"analyze-{fx}", fx, ("analyze",), code) for fx, code in _ANALYZE_CODES.items()),
+    *((f"analyze-{fx}-json", fx, ("analyze", "--json"), code) for fx, code in _ANALYZE_CODES.items()),
+    *((f"matroid-{fx}", fx, ("matroid",), EXIT_OK) for fx in _ANALYZE_CODES),
+    ("localize-gf8_hyperplane", "gf8_hyperplane", ("localize", "--alpha", "1,0,0"), EXIT_OK),
+    ("localize-gf8_hyperplane-json", "gf8_hyperplane", ("localize", "--alpha", "1,0,0", "--json"), EXIT_OK),
+    ("witness-gf4_u24-u24", "gf4_u24", ("witness", "--kind", "u24"), EXIT_OK),
+    ("witness-gf4_u24-u24-json", "gf4_u24", ("witness", "--kind", "u24", "--json"), EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("case, fixture, argv, expected_code", PINNED, ids=[p[0] for p in PINNED])
+def test_output_is_pinned(capsys, request, case, fixture, argv, expected_code):
+    path = request.getfixturevalue(fixture)
+    code, out, _ = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == expected_code
+    assert out.encode("utf-8") == (GOLDEN / f"{case}.out").read_bytes()

@@ -18,7 +18,7 @@ from clutterforge.gf import build_field
 from clutterforge.graphs import MultiGraph
 from clutterforge.matroid import TARGETS, CircuitMatroid, has_minor, matroid_minor, matroid_of
 from clutterforge.polyhedral import mfmc_check
-from clutterforge.vspace import Subspace
+from clutterforge.vspace import Subspace, span
 
 PACKAGE_DIR = Path(clutterforge.__file__).parent
 
@@ -88,11 +88,14 @@ def test_import_loads_no_process_pool():
         (lambda: CircuitMatroid(3, [frozenset({"a"})]), TypeError),
         (lambda: CircuitMatroid("3", [frozenset({0})]), TypeError),
         (lambda: MinorSpec(delete=5), TypeError),
+        (lambda: CircuitMatroid(3, [5]), TypeError),
+        (lambda: Subspace(build_field(3), "2", ()), TypeError),
     ],
     ids=["non-rref-basis", "duplicate-labels", "duplicate-circuits", "empty-circuit",
          "nested-circuits", "elimination-fails", "edge-not-a-pair", "vertex-count-not-int",
          "edge-endpoint-not-int", "member-not-iterable", "member-label-unhashable",
-         "circuit-element-not-int", "ground-size-not-int", "minor-spec-not-a-set"],
+         "circuit-element-not-int", "ground-size-not-int", "minor-spec-not-a-set",
+         "circuit-not-a-set", "ambient-dimension-not-int"],
 )
 def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
     with pytest.raises(ClutterforgeError) as info:
@@ -111,10 +114,14 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: matroid_minor(TARGETS["A3"], frozenset({"a"})), TypeError),
         (lambda: mfmc_check(builtin("delta3"), -1, samples=3), ValueError),
         (lambda: mfmc_check(builtin("delta3"), -1), ValueError),
+        (lambda: matroid_minor(TARGETS["A3"], 5), TypeError),
+        (lambda: span(build_field(3), "3", []), TypeError),
+        (lambda: mfmc_check(builtin("delta3"), 1.5), TypeError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
          "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sampled",
-         "mfmc-negative-bound-sweep"],
+         "mfmc-negative-bound-sweep", "minor-set-not-a-set", "span-dimension-not-int",
+         "mfmc-bound-not-int"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

@@ -40,7 +40,9 @@ from clutterforge.errors import (
 from clutterforge.gf import build_field
 from clutterforge.matroid import matroid_of
 from clutterforge.polyhedral import IdealnessCertificate, is_ideal, mfmc_check, nu, tau
+import clutterforge.matroid as matroid_module
 import clutterforge.verify as verify_module
+import clutterforge.vspace as vspace_module
 from clutterforge.verify import (
     LocalizationProfile,
     TheoremReport,
@@ -672,6 +674,15 @@ class TestSweeps:
         reports = sweep_theorem(3, n, "1.1")
         assert len(reports) == count_subspaces(3, n)
         assert all(r.agreement and not r.unknown for r in reports)
+
+    def test_cold_sweep_enumerates_each_point_set_once(self):
+        # mult and matroid_of ask for the points under different caps; the
+        # cache must hold one entry per subspace, not one per cap
+        vspace_module._points_cached.cache_clear()
+        matroid_module._matroid_cached.cache_clear()
+        reports = sweep_theorem(3, 4, "1.1")
+        assert len(reports) == 212
+        assert vspace_module._points_cached.cache_info().misses == 212
 
     def test_odd_q5_squares(self):
         reports = sweep_theorem(5, 2, "1.1")
