@@ -3,16 +3,15 @@
 A matroid here is its ground size n (elements 0..n-1) and the family of
 circuits, validated against the circuit axioms on construction. The matroid
 of a subspace S <= GF(q)^n has as circuits the inclusion-minimal supports of
-the nonzero points of S; that construction lives in `matroid_of` and keeps a
-non-compared reference to the source space so dual-route checks can find it.
+the nonzero points of S; that construction lives in `matroid_of`.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     BadIndex,
@@ -39,7 +38,6 @@ class CircuitMatroid:
 
     size: int
     circuits: tuple[frozenset[int], ...]
-    source: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.size, int):
@@ -88,9 +86,8 @@ class CircuitMatroid:
 def matroid_of(space: "Subspace") -> CircuitMatroid:
     """Matroid whose circuits are the minimal supports of the space's nonzero points.
 
-    Validates the rank identity rank = n - dim and keeps the space as
-    non-compared provenance. Built once per distinct space and then shared;
-    the matroid is immutable.
+    Validates the rank identity rank = n - dim. Built once per distinct space
+    and then shared; the matroid is immutable.
     """
     return _matroid_cached(space)
 
@@ -101,7 +98,7 @@ def _matroid_cached(space: "Subspace") -> CircuitMatroid:
 
     supports = [sum(1 << i for i, v in enumerate(x) if v) for x in space.points() if any(x)]
     circuits = tuple(frozenset(_bits(c)) for c in _minimal_masks(supports))
-    m = CircuitMatroid(space.n, circuits, source=space)
+    m = CircuitMatroid(space.n, circuits)
     if m.rank() != space.n - space.dim:
         raise VerificationFailure(
             f"rank {m.rank()} disagrees with n - dim = {space.n - space.dim}"

@@ -4,8 +4,10 @@ Q(C) = {x >= 0 : sum of x over every member >= 1}. Everything here is exact:
 extreme points come from an integer double-description sweep and are each
 proved extreme in integers (tightness, then the rank of the tight rows by a
 GF(2) basis or, when that falls short, Bareiss elimination), idealness from
-inspecting them, and the covering/packing numbers from exact branch-and-bound.
-No floating point is used anywhere except the infinity sentinel.
+inspecting them. One exhaustive search, `_covered_within`, decides whether
+a cover fits a weight budget: `tau` is the least budget it meets, and `packs`
+and `mfmc_check` ask it for a cover within the packing number. No floating
+point is used anywhere except the infinity sentinel.
 """
 from __future__ import annotations
 
@@ -272,30 +274,33 @@ def extreme_point_witness(
     return tight, tuple(v for v in range(n) if not support >> v & 1)
 
 
-def _extreme_points_counted(
+def _verified_rays(
     c: Clutter, max_ground: int
-) -> tuple[list[tuple[Fraction, ...]], int]:
-    """Verified extreme points in sorted order, and the count of DD rays created."""
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...], int]], int]:
+    """DD rays with t > 0, each proved extreme, and the count of rays created.
+
+    Each ray (x, t) comes with the tight members and support mask that
+    `_verify_extreme` returned for the extreme point x/t of Q(C).
+    """
     n = len(c.ground)
     if n > max_ground:
         raise TooLarge(f"ground of {n} elements exceeds the cap of {max_ground}")
     rays, created = _dd_rays(n, c.members)
     member_bits = [_bits(m) for m in c.members]
-    points = []
-    for ray in rays:
-        t = ray[n]
-        if t > 0:
-            _verify_extreme(c, member_bits, ray)
-            points.append(tuple(Fraction(ray[j], t) for j in range(n)))
-    points.sort()
-    return points, created
+    verified = [(ray, *_verify_extreme(c, member_bits, ray)) for ray in rays if ray[n]]
+    return verified, created
+
+
+def _point(ray: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """The point x/t of the ray (x, t)."""
+    return tuple(Fraction(x, ray[-1]) for x in ray[:-1])
 
 
 def extreme_points(
     c: Clutter, max_ground: int = MAX_POLY_GROUND
 ) -> list[tuple[Fraction, ...]]:
     """All extreme points of Q(C), exact and verified, in sorted order."""
-    return _extreme_points_counted(c, max_ground)[0]
+    return sorted(_point(ray) for ray, _, _ in _verified_rays(c, max_ground)[0])
 
 
 @dataclass(frozen=True)
@@ -313,23 +318,27 @@ class IdealnessCertificate:
 def is_ideal(c: Clutter, max_ground: int = MAX_POLY_GROUND) -> IdealnessCertificate:
     """Integral iff every extreme point of Q(C) is integral.
 
-    A fractional verdict carries the witness point plus the tight member rows
-    and tight bounds whose full column rank proves it extreme.
+    A fractional verdict carries the least fractional extreme point plus the
+    tight member rows and tight bounds whose full column rank proved its ray
+    extreme. A DD ray is gcd-reduced, so x/t is integral exactly when t == 1,
+    and only the fractional rays become `Fraction` points.
     """
-    points, created = _extreme_points_counted(c, max_ground)
-    for p in points:
-        if any(x.denominator != 1 for x in p):
-            tight_members, tight_bounds = extreme_point_witness(c, p)
-            return IdealnessCertificate(
-                integral=False,
-                extreme_point_count=len(points),
-                candidates_examined=created,
-                fractional_point=p,
-                tight_members=tight_members,
-                tight_bounds=tight_bounds,
-            )
+    verified, created = _verified_rays(c, max_ground)
+    fractional = [
+        (_point(ray), tight, support) for ray, tight, support in verified if ray[-1] > 1
+    ]
+    if not fractional:
+        return IdealnessCertificate(
+            integral=True, extreme_point_count=len(verified), candidates_examined=created
+        )
+    point, tight, support = min(fractional, key=lambda f: f[0])
     return IdealnessCertificate(
-        integral=True, extreme_point_count=len(points), candidates_examined=created
+        integral=False,
+        extreme_point_count=len(verified),
+        candidates_examined=created,
+        fractional_point=point,
+        tight_members=tight,
+        tight_bounds=tuple(v for v in range(len(point)) if not support >> v & 1),
     )
 
 
@@ -337,92 +346,126 @@ def is_ideal(c: Clutter, max_ground: int = MAX_POLY_GROUND) -> IdealnessCertific
 # covering and packing numbers
 # ---------------------------------------------------------------------------
 
+def _cover_masks(c: Clutter, weights: Sequence[Weight]) -> Optional[list[int]]:
+    """The members a cover must pay to meet, as masks sorted by size.
+
+    Infinite-weight elements are dropped from every member, and a member
+    through a zero-weight element is met for free. None when some member
+    has only infinite-weight elements, so that no cover exists.
+    """
+    inf_mask = zero_mask = 0
+    for v, x in enumerate(weights):
+        if x == INFINITY:
+            inf_mask |= 1 << v
+        elif x == 0:
+            zero_mask |= 1 << v
+    masks = [m & ~inf_mask for m in c.members]
+    if 0 in masks:
+        return None
+    masks = [m for m in masks if not m & zero_mask]
+    return list(_minimal_masks(masks)) if inf_mask else masks
+
+
+def _covered_within(
+    masks: Sequence[int], budget: int, weights: Optional[Sequence[Weight]] = None
+) -> bool:
+    """Whether a cover of weight at most `budget` meets every mask.
+
+    The masks are sorted by size, and every element in them has a positive
+    weight (1 each when `weights` is None). Any cover takes an element of
+    the smallest uncovered mask, so branching on those elements that fit
+    the budget, each costing its weight, is exhaustive. A greedy family of
+    pairwise-disjoint masks needs a distinct element of each, so when its
+    summed cheapest weights exceed the budget the branch ends.
+    """
+    if weights is None:
+        return _fits(masks, budget, {}, {})
+    cost = dict(enumerate(weights))
+    return _fits(masks, budget, cost, {m: min(cost[b] for b in _bits(m)) for m in masks})
+
+
+def _fits(masks: Sequence[int], budget: int, cost: dict, cheapest: dict) -> bool:
+    """`_covered_within`'s search; `cost` weighs elements and `cheapest` masks, 1 if absent."""
+    if not masks:
+        return True
+    taken = 0
+    bound = 0
+    for m in masks:
+        if not m & taken:
+            taken |= m
+            bound += cheapest.get(m, 1)
+    if bound > budget:
+        return False
+    for b in _bits(masks[0]):
+        price = cost.get(b, 1)
+        if price <= budget:
+            bit = 1 << b
+            if _fits([m for m in masks if not m & bit], budget - price, cost, cheapest):
+                return True
+    return False
+
+
+def _max_disjoint(masks: Sequence[int]) -> int:
+    """Largest number of pairwise-disjoint masks (nonempty, sorted by size)."""
+    best = 0
+
+    def grow(rest: list[int], count: int) -> None:
+        nonlocal best
+        if count > best:
+            best = count
+        if not rest:
+            return
+        union = 0
+        for m in rest:
+            union |= m
+        # rest[0] is a smallest mask, so at most union // |rest[0]| more fit
+        if count + min(len(rest), union.bit_count() // rest[0].bit_count()) <= best:
+            return
+        first = rest[0]
+        grow([m for m in rest if not m & first], count + 1)
+        grow(rest[1:], count)
+
+    grow(list(masks), 0)
+    return best
+
+
 def tau(c: Clutter, w: WeightVector = 1) -> Weight:
     """Exact min-weight cover value; INFINITY when no cover exists.
 
     Infinite weights exclude elements (equivalent to deleting them before
-    covering); zero-weight elements are taken for free.
+    covering); zero-weight elements are taken for free. The value is the
+    least budget `_covered_within` meets, found by binary search up to the
+    cost of the cover made of each member's cheapest element.
     """
     weights = _weight_list(c, w, allow_inf=True)
-    n = len(c.ground)
-    inf_mask = 0
-    zero_mask = 0
-    for v in range(n):
-        if weights[v] == INFINITY:
-            inf_mask |= 1 << v
-        elif weights[v] == 0:
-            zero_mask |= 1 << v
-    masks = []
-    for m in c.members:
-        m2 = m & ~inf_mask
-        if m2 == 0:
-            return INFINITY
-        if m2 & zero_mask:
-            continue
-        masks.append(m2)
-    masks = list(_minimal_masks(masks))
-    if not masks:
-        return 0
-
-    degree = [sum(1 for m in masks if m >> v & 1) for v in range(n)]
-
-    def greedy_cover(remaining: list[int]) -> int:
-        cost = 0
-        while remaining:
-            best_v = max(
-                (v for v in range(n) if weights[v] != INFINITY),
-                key=lambda v: (
-                    sum(1 for m in remaining if m >> v & 1) / (weights[v] or 1)
-                    if weights[v] > 0
-                    else 0,
-                    -weights[v] if weights[v] != INFINITY else 0,
-                ),
-            )
-            hit = [m for m in remaining if m >> best_v & 1]
-            if not hit:
-                best_v = _bits(remaining[0])[0]
-            cost += weights[best_v]
-            remaining = [m for m in remaining if not m >> best_v & 1]
-        return cost
-
-    def lower_bound(remaining: list[int]) -> int:
-        taken = 0
-        bound = 0
-        for m in remaining:
-            if not m & taken:
-                taken |= m
-                bound += min(weights[b] for b in _bits(m))
-        return bound
-
-    best = greedy_cover(list(masks))
-
-    def branch(remaining: list[int], cost: int) -> None:
-        nonlocal best
-        if not remaining:
-            best = min(best, cost)
-            return
-        if cost + lower_bound(remaining) >= best:
-            return
-        target = min(remaining, key=lambda m: m.bit_count())
-        for b in sorted(_bits(target), key=lambda v: (weights[v], -degree[v])):
-            branch(
-                [m for m in remaining if not m >> b & 1],
-                cost + weights[b],
-            )
-
-    branch(list(masks), 0)
-    return best
+    masks = _cover_masks(c, weights)
+    if masks is None:
+        return INFINITY
+    cheap = {min(_bits(m), key=weights.__getitem__) for m in masks}
+    low, high = -1, sum(weights[b] for b in cheap)
+    # `_covered_within` meets `high` and, being monotone, misses every budget <= low
+    while high - low > 1:
+        mid = (low + high) // 2
+        if _covered_within(masks, mid, weights):
+            high = mid
+        else:
+            low = mid
+    return high
 
 
 def nu(c: Clutter, w: WeightVector = 1) -> Weight:
     """Exact max packing value: integer member multiplicities y with M^T y <= w.
 
     Weights must be finite; a clutter containing the empty member packs it
-    without bound, reported as INFINITY.
+    without bound, reported as INFINITY. At 0/1 weights every multiplicity
+    is 0 or 1, so the value is the largest number of pairwise-disjoint
+    members avoiding the zero-weight elements.
     """
     weights = _weight_list(c, w, allow_inf=False)
     if any(m == 0 for m in c.members):
         return INFINITY
+    if all(x <= 1 for x in weights):
+        return _max_disjoint(_cover_masks(c, weights))
     members = [_bits(m) for m in c.members]
     if not members:
         return 0
@@ -576,65 +619,14 @@ def lp_certificate(
 # packing property and MFMC refutation
 # ---------------------------------------------------------------------------
 
-def _max_disjoint(masks: Sequence[int]) -> int:
-    """Largest number of pairwise-disjoint masks (nonempty, sorted by size)."""
-    best = 0
-
-    def grow(rest: list[int], count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if not rest:
-            return
-        union = 0
-        for m in rest:
-            union |= m
-        # rest[0] is a smallest mask, so at most union // |rest[0]| more fit
-        if count + min(len(rest), union.bit_count() // rest[0].bit_count()) <= best:
-            return
-        first = rest[0]
-        grow([m for m in rest if not m & first], count + 1)
-        grow(rest[1:], count)
-
-    grow(list(masks), 0)
-    return best
-
-
-def _covered_within(masks: Sequence[int], budget: int) -> bool:
-    """Whether at most `budget` elements meet every mask (masks sorted by size).
-
-    Any cover takes an element of the smallest uncovered mask, so branching
-    on those elements, one budget unit per level, is exhaustive. A greedy
-    family of pairwise-disjoint masks needs one element each, so a family
-    larger than the budget ends the branch (`tau`'s bound at unit weights).
-    """
-    if not masks:
-        return True
-    taken = 0
-    disjoint = 0
-    for m in masks:
-        if not m & taken:
-            taken |= m
-            disjoint += 1
-    if disjoint > budget:
-        return False
-    first = masks[0]
-    for b in _bits(first):
-        bit = 1 << b
-        if _covered_within([m for m in masks if not m & bit], budget - 1):
-            return True
-    return False
-
-
 def packs(c: Clutter) -> bool:
     """True when the unit-weight cover and packing values coincide.
 
     Decided at unit weights, where every packing multiplicity is 0 or 1:
-    nu is the largest number of pairwise-disjoint members, found on masks
-    by `_max_disjoint` (`nu(c, 1)` in its place makes the `sweep_mfmc`
-    benchmark pass about 30% slower), and as tau >= nu always, tau == nu
-    exactly when some cover has at most nu elements. The empty clutter
-    packs (0 = 0), as does one with the empty member (both values infinite).
+    nu is the largest number of pairwise-disjoint members (`_max_disjoint`),
+    and as tau >= nu always, tau == nu exactly when `_covered_within` finds
+    a cover of at most nu elements. The empty clutter packs (0 = 0), as does
+    one with the empty member (both values infinite).
     """
     return _packs(c.members)
 
@@ -703,11 +695,14 @@ def mfmc_check(
 
     A refuter only: returns (w, tau, nu) for the first violation among the
     explicit candidates, then either `samples` seeded random draws or the
-    full [0, bound]^V sweep. Each vector costs a `tau` and a `nu` over every
-    member, so the sweep raises BudgetExceeded when (bound + 1)^|V| times
-    the member count exceeds MFMC_SWEEP_BUDGET. None never certifies the
-    max-flow min-cut property — the structural tests do that. A bound that
-    is not an int raises WrongType, a negative one PreconditionViolated.
+    full [0, bound]^V sweep. Each vector is decided as `packs` decides: nu,
+    then whether `_covered_within` finds a cover of weight at most nu; tau
+    is computed only for the violation returned. Each vector costs a search
+    over every member, so the sweep raises BudgetExceeded when
+    (bound + 1)^|V| times the member count exceeds MFMC_SWEEP_BUDGET. None
+    never certifies the max-flow min-cut property — the structural tests do
+    that. A bound that is not an int raises WrongType, a negative one
+    PreconditionViolated.
     """
     if not isinstance(bound, int):
         raise WrongType(f"weight bound must be an int, got {type(bound).__name__}")
@@ -716,10 +711,12 @@ def mfmc_check(
     n = len(c.ground)
 
     def violation(w: Sequence[int]) -> Optional[tuple[tuple[int, ...], Weight, Weight]]:
-        t, v = tau(c, list(w)), nu(c, list(w))
-        if t != v:
-            return tuple(w), t, v
-        return None
+        weights = list(w)
+        v = nu(c, weights)
+        # nu is infinite only with the empty member, and then so is tau
+        if v == INFINITY or _covered_within(_cover_masks(c, weights), v, weights):
+            return None
+        return tuple(w), tau(c, weights), v
 
     if candidates is not None:
         for w in candidates:

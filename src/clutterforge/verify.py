@@ -742,19 +742,12 @@ def replication_tau2_report(
         if violating != MinorSpec():
             mnp = False  # the clutter itself packs; some proper minor fails
         else:
-            mnp = True
-            for label in cl.ground:
-                for spec in (MinorSpec(delete={label}), MinorSpec(contract={label})):
-                    try:
-                        if has_packing_property(minor(cl, spec), budget=packing_budget) is not None:
-                            mnp = False
-                            break
-                    except BudgetExceeded as exc:
-                        notes.append(f"one-element minor sweep out of budget: {exc}")
-                        mnp = None
-                        break
-                if mnp is not True:
-                    break
+            # the root sweep passed the budget on a ground one element larger
+            mnp = all(
+                has_packing_property(minor(cl, spec), budget=packing_budget) is None
+                for label in cl.ground
+                for spec in (MinorSpec(delete={label}), MinorSpec(contract={label}))
+            )
     tau_one: Optional[int] = None
     iso: Optional[dict] = None
     if ideal is True and mnp is True:

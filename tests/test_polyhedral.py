@@ -35,6 +35,7 @@ from clutterforge.polyhedral import (
     INFINITY,
     IdealnessCertificate,
     LPCertificate,
+    extreme_point_witness,
     extreme_points,
     has_packing_property,
     is_ideal,
@@ -407,6 +408,22 @@ class TestIsIdeal:
             for spec in iter_minor_specs(c):
                 assert is_ideal(minor(c, spec)).integral
 
+    def test_certificate_is_the_least_fractional_point_with_its_witness(self):
+        rng = random.Random(9)
+        fractional = 0
+        for _ in range(60):
+            c = random_clutter(rng, 7, 7)
+            cert = is_ideal(c)
+            points = [p for p in extreme_points(c) if any(x.denominator != 1 for x in p)]
+            assert cert.integral is not points, c
+            if points:
+                fractional += 1
+                assert cert.fractional_point == points[0], c
+                assert (cert.tight_members, cert.tight_bounds) == extreme_point_witness(
+                    c, points[0]
+                ), c
+        assert fractional >= 10
+
     def test_localization_equivalence(self, r11, f3):
         # ideal iff every localization is ideal, on one ideal and one
         # non-ideal space
@@ -445,6 +462,8 @@ class TestTauNu:
         assert brute_nu(d3, [1, 1, 1]) == 1
         assert tau(d3, 1) == 2
         assert nu(d3, 1) == 1
+        # weights past the machine word: the cover value is still exact
+        assert tau(d3, [2 ** 70] * 3) == 2 ** 71
 
     def test_zero_weight_gives_zero_tau(self, r11):
         for c in corpus(r11):
@@ -455,6 +474,21 @@ class TestTauNu:
             for w in WEIGHTS[len(c.ground)]:
                 assert tau(c, list(w)) == brute_tau(c, w), (c, w)
                 assert nu(c, list(w)) == brute_nu(c, w), (c, w)
+        rng = random.Random(12)
+        for _ in range(80):
+            c = random_clutter(rng, 7, 6)
+            for _ in range(2):
+                w = [rng.randint(0, 3) for _ in c.ground]
+                assert tau(c, w) == brute_tau(c, w), (c, w)
+                assert nu(c, w) == brute_nu(c, w), (c, w)
+                w = [INFINITY if rng.random() < 0.2 else x for x in w]
+                assert tau(c, w) == brute_tau(c, w), (c, w)
+        # odd cycles: tau at large weights, where the cover search is deep
+        for n in range(3, 16, 2):
+            c = Clutter(tuple(range(n)), [{i, (i + 1) % n} for i in range(n)])
+            for _ in range(2):
+                w = [rng.randint(0, 1000) for _ in range(n)]
+                assert tau(c, w) == brute_tau(c, w), (c, w)
 
     def test_tau_infinite_weight_excludes_element(self):
         d3 = builtin("delta3")
@@ -648,9 +682,10 @@ class TestPacking:
             clutters.append(Clutter(tuple(range(size)), members))
         verdicts = [packs(c) for c in clutters]
         for c, verdict in zip(clutters, verdicts):
-            assert verdict == (tau(c, 1) == nu(c, 1)), c
+            unit = [1] * len(c.ground)
+            assert verdict == (brute_tau(c, unit) == brute_nu(c, unit)), c
             if c.members and c.members[0]:
-                assert _max_disjoint(c.members) == nu(c, 1), c
+                assert _max_disjoint(c.members) == brute_nu(c, unit), c
         assert verdicts.count(False) >= 40 and verdicts.count(True) >= 400
 
     def test_packs_decides_odd_and_even_cycles_quickly(self):
@@ -660,6 +695,7 @@ class TestPacking:
             c = Clutter(tuple(range(n)), [{i, (i + 1) % n} for i in range(n)])
             assert packs(c) is expected
             assert _max_disjoint(c.members) == nu(c, 1) == n // 2
+            assert tau(c, 1) == (n + 1) // 2
 
     def test_child_members_match_the_minor_definition(self):
         rng = random.Random(4)
@@ -697,6 +733,23 @@ class TestMfmcCheck:
         assert all(x in (0, 1) for x in w)
         assert (t, v) == (tau(builtin("q6"), list(w)), nu(builtin("q6"), list(w)))
         assert t != v
+
+    def test_first_violation_in_product_order(self):
+        clutters = [builtin("delta3"), builtin("q6")]
+        clutters += [mult(s) for q, n in ((2, 3), (3, 2)) for s in enumerate_subspaces(q, n)]
+        rng = random.Random(10)
+        clutters += [random_clutter(rng, 6, 6) for _ in range(150)]
+        violations = 0
+        for c in clutters:
+            expected = None
+            for w in itertools.product((0, 1), repeat=len(c.ground)):
+                t, v = brute_tau(c, w), brute_nu(c, w)
+                if t != v:
+                    expected = (w, t, v)
+                    break
+            assert mfmc_check(c, 1) == expected, c
+            violations += expected is not None
+        assert violations >= 20
 
     def test_candidates_checked_first(self):
         hit = mfmc_check(builtin("q6"), 1, candidates=[(1, 1, 1, 1, 1, 1)])
