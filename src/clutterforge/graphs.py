@@ -61,12 +61,18 @@ class MultiGraph:
         return adj
 
 
+def _require_multigraph(g: object) -> None:
+    if not isinstance(g, MultiGraph):
+        raise WrongType(f"expected a MultiGraph, got {type(g).__name__}")
+
+
 def blocks(g: MultiGraph) -> list[frozenset[int]]:
     """Partition of the edge labels into 2-connected blocks.
 
     Bridges come out as singleton blocks and each loop is its own block;
     parallel edges share a block (they form a 2-edge cycle).
     """
+    _require_multigraph(g)
     adj = g.adjacency()
     disc = [-1] * g.n_vertices
     low = [0] * g.n_vertices
@@ -158,26 +164,31 @@ def is_subdivision_of_At(g: MultiGraph) -> Optional[int]:
 
 
 def has_K4e_graph_minor(g: MultiGraph) -> bool:
-    """Whether g has K4/e as a graph minor, decided on its cycle matroid.
+    """Whether g has K4/e as a graph minor, searched block by block.
 
     K4/e is the 3-vertex multigraph with pair multiplicities 1, 2, 2 (a
     triangle with two doubled sides). Every graph minor gives a matroid
     minor, and a graph whose cycle matroid is M(K4/e) is K4/e plus isolated
     vertices: M(K4/e) is connected of rank 2, so its 5 edges form one block
-    on 3 vertices with two parallel pairs. So the verdict is the MK4e search
-    of `matroid.has_minor` on the cycle matroid. Graphs above 14 edges raise
-    BudgetExceeded; below 5 edges or cycle rank 3 (that of K4/e, which no
-    minor raises) the answer is False without a search.
+    on 3 vertices with two parallel pairs. For the same reason M(K4/e) is a
+    minor of the cycle matroid, the direct sum of its blocks' cycle
+    matroids, only if it is a minor of one block's. So the verdict is the
+    MK4e search of `matroid.has_minor` on each block's cycle matroid,
+    skipping blocks below 5 edges or below cycle rank 3 (that of K4/e,
+    which no minor raises). Graphs above 14 edges raise BudgetExceeded.
     """
+    _require_multigraph(g)
     m = len(g.edges)
     if m > MAX_MINOR_EDGES:
         raise BudgetExceeded(f"{m} edges exceeds the {MAX_MINOR_EDGES}-edge search cap")
-    if m < 5:
-        return False
-    cycles = CircuitMatroid(m, _graph_circuits(g.edges))
-    if m - cycles.rank() < 3:
-        return False
-    return has_minor(cycles, "MK4e") is not None
+    for block in blocks(g):
+        edges = [g.edges[e] for e in sorted(block)]
+        n_block = len({x for edge in edges for x in edge})
+        if len(edges) < 5 or len(edges) - n_block + 1 < 3:
+            continue
+        if has_minor(CircuitMatroid(len(edges), _graph_circuits(edges)), "MK4e") is not None:
+            return True
+    return False
 
 
 def _refined_signatures(n: int, edges: tuple[tuple[int, int], ...]) -> list:
@@ -197,25 +208,31 @@ def _refined_signatures(n: int, edges: tuple[tuple[int, int], ...]) -> list:
     return sig
 
 
-def _canonical_edges(
-    n: int, edges: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, int], ...]:
-    """Lexicographically least relabeling among signature-preserving ones."""
+def _signature_classes(n: int, edges: tuple[tuple[int, int], ...]) -> list[list[int]]:
+    """The vertices grouped by refined signature, the groups in signature order."""
     sig = _refined_signatures(n, edges)
     classes: dict = {}
     for v in range(n):
         classes.setdefault(sig[v], []).append(v)
-    ordered = [classes[s] for s in sorted(classes, key=repr)]
+    return [classes[s] for s in sorted(classes)]
+
+
+def _canonical_edges(
+    n: int, edges: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int], ...]:
+    """Lexicographically least relabeling among signature-preserving ones.
+
+    Vertices get labels class by class, the classes in the order of their
+    signature tuples (nested tuples of ints, compared as tuples), and the
+    least sorted edge list over every order inside each class wins.
+    """
+    label = [0] * n
     best = None
-    for perm_parts in itertools.product(
-        *(itertools.permutations(c) for c in ordered)
+    for parts in itertools.product(
+        *(itertools.permutations(c) for c in _signature_classes(n, edges))
     ):
-        label = {}
-        nxt = 0
-        for part in perm_parts:
-            for v in part:
-                label[v] = nxt
-                nxt += 1
+        for k, v in enumerate(itertools.chain.from_iterable(parts)):
+            label[v] = k
         cand = tuple(
             sorted(
                 (label[u], label[v]) if label[u] <= label[v] else (label[v], label[u])
@@ -227,23 +244,65 @@ def _canonical_edges(
     return best if best is not None else ()
 
 
-def _canonical_spanning_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """One canonical edge tuple per free tree on n vertices, sorted.
+def _edge_types(n: int) -> list[tuple[int, int]]:
+    """Every vertex pair (u, v), u <= v, of an n-vertex multigraph, in lexicographic order."""
+    return [(u, v) for u in range(n) for v in range(u, n)]
 
-    Grown one leaf at a time: every tree on m vertices is a tree on m - 1
-    vertices plus a leaf, so attaching vertex m - 1 to each vertex of each
-    canonical tree on m - 1 vertices reaches every class, and
-    `_canonical_edges` merges the duplicates.
+
+def _automorphisms(n: int, edges: tuple[tuple[int, int], ...]) -> list[tuple[int, ...]]:
+    """The non-identity automorphisms of a multigraph, as maps on edge types.
+
+    An automorphism σ becomes the tuple whose i-th entry is the index in
+    `_edge_types(n)` of the image of the i-th edge type; each edge (u, v)
+    has u <= v. Only relabelings inside the signature classes are tried: an
+    automorphism keeps every vertex's refined signature.
     """
+    types = _edge_types(n)
+    index = {t: i for i, t in enumerate(types)}
+    edge_ids = sorted(index[e] for e in edges)
+    classes = _signature_classes(n, edges)
+    identity = list(range(n))
+    image = identity[:]
+    out = []
+    for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
+        for c, p in zip(classes, parts):
+            for v, w in zip(c, p):
+                image[v] = w
+        if image == identity:
+            continue
+        sigma = tuple(
+            index[(image[u], image[v]) if image[u] <= image[v] else (image[v], image[u])]
+            for u, v in types
+        )
+        if sorted(sigma[i] for i in edge_ids) == edge_ids:
+            out.append(sigma)
+    return out
+
+
+def _next_tree_level(
+    trees: list[tuple[tuple[int, int], ...]], m: int
+) -> list[tuple[tuple[int, int], ...]]:
+    """The canonical trees on m vertices, sorted, from those on m - 1.
+
+    Every tree on m vertices is a tree on m - 1 vertices plus a leaf, so
+    attaching vertex m - 1 to each vertex of each canonical tree on m - 1
+    vertices reaches every class, and `_canonical_edges` merges the
+    duplicates.
+    """
+    return sorted(
+        {
+            _canonical_edges(m, tree + ((v, m - 1),))
+            for tree in trees
+            for v in range(m - 1)
+        }
+    )
+
+
+def _canonical_spanning_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """One canonical edge tuple per free tree on n vertices, sorted."""
     trees: list[tuple[tuple[int, int], ...]] = [()]
     for m in range(2, n + 1):
-        trees = sorted(
-            {
-                _canonical_edges(m, tree + ((v, m - 1),))
-                for tree in trees
-                for v in range(m - 1)
-            }
-        )
+        trees = _next_tree_level(trees, m)
     return trees
 
 
@@ -254,25 +313,42 @@ def enumerate_connected_multigraphs(
 
     Loops and parallel edges included; one canonical representative per class.
     Every connected multigraph is a spanning tree plus extra edges, so the
-    sweep grows each canonical tree by all extra-edge multisets — far fewer
-    candidates than enumerating raw edge multisets. The spanning trees are
-    themselves grown one leaf at a time from the one-vertex tree, keeping one
+    sweep grows each canonical tree T by all extra-edge multisets, k extras
+    at a time in the lexicographic order of their sorted edge-type indices —
+    far fewer candidates than enumerating raw edge multisets. The spanning
+    trees are grown one leaf at a time, once per call, keeping one
     representative per class by `_canonical_edges`.
+
+    An extra is skipped, without a canonical form, when an automorphism σ of
+    T maps it to a smaller sorted index tuple. That is sound and keeps the
+    output order: σ is an isomorphism from T + extra onto T + σ(extra), and
+    σ(extra) came earlier in the same (T, k) loop, so its class — the
+    class of this extra — is already in the output, and no first occurrence
+    of a class is ever skipped. Aut(T) is computed once per tree, and only
+    when extras fit within the edge bound.
     """
+    for bound in (max_vertices, max_edges):
+        if not isinstance(bound, int) or isinstance(bound, bool):
+            raise WrongType(f"enumeration bounds must be ints, got {type(bound).__name__}")
     out: list[MultiGraph] = []
-    seen: set[tuple[int, tuple[tuple[int, int], ...]]] = set()
+    trees: list[tuple[tuple[int, int], ...]] = [()]
     for n in range(1, max_vertices + 1):
         if n - 1 > max_edges:
             break
-        all_types = [(u, v) for u in range(n) for v in range(u, n)]
-        for tree in _canonical_spanning_trees(n):
-            for k in range(max_edges - (n - 1) + 1):
-                for extra in itertools.combinations_with_replacement(all_types, k):
-                    combo = tuple(sorted(tree + extra))
-                    canon = _canonical_edges(n, combo)
-                    key = (n, canon)
-                    if key not in seen:
-                        seen.add(key)
+        if n > 1:
+            trees = _next_tree_level(trees, n)
+        types = _edge_types(n)
+        room = max_edges - (n - 1)
+        seen: set[tuple[tuple[int, int], ...]] = set()
+        for tree in trees:
+            autos = _automorphisms(n, tree) if room else []
+            for k in range(room + 1):
+                for extra in itertools.combinations_with_replacement(range(len(types)), k):
+                    if any(tuple(sorted(map(s.__getitem__, extra))) < extra for s in autos):
+                        continue
+                    canon = _canonical_edges(n, tuple(sorted(tree + tuple(types[i] for i in extra))))
+                    if canon not in seen:
+                        seen.add(canon)
                         out.append(MultiGraph(n, canon))
     return out
 

@@ -15,7 +15,7 @@ import clutterforge
 from clutterforge.clutter import Clutter, MinorSpec, builtin, mult
 from clutterforge.errors import ClutterforgeError
 from clutterforge.gf import build_field
-from clutterforge.graphs import MultiGraph
+from clutterforge.graphs import MultiGraph, blocks, enumerate_connected_multigraphs, has_K4e_graph_minor
 from clutterforge.matroid import TARGETS, CircuitMatroid, has_minor, matroid_minor, matroid_of
 from clutterforge.polyhedral import mfmc_check
 from clutterforge.vspace import Subspace, span
@@ -117,11 +117,17 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: matroid_minor(TARGETS["A3"], 5), TypeError),
         (lambda: span(build_field(3), "3", []), TypeError),
         (lambda: mfmc_check(builtin("delta3"), 1.5), TypeError),
+        (lambda: enumerate_connected_multigraphs("3", 2), TypeError),
+        (lambda: enumerate_connected_multigraphs(3, 2.0), TypeError),
+        (lambda: enumerate_connected_multigraphs(3, True), TypeError),
+        (lambda: has_K4e_graph_minor("x"), TypeError),
+        (lambda: blocks("x"), TypeError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
          "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sampled",
          "mfmc-negative-bound-sweep", "minor-set-not-a-set", "span-dimension-not-int",
-         "mfmc-bound-not-int"],
+         "mfmc-bound-not-int", "enumeration-vertex-bound-str", "enumeration-edge-bound-float",
+         "enumeration-edge-bound-bool", "k4e-not-a-multigraph", "blocks-not-a-multigraph"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

@@ -2,14 +2,17 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from clutterforge.errors import BadIndex, BudgetExceeded, ParseError
 from clutterforge.graphs import (
     MultiGraph,
+    _automorphisms,
     _canonical_edges,
     _canonical_spanning_trees,
+    _edge_types,
     blocks,
     enumerate_connected_multigraphs,
     format_graph,
@@ -17,6 +20,7 @@ from clutterforge.graphs import (
     is_subdivision_of_At,
     parse_graph,
 )
+from clutterforge.matroid import CircuitMatroid, _graph_circuits, has_minor
 
 
 def bundle(t: int) -> MultiGraph:
@@ -225,6 +229,18 @@ class TestK4eMinor:
         assert verdicts == [ref_has_K4e_graph_minor(g) for g in graphs]
         assert 10 <= sum(verdicts) < len(graphs) - 10
 
+    def test_block_search_matches_the_whole_graph_search(self, random_multigraphs):
+        def whole_graph(g: MultiGraph) -> bool:
+            m = len(g.edges)
+            return has_minor(CircuitMatroid(m, _graph_circuits(g.edges)), "MK4e") is not None
+
+        # two A_3 bundles joined at a cut vertex: cycle rank 4, but each block has 3 edges
+        thetas = MultiGraph(3, ((0, 1),) * 3 + ((1, 2),) * 3)
+        assert _cyclomatic(thetas) == 4
+        graphs = random_multigraphs + [thetas]
+        assert [has_K4e_graph_minor(g) for g in graphs] == [whole_graph(g) for g in graphs]
+        assert not has_K4e_graph_minor(thetas)
+
 
 def _block_is_allowed(g: MultiGraph, block: frozenset[int]) -> bool:
     """Bridge, circuit, or bundle subdivision — the allowed block shapes."""
@@ -236,6 +252,67 @@ def _block_is_allowed(g: MultiGraph, block: frozenset[int]) -> bool:
     if all(d in (0, 2) for d in deg):
         return True  # circuit (includes loops and parallel pairs)
     return is_subdivision_of_At(sub) is not None
+
+
+# -- reference: the enumerator before the automorphism skip, with its classes
+# ordered by the repr of their signatures and every extra canonicalised -----
+
+def _ref_signatures(n: int, edges) -> list:
+    loops = [0] * n
+    neigh: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            neigh[u].append(v)
+            neigh[v].append(u)
+    sig = [(loops[v], len(neigh[v])) for v in range(n)]
+    for _ in range(2):
+        sig = [(sig[v], tuple(sorted(sig[x] for x in neigh[v]))) for v in range(n)]
+    return sig
+
+
+def ref_canonical_edges(n: int, edges) -> tuple:
+    sig = _ref_signatures(n, edges)
+    classes: dict = {}
+    for v in range(n):
+        classes.setdefault(sig[v], []).append(v)
+    ordered = [classes[s] for s in sorted(classes, key=repr)]
+    best = None
+    for perm_parts in itertools.product(*(itertools.permutations(c) for c in ordered)):
+        label = {}
+        nxt = 0
+        for part in perm_parts:
+            for v in part:
+                label[v] = nxt
+                nxt += 1
+        cand = tuple(sorted(
+            (label[u], label[v]) if label[u] <= label[v] else (label[v], label[u])
+            for u, v in edges
+        ))
+        if best is None or cand < best:
+            best = cand
+    return best if best is not None else ()
+
+
+def ref_enumerate(max_vertices: int, max_edges: int) -> list[MultiGraph]:
+    out: list[MultiGraph] = []
+    seen: set = set()
+    for n in range(1, max_vertices + 1):
+        if n - 1 > max_edges:
+            break
+        trees: list = [()]
+        for m in range(2, n + 1):
+            trees = sorted({ref_canonical_edges(m, t + ((v, m - 1),)) for t in trees for v in range(m - 1)})
+        all_types = [(u, v) for u in range(n) for v in range(u, n)]
+        for tree in trees:
+            for k in range(max_edges - (n - 1) + 1):
+                for extra in itertools.combinations_with_replacement(all_types, k):
+                    canon = ref_canonical_edges(n, tuple(sorted(tree + extra)))
+                    if (n, canon) not in seen:
+                        seen.add((n, canon))
+                        out.append(MultiGraph(n, canon))
+    return out
 
 
 class TestEnumeration:
@@ -314,6 +391,52 @@ class TestEnumeration:
         # OEIS A000055: number of unlabeled trees on n vertices
         counts = [len(_canonical_spanning_trees(n)) for n in range(1, 9)]
         assert counts == [1, 1, 1, 2, 3, 6, 11, 23]
+
+    @pytest.mark.parametrize(
+        "bounds", [(7, 7), (8, 7), (8, 8), (5, 9), (4, 5), (5, 4)], ids=lambda b: "%d-%d" % b
+    )
+    def test_matches_the_reference_enumerator(self, bounds):
+        assert enumerate_connected_multigraphs(*bounds) == ref_enumerate(*bounds)
+
+    def test_same_classes_in_the_same_order_past_single_digit_signatures(self):
+        # a vertex of degree 10 puts a 10 in its signature, where tuple order and
+        # repr order part: representatives may differ, classes and order may not
+        got = enumerate_connected_multigraphs(3, 10)
+        want = ref_enumerate(3, 10)
+        assert got != want
+        assert [MultiGraph(g.n_vertices, ref_canonical_edges(g.n_vertices, g.edges)) for g in got] == want
+
+    def test_canonical_form_is_invariant_under_relabeling(self):
+        rng = random.Random(13)
+        graphs = []
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            graphs.append((n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))]))
+        for _ in range(30):  # a hub of degree >= 10 among random edges
+            n = rng.randint(2, 5)
+            hub = [(0, rng.randrange(1, n)) for _ in range(rng.randint(10, 12))]
+            graphs.append((n, hub + [(rng.randrange(n), rng.randrange(n)) for _ in range(3)]))
+        assert any(max(MultiGraph(n, tuple(e)).degrees()) >= 10 for n, e in graphs)
+        for n, edges in graphs:
+            canon = _canonical_edges(n, tuple(edges))
+            for _ in range(4):
+                p = list(range(n))
+                rng.shuffle(p)
+                moved = [(p[u], p[v]) for u, v in edges]
+                rng.shuffle(moved)
+                assert _canonical_edges(n, tuple(moved)) == canon, (n, edges, p)
+
+    def test_automorphisms_match_bruteforce(self):
+        for n in range(1, 8):
+            index = {t: i for i, t in enumerate(_edge_types(n))}
+            for tree in _canonical_spanning_trees(n):
+                want = []
+                for p in itertools.permutations(range(n)):
+                    if list(p) == sorted(p):
+                        continue
+                    if sorted(tuple(sorted((p[u], p[v]))) for u, v in tree) == list(tree):
+                        want.append(tuple(index[tuple(sorted((p[u], p[v])))] for u, v in _edge_types(n)))
+                assert sorted(_automorphisms(n, tree)) == sorted(want), tree
 
     def test_block_shape_characterization_of_k4e_minors(self):
         graphs = enumerate_connected_multigraphs(5, 7)
