@@ -131,6 +131,7 @@ def is_subdivision_of_At(g: MultiGraph) -> Optional[int]:
     edge-disjoint u-w paths whose internal vertices all have degree 2. Loops
     disqualify; plain cycles (no hub at all) report None.
     """
+    _require_multigraph(g)
     if not g.edges or any(u == v for u, v in g.edges):
         return None
     deg = g.degrees()
@@ -175,17 +176,19 @@ def has_K4e_graph_minor(g: MultiGraph) -> bool:
     matroids, only if it is a minor of one block's. So the verdict is the
     MK4e search of `matroid.has_minor` on each block's cycle matroid,
     skipping blocks below 5 edges or below cycle rank 3 (that of K4/e,
-    which no minor raises). Graphs above 14 edges raise BudgetExceeded.
+    which no minor raises). A searched block above 14 edges raises
+    BudgetExceeded; the blocks skipped may be any size.
     """
     _require_multigraph(g)
-    m = len(g.edges)
-    if m > MAX_MINOR_EDGES:
-        raise BudgetExceeded(f"{m} edges exceeds the {MAX_MINOR_EDGES}-edge search cap")
     for block in blocks(g):
         edges = [g.edges[e] for e in sorted(block)]
         n_block = len({x for edge in edges for x in edge})
         if len(edges) < 5 or len(edges) - n_block + 1 < 3:
             continue
+        if len(edges) > MAX_MINOR_EDGES:
+            raise BudgetExceeded(
+                f"a block of {len(edges)} edges exceeds the {MAX_MINOR_EDGES}-edge search cap"
+            )
         if has_minor(CircuitMatroid(len(edges), _graph_circuits(edges)), "MK4e") is not None:
             return True
     return False
@@ -355,6 +358,7 @@ def enumerate_connected_multigraphs(
 
 def format_graph(g: MultiGraph) -> str:
     """Edge-list text: one `u v` line per edge."""
+    _require_multigraph(g)
     return "".join(f"{u} {v}\n" for u, v in g.edges)
 
 

@@ -1,10 +1,11 @@
 """Exact rational analysis of the covering polyhedron of a clutter.
 
 Q(C) = {x >= 0 : sum of x over every member >= 1}. Everything here is exact:
-extreme points come from an integer double-description sweep and are each
-proved extreme in integers (tightness, then the rank of the tight rows by a
-GF(2) basis or, when that falls short, Bareiss elimination), idealness from
-inspecting them. One exhaustive search, `_covered_within`, decides whether
+extreme points come from an integer double-description sweep, in which a new
+ray is tight exactly where both its parents are plus on the new row, and are
+each proved extreme in integers (tightness, then the rank of the tight rows
+by a GF(2) basis or, when that falls short, Bareiss elimination), idealness
+from inspecting them. One exhaustive search, `_covered_within`, decides whether
 a cover fits a weight budget: `tau` is the least budget it meets, and `packs`
 and `mfmc_check` ask it for a cover within the packing number. No floating
 point is used anywhere except the infinity sentinel.
@@ -76,83 +77,49 @@ def _gcd_reduce(vec: tuple[int, ...]) -> tuple[int, ...]:
     return vec
 
 
-def _dd_rays(n: int, member_masks: Sequence[int]) -> tuple[list[tuple[int, ...]], int]:
+def _dd_rays(
+    n: int, member_bits: Sequence[Sequence[int]]
+) -> tuple[list[tuple[int, ...]], int]:
     """Extreme rays of {(x, t) >= 0 : a.x - t >= 0 per member}, and rays created.
 
-    Rays are gcd-reduced nonnegative integer vectors of length n+1 (t last).
-    Constraint indices for tightness masks: 0..n-1 the x bounds, n the t bound,
-    n+1+k the k-th member row.
+    Rays are gcd-reduced nonnegative integer vectors of length d = n+1 (t
+    last), each with the mask of processed constraints tight on it: bits
+    0..n-1 the x bounds, n the t bound, d+k the k-th member row. Row k
+    keeps every ray with a.x - t >= 0, a zero one gaining bit d+k, and adds
+    the combination of each adjacent pair across it: rays whose common
+    mask has at least d - 2 bits and lies in no other ray's. Both parents
+    satisfy every processed constraint and the new ray is a positive
+    combination of them, so it is tight on one exactly when both are: its
+    mask is their common mask plus bit d+k (Fukuda–Prodon 1996). Its
+    minimal face is that edge of the old cone, so no ray arises twice.
+    Distinct extreme rays have distinct tight sets, so another ray is
+    another mask.
     """
-
     d = n + 1
-    rays: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    for i in range(d):
-        ray = tuple(1 if j == i else 0 for j in range(d))
-        rays.append(ray)
-        masks.append(((1 << d) - 1) & ~(1 << i))
+    rays = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    masks = [((1 << d) - 1) & ~(1 << i) for i in range(d)]
     created = d
-
-    member_bits = [_bits(m) for m in member_masks]
-
-    def dot(k: int, ray: tuple[int, ...]) -> int:
-        return sum(ray[b] for b in member_bits[k]) - ray[n]
-
-    for k in range(len(member_masks)):
-        cst_index = d + k
-        vals = [dot(k, r) for r in rays]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        if not neg:
-            for i in zero:
-                masks[i] |= 1 << cst_index
-            continue
-        new_rays: list[tuple[int, ...]] = []
-        new_masks: list[int] = []
-        for i in pos:
-            new_rays.append(rays[i])
-            new_masks.append(masks[i])
-        for i in zero:
-            new_rays.append(rays[i])
-            new_masks.append(masks[i] | (1 << cst_index))
-        seen: set[tuple[int, ...]] = set(new_rays)
-        for ip in pos:
-            mp = masks[ip]
-            for im in neg:
-                common = mp & masks[im]
+    for k, bits in enumerate(member_bits):
+        row_bit = 1 << (d + k)
+        rows = [(ray, mask, sum(ray[b] for b in bits) - ray[n]) for ray, mask in zip(rays, masks)]
+        kept = [(ray, mask | row_bit if v == 0 else mask) for ray, mask, v in rows if v >= 0]
+        neg = [row for row in rows if row[2] < 0]
+        for rp, mp, a in rows:
+            if a <= 0:
+                continue
+            for rm, mm, b in neg:
+                common = mp & mm
                 if common.bit_count() < d - 2:
                     continue
-                adjacent = True
-                for io, mo in enumerate(masks):
-                    if io in (ip, im):
-                        continue
-                    if mo & common == common:
-                        adjacent = False
+                for mo in masks:
+                    if mo & common == common and mo != mp and mo != mm:
                         break
-                if not adjacent:
-                    continue
-                a, b = vals[ip], -vals[im]
-                combo = _gcd_reduce(
-                    tuple(
-                        b * rays[ip][j] + a * rays[im][j] for j in range(d)
-                    )
-                )
-                created += 1
-                if combo in seen:
-                    continue
-                seen.add(combo)
-                mask = 1 << cst_index
-                for j in range(d):
-                    if combo[j] == 0:
-                        mask |= 1 << j
-                for k2 in range(k):
-                    if dot(k2, combo) == 0:
-                        mask |= 1 << (d + k2)
-                new_rays.append(combo)
-                new_masks.append(mask)
-        rays = new_rays
-        masks = new_masks
+                else:
+                    combo = tuple(a * y - b * x for x, y in zip(rp, rm))
+                    kept.append((_gcd_reduce(combo), common | row_bit))
+                    created += 1
+        rays = [ray for ray, _ in kept]
+        masks = [mask for _, mask in kept]
     return rays, created
 
 
@@ -285,8 +252,8 @@ def _verified_rays(
     n = len(c.ground)
     if n > max_ground:
         raise TooLarge(f"ground of {n} elements exceeds the cap of {max_ground}")
-    rays, created = _dd_rays(n, c.members)
     member_bits = [_bits(m) for m in c.members]
+    rays, created = _dd_rays(n, member_bits)
     verified = [(ray, *_verify_extreme(c, member_bits, ray)) for ray in rays if ray[n]]
     return verified, created
 

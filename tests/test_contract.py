@@ -15,7 +15,14 @@ import clutterforge
 from clutterforge.clutter import Clutter, MinorSpec, builtin, mult
 from clutterforge.errors import ClutterforgeError
 from clutterforge.gf import build_field
-from clutterforge.graphs import MultiGraph, blocks, enumerate_connected_multigraphs, has_K4e_graph_minor
+from clutterforge.graphs import (
+    MultiGraph,
+    blocks,
+    enumerate_connected_multigraphs,
+    format_graph,
+    has_K4e_graph_minor,
+    is_subdivision_of_At,
+)
 from clutterforge.matroid import TARGETS, CircuitMatroid, has_minor, matroid_minor, matroid_of
 from clutterforge.polyhedral import mfmc_check
 from clutterforge.vspace import Subspace, span
@@ -122,12 +129,15 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: enumerate_connected_multigraphs(3, True), TypeError),
         (lambda: has_K4e_graph_minor("x"), TypeError),
         (lambda: blocks("x"), TypeError),
+        (lambda: is_subdivision_of_At("x"), TypeError),
+        (lambda: format_graph("x"), TypeError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
          "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sampled",
          "mfmc-negative-bound-sweep", "minor-set-not-a-set", "span-dimension-not-int",
          "mfmc-bound-not-int", "enumeration-vertex-bound-str", "enumeration-edge-bound-float",
-         "enumeration-edge-bound-bool", "k4e-not-a-multigraph", "blocks-not-a-multigraph"],
+         "enumeration-edge-bound-bool", "k4e-not-a-multigraph", "blocks-not-a-multigraph",
+         "subdivision-not-a-multigraph", "format-graph-not-a-multigraph"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

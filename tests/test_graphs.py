@@ -220,6 +220,14 @@ class TestK4eMinor:
         with pytest.raises(BudgetExceeded):
             has_K4e_graph_minor(g)
 
+    def test_budget_counts_searched_blocks_only(self):
+        # every block of a path is a bridge, so nothing is searched
+        path = MultiGraph(16, tuple((i, i + 1) for i in range(15)))
+        assert not has_K4e_graph_minor(path)
+        # K4/e on vertices 0..2, then a 20-edge path from vertex 2
+        tail = tuple((i, i + 1) for i in range(2, 22))
+        assert has_K4e_graph_minor(MultiGraph(23, K4E.edges + tail))
+
     def test_matches_the_graph_side_search(self, random_multigraphs):
         graphs = random_multigraphs
         assert any(u == v for g in graphs for u, v in g.edges)

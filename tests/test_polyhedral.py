@@ -46,7 +46,9 @@ from clutterforge.polyhedral import (
     tau,
     tau_star,
     _bareiss,
+    _dd_rays,
     _full_rank,
+    _gcd_reduce,
     _max_disjoint,
     _gf2_rank,
     _verify_extreme,
@@ -126,11 +128,13 @@ def fraction_det(rows) -> Fraction:
     return det
 
 
-def random_clutter(rng: random.Random, max_ground: int, max_members: int) -> Clutter:
-    """Members of two to four elements, the sizes where fractional points are common."""
+def random_clutter(
+    rng: random.Random, max_ground: int, max_members: int, min_size: int = 2
+) -> Clutter:
+    """Members of `min_size` to four elements; two to four is where fractional points are common."""
     n = rng.randint(3, max_ground)
     members = [
-        rng.sample(range(n), rng.randint(2, min(4, n)))
+        rng.sample(range(n), rng.randint(min_size, min(4, n)))
         for _ in range(rng.randint(2, max_members))
     ]
     return Clutter(tuple(range(n)), members)
@@ -161,6 +165,88 @@ def brute_extreme_points(c: Clutter) -> list[tuple[Fraction, ...]]:
         if all(sum(sol[v] for v in bits) >= 1 for bits in member_bits(c)):
             found.add(tuple(sol))
     return sorted(found)
+
+
+# reference double description: recomputes each new ray's tight set over every
+# coordinate and earlier row, and drops repeated rays with a set
+def reference_dd_rays(n: int, member_masks) -> tuple[list[tuple[int, ...]], int]:
+    """Extreme rays of {(x, t) >= 0 : a.x - t >= 0 per member}, and rays created.
+
+    Rays are gcd-reduced nonnegative integer vectors of length n+1 (t last).
+    Constraint indices for tightness masks: 0..n-1 the x bounds, n the t bound,
+    n+1+k the k-th member row.
+    """
+
+    d = n + 1
+    rays: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    for i in range(d):
+        ray = tuple(1 if j == i else 0 for j in range(d))
+        rays.append(ray)
+        masks.append(((1 << d) - 1) & ~(1 << i))
+    created = d
+
+    member_bits = [_bits(m) for m in member_masks]
+
+    def dot(k: int, ray: tuple[int, ...]) -> int:
+        return sum(ray[b] for b in member_bits[k]) - ray[n]
+
+    for k in range(len(member_masks)):
+        cst_index = d + k
+        vals = [dot(k, r) for r in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        if not neg:
+            for i in zero:
+                masks[i] |= 1 << cst_index
+            continue
+        new_rays: list[tuple[int, ...]] = []
+        new_masks: list[int] = []
+        for i in pos:
+            new_rays.append(rays[i])
+            new_masks.append(masks[i])
+        for i in zero:
+            new_rays.append(rays[i])
+            new_masks.append(masks[i] | (1 << cst_index))
+        seen: set[tuple[int, ...]] = set(new_rays)
+        for ip in pos:
+            mp = masks[ip]
+            for im in neg:
+                common = mp & masks[im]
+                if common.bit_count() < d - 2:
+                    continue
+                adjacent = True
+                for io, mo in enumerate(masks):
+                    if io in (ip, im):
+                        continue
+                    if mo & common == common:
+                        adjacent = False
+                        break
+                if not adjacent:
+                    continue
+                a, b = vals[ip], -vals[im]
+                combo = _gcd_reduce(
+                    tuple(
+                        b * rays[ip][j] + a * rays[im][j] for j in range(d)
+                    )
+                )
+                created += 1
+                if combo in seen:
+                    continue
+                seen.add(combo)
+                mask = 1 << cst_index
+                for j in range(d):
+                    if combo[j] == 0:
+                        mask |= 1 << j
+                for k2 in range(k):
+                    if dot(k2, combo) == 0:
+                        mask |= 1 << (d + k2)
+                new_rays.append(combo)
+                new_masks.append(mask)
+        rays = new_rays
+        masks = new_masks
+    return rays, created
 
 
 def brute_tau(c: Clutter, weights) -> int | float:
@@ -370,9 +456,37 @@ class TestRankLadder:
 
     def test_extreme_points_match_oracle_on_random_clutters(self):
         rng = random.Random(4)
-        for _ in range(50):
-            c = random_clutter(rng, 7, 7)
+        for _ in range(200):
+            c = random_clutter(rng, 7, 7, min_size=1)
             assert extreme_points(c) == brute_extreme_points(c), c
+
+
+class TestDoubleDescription:
+    """`_dd_rays` against the sweep that recomputes every new ray's tight set."""
+
+    @staticmethod
+    def check(c: Clutter) -> None:
+        n = len(c.ground)
+        rays, created = _dd_rays(n, [_bits(m) for m in c.members])
+        # t = 0 rays too: no set guards against a repeat
+        assert len(set(rays)) == len(rays), c
+        ref_rays, ref_created = reference_dd_rays(n, c.members)
+        assert sorted(rays) == sorted(ref_rays), c
+        assert created == ref_created, c
+
+    @pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (4, 3)])
+    def test_matches_reference_on_every_mult_clutter(self, q, n):
+        for space in enumerate_subspaces(q, n):
+            self.check(mult(space))
+
+    def test_matches_reference_on_random_clutters(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            self.check(random_clutter(rng, 9, 14, min_size=1))
+
+    def test_matches_reference_on_edge_cases(self, r11):
+        for c in corpus(r11) + [Clutter((0, 1), [set(), {0}]), Clutter((0, 1, 2), [])]:
+            self.check(c)
 
 
 class TestIsIdeal:
