@@ -4,7 +4,8 @@ A multigraph is a vertex count plus an edge list; loops and parallel edges
 are allowed and edges are labeled by their list index. The shape checks here
 back the structural characterization of graphic matroids with no K4/e minor:
 every block is a bridge, a circuit, or a subdivision of a two-vertex bundle
-of t parallel edges.
+of t parallel edges. Blocks come from the fundamental cycles of one GF(2)
+elimination, O(edges x vertices) mask XORs, sized for small graphs.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadIndex, BudgetExceeded, ParseError, WrongShape, WrongType
-from .matroid import CircuitMatroid, _graph_circuits, has_minor
+from .matroid import CircuitMatroid, _fundamental_cycles, _graph_circuits, has_minor
 
 MAX_MINOR_EDGES = 14
 
@@ -51,15 +52,6 @@ class MultiGraph:
             deg[v] += 1
         return deg
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (edge label, other endpoint)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-        for e, (u, v) in enumerate(self.edges):
-            adj[u].append((e, v))
-            if u != v:
-                adj[v].append((e, u))
-        return adj
-
 
 def _require_multigraph(g: object) -> None:
     if not isinstance(g, MultiGraph):
@@ -67,101 +59,47 @@ def _require_multigraph(g: object) -> None:
 
 
 def blocks(g: MultiGraph) -> list[frozenset[int]]:
-    """Partition of the edge labels into 2-connected blocks.
+    """Partition of the edge labels into 2-connected blocks, ordered by least edge.
 
-    Bridges come out as singleton blocks and each loop is its own block;
-    parallel edges share a block (they form a 2-edge cycle).
+    The blocks are the components of the cycle matroid: the classes of
+    overlapping fundamental cycles, so each cycle is merged with every group
+    it meets. An edge on no cycle is a bridge, a singleton block; a loop is
+    its own cycle and block; parallel edges share a block (a 2-edge cycle).
+    The elimination behind the cycles costs O(edges x vertices) mask XORs.
     """
     _require_multigraph(g)
-    adj = g.adjacency()
-    disc = [-1] * g.n_vertices
-    low = [0] * g.n_vertices
-    out: list[frozenset[int]] = []
-    stack: list[int] = []
-    counter = itertools.count()
-
-    def dfs(root: int) -> None:
-        # iterative DFS so deep paths cannot overflow the recursion limit
-        work = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = next(counter)
-        while work:
-            u, parent_edge, it = work[-1]
-            advanced = False
-            for e, v in it:
-                if e == parent_edge:
-                    continue
-                if v == u:
-                    out.append(frozenset({e}))
-                    continue
-                if disc[v] == -1:
-                    stack.append(e)
-                    disc[v] = low[v] = next(counter)
-                    work.append((v, e, iter(adj[v])))
-                    advanced = True
-                    break
-                if disc[v] < disc[u]:
-                    stack.append(e)
-                    low[u] = min(low[u], disc[v])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[u])
-                if low[u] >= disc[p]:
-                    block = set()
-                    while True:
-                        e = stack.pop()
-                        block.add(e)
-                        if e == parent_edge:
-                            break
-                    out.append(frozenset(block))
-
-    for r in range(g.n_vertices):
-        if disc[r] == -1:
-            dfs(r)
+    groups: list[int] = []  # disjoint edge masks, so a sum of them is their union
+    for cycle in _fundamental_cycles(g.edges):
+        met = [x for x in groups if x & cycle]
+        groups = [x for x in groups if not x & cycle] + [cycle | sum(met)]
+    covered = sum(groups)
+    groups += [1 << e for e in range(len(g.edges)) if not covered >> e & 1]
+    out = []
+    for mask in sorted(groups, key=lambda m: m & -m):
+        labels = []
+        while mask:  # one step per set bit, lowest first
+            labels.append((mask & -mask).bit_length() - 1)
+            mask &= mask - 1
+        out.append(frozenset(labels))
     return out
 
 
 def is_subdivision_of_At(g: MultiGraph) -> Optional[int]:
     """The t >= 3 when g is t internally disjoint paths between two hubs.
 
-    Suppress degree-2 vertices mentally: the graph qualifies exactly when two
-    vertices u, w have equal degree t >= 3 and every edge lies on one of t
-    edge-disjoint u-w paths whose internal vertices all have degree 2. Loops
-    disqualify; plain cycles (no hub at all) report None.
+    Exactly when g has edges and no loop, is one block, and has two hubs
+    (vertices of degree other than 0 and 2), both of degree t >= 3: with the
+    degree-2 vertices suppressed, an ear from a hub back to itself would make
+    it a cut vertex, so all t ears join the two hubs. Plain cycles (no hub)
+    report None. The one-block test costs what `blocks` does.
     """
     _require_multigraph(g)
     if not g.edges or any(u == v for u, v in g.edges):
         return None
-    deg = g.degrees()
-    hubs = [v for v in range(g.n_vertices) if deg[v] not in (0, 2)]
-    if len(hubs) != 2:
+    hubs = [d for d in g.degrees() if d not in (0, 2)]
+    if len(hubs) != 2 or hubs[0] != hubs[1] or hubs[0] < 3 or len(blocks(g)) != 1:
         return None
-    u, w = hubs
-    t = deg[u]
-    if t != deg[w] or t < 3:
-        return None
-    adj = g.adjacency()
-    used = [False] * len(g.edges)
-    paths = 0
-    for e0, v0 in adj[u]:
-        if used[e0]:
-            continue
-        used[e0] = True
-        cur, prev_edge = v0, e0
-        while cur != w:
-            if cur == u:
-                return None  # walked back into the start hub: a cycle at u
-            nxt = [(e, x) for e, x in adj[cur] if e != prev_edge and not used[e]]
-            if len(nxt) != 1:
-                return None
-            prev_edge, cur = nxt[0][0], nxt[0][1]
-            used[prev_edge] = True
-        paths += 1
-    if paths != t or not all(used):
-        return None
-    return t
+    return hubs[0]
 
 
 def has_K4e_graph_minor(g: MultiGraph) -> bool:
@@ -176,21 +114,23 @@ def has_K4e_graph_minor(g: MultiGraph) -> bool:
     matroids, only if it is a minor of one block's. So the verdict is the
     MK4e search of `matroid.has_minor` on each block's cycle matroid,
     skipping blocks below 5 edges or below cycle rank 3 (that of K4/e,
-    which no minor raises). A searched block above 14 edges raises
-    BudgetExceeded; the blocks skipped may be any size.
+    which no minor raises). Every such block within 14 edges is searched;
+    only when none has the minor and some are over the cap is
+    BudgetExceeded raised, naming the largest. Skipped blocks may be any size.
     """
     _require_multigraph(g)
+    over = 0
     for block in blocks(g):
         edges = [g.edges[e] for e in sorted(block)]
         n_block = len({x for edge in edges for x in edge})
         if len(edges) < 5 or len(edges) - n_block + 1 < 3:
             continue
         if len(edges) > MAX_MINOR_EDGES:
-            raise BudgetExceeded(
-                f"a block of {len(edges)} edges exceeds the {MAX_MINOR_EDGES}-edge search cap"
-            )
-        if has_minor(CircuitMatroid(len(edges), _graph_circuits(edges)), "MK4e") is not None:
+            over = max(over, len(edges))
+        elif has_minor(CircuitMatroid(len(edges), _graph_circuits(edges)), "MK4e") is not None:
             return True
+    if over:
+        raise BudgetExceeded(f"a block of {over} edges exceeds the {MAX_MINOR_EDGES}-edge search cap")
     return False
 
 

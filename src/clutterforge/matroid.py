@@ -240,15 +240,14 @@ def classify(m: CircuitMatroid) -> StructureReport:
 # fixed small targets and minor search
 # ---------------------------------------------------------------------------
 
-def _graph_circuits(edges: Sequence[tuple[int, int]]) -> tuple[frozenset[int], ...]:
-    """Circuits of the cycle matroid of a small multigraph, by one GF(2) elimination.
+def _fundamental_cycles(edges: Sequence[tuple[int, int]]) -> list[int]:
+    """The fundamental cycles of a multigraph, as edge masks, by one GF(2) elimination.
 
     Each edge's vertex-incidence mask (1 << u) ^ (1 << v) is reduced against
     an XOR basis that also records which edges each basis vector combines;
-    an edge that reduces to zero (a loop at once) closes a cycle. XORs of
-    those cycles are the whole cycle space, and its minimal nonzero elements
-    are the circuits. The minimal filter runs on ints here: this routine
-    builds TARGETS while clutter.py is still importing.
+    an edge that reduces to zero (a loop at once) closes a cycle with the
+    forest edges before it: edges - vertices + components cycles, each edge
+    reduced against at most one basis vector per vertex.
     """
     basis: dict[int, tuple[int, int]] = {}  # lowest vertex bit -> (incidence, edges)
     cycles: list[int] = []
@@ -263,8 +262,18 @@ def _graph_circuits(edges: Sequence[tuple[int, int]]) -> tuple[frozenset[int], .
             combo ^= basis[low][1]
         else:
             cycles.append(combo)
+    return cycles
+
+
+def _graph_circuits(edges: Sequence[tuple[int, int]]) -> tuple[frozenset[int], ...]:
+    """Circuits of the cycle matroid of a small multigraph.
+
+    XORs of the fundamental cycles are the whole cycle space, and its minimal
+    nonzero elements are the circuits. The minimal filter runs on ints here:
+    this routine builds TARGETS while clutter.py is still importing.
+    """
     space = [0]
-    for c in cycles:
+    for c in _fundamental_cycles(edges):
         space += [s ^ c for s in space]
     minimal: list[int] = []
     for s in sorted(space[1:], key=int.bit_count):

@@ -20,7 +20,7 @@ from clutterforge.graphs import (
     is_subdivision_of_At,
     parse_graph,
 )
-from clutterforge.matroid import CircuitMatroid, _graph_circuits, has_minor
+from clutterforge.matroid import CircuitMatroid, _fundamental_cycles, _graph_circuits, has_minor
 
 
 def bundle(t: int) -> MultiGraph:
@@ -101,6 +101,176 @@ def ref_has_K4e_graph_minor(g: MultiGraph) -> bool:
             if ok and len(vertices) == 3 and sorted(counts.values()) == [1, 2, 2]:
                 return True
     return False
+
+
+# -- reference: the Tarjan DFS and the path walk that `blocks` and
+# `is_subdivision_of_At` replaced, kept verbatim but for the adjacency
+# lists, which were a MultiGraph method -----------------------------------
+
+def _ref_adjacency(g: MultiGraph) -> list[list[tuple[int, int]]]:
+    """Per-vertex list of (edge label, other endpoint)."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
+    for e, (u, v) in enumerate(g.edges):
+        adj[u].append((e, v))
+        if u != v:
+            adj[v].append((e, u))
+    return adj
+
+
+def ref_blocks(g: MultiGraph) -> list[frozenset[int]]:
+    adj = _ref_adjacency(g)
+    disc = [-1] * g.n_vertices
+    low = [0] * g.n_vertices
+    out: list[frozenset[int]] = []
+    stack: list[int] = []
+    counter = itertools.count()
+
+    def dfs(root: int) -> None:
+        # iterative DFS so deep paths cannot overflow the recursion limit
+        work = [(root, -1, iter(adj[root]))]
+        disc[root] = low[root] = next(counter)
+        while work:
+            u, parent_edge, it = work[-1]
+            advanced = False
+            for e, v in it:
+                if e == parent_edge:
+                    continue
+                if v == u:
+                    out.append(frozenset({e}))
+                    continue
+                if disc[v] == -1:
+                    stack.append(e)
+                    disc[v] = low[v] = next(counter)
+                    work.append((v, e, iter(adj[v])))
+                    advanced = True
+                    break
+                if disc[v] < disc[u]:
+                    stack.append(e)
+                    low[u] = min(low[u], disc[v])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                p = work[-1][0]
+                low[p] = min(low[p], low[u])
+                if low[u] >= disc[p]:
+                    block = set()
+                    while True:
+                        e = stack.pop()
+                        block.add(e)
+                        if e == parent_edge:
+                            break
+                    out.append(frozenset(block))
+
+    for r in range(g.n_vertices):
+        if disc[r] == -1:
+            dfs(r)
+    return out
+
+
+def ref_is_subdivision_of_At(g: MultiGraph):
+    if not g.edges or any(u == v for u, v in g.edges):
+        return None
+    deg = g.degrees()
+    hubs = [v for v in range(g.n_vertices) if deg[v] not in (0, 2)]
+    if len(hubs) != 2:
+        return None
+    u, w = hubs
+    t = deg[u]
+    if t != deg[w] or t < 3:
+        return None
+    adj = _ref_adjacency(g)
+    used = [False] * len(g.edges)
+    paths = 0
+    for e0, v0 in adj[u]:
+        if used[e0]:
+            continue
+        used[e0] = True
+        cur, prev_edge = v0, e0
+        while cur != w:
+            if cur == u:
+                return None  # walked back into the start hub: a cycle at u
+            nxt = [(e, x) for e, x in adj[cur] if e != prev_edge and not used[e]]
+            if len(nxt) != 1:
+                return None
+            prev_edge, cur = nxt[0][0], nxt[0][1]
+            used[prev_edge] = True
+        paths += 1
+    if paths != t or not all(used):
+        return None
+    return t
+
+
+def theta(paths: int, length: int) -> MultiGraph:
+    """Hubs 0 and 1 joined by `paths` internally disjoint paths of `length` edges."""
+    edges = []
+    n = 2
+    for _ in range(paths):
+        prev = 0
+        for _ in range(length - 1):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+        edges.append((prev, 1))
+    return MultiGraph(n, tuple(edges))
+
+
+def large_graphs() -> list[MultiGraph]:
+    """A 5,000-edge path, a 1,000-edge bundle, 200 paths of 5, the 30x30 grid, K60."""
+    grid = [(30 * r + c, 30 * r + c + 1) for r in range(30) for c in range(29)]
+    grid += [(30 * r + c, 30 * r + c + 30) for r in range(29) for c in range(30)]
+    return [
+        MultiGraph(5001, tuple((i, i + 1) for i in range(5000))),
+        bundle(1000),
+        theta(200, 5),
+        MultiGraph(900, tuple(grid)),
+        MultiGraph(60, tuple(itertools.combinations(range(60), 2))),
+    ]
+
+
+def random_small_multigraphs(count: int, seed: int) -> list[MultiGraph]:
+    """Seeded graphs on 1-8 vertices and 0-12 uniform edges: loops, parallels, isolated vertices."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        graphs.append(MultiGraph(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12)))))
+    return graphs
+
+
+class TestBlocksMatchTheGraphWalks:
+    @staticmethod
+    def assert_match(graphs: list[MultiGraph]) -> None:
+        for g in graphs:
+            assert sorted(map(sorted, blocks(g))) == sorted(map(sorted, ref_blocks(g))), (g.n_vertices, g.edges)
+            assert is_subdivision_of_At(g) == ref_is_subdivision_of_At(g), (g.n_vertices, g.edges)
+
+    def test_blocks_come_ordered_by_least_edge(self):
+        for g in random_small_multigraphs(200, 5):
+            assert [min(b) for b in blocks(g)] == sorted(min(b) for b in blocks(g))
+
+    def test_every_connected_multigraph_up_to_8_vertices_and_8_edges(self):
+        graphs = enumerate_connected_multigraphs(8, 8)
+        assert len(graphs) == 6414
+        self.assert_match(graphs)
+        assert sum(ref_is_subdivision_of_At(g) is not None for g in graphs) > 20
+
+    def test_random_multigraphs(self):
+        graphs = random_small_multigraphs(2000, 15)
+        assert any(u == v for g in graphs for u, v in g.edges)
+        assert any(len(g.edges) != len(set(g.edges)) for g in graphs)
+        assert any(0 in g.degrees() for g in graphs)
+        self.assert_match(graphs)
+
+    def test_large_graphs_and_thetas(self):
+        large = large_graphs()
+        self.assert_match(large + [theta(t, length) for t in range(1, 8) for length in (1, 2, 3, 5)])
+        assert [is_subdivision_of_At(g) for g in large] == [None, 1000, 200, None, None]
+
+    def test_fundamental_cycle_count_is_the_cycle_rank(self):
+        graphs = random_small_multigraphs(500, 16) + enumerate_connected_multigraphs(5, 7)
+        for g in graphs:
+            rank = g.n_vertices - _component_count(g)
+            assert len(_fundamental_cycles(g.edges)) == len(g.edges) - rank, (g.n_vertices, g.edges)
 
 
 class TestMultiGraph:
@@ -227,6 +397,15 @@ class TestK4eMinor:
         # K4/e on vertices 0..2, then a 20-edge path from vertex 2
         tail = tuple((i, i + 1) for i in range(2, 22))
         assert has_K4e_graph_minor(MultiGraph(23, K4E.edges + tail))
+
+    def test_a_block_over_the_cap_does_not_hide_a_k4e_block(self):
+        k4e = ((0, 2), (0, 1), (1, 2), (0, 1), (1, 2))
+        over = ((2, 3),) * 15
+        assert has_K4e_graph_minor(MultiGraph(4, k4e + over))
+        assert has_K4e_graph_minor(MultiGraph(4, over + k4e))
+        # no K4/e block: the largest block over the cap is named, not the first
+        with pytest.raises(BudgetExceeded, match="block of 16 edges"):
+            has_K4e_graph_minor(MultiGraph(4, ((0, 1),) * 3 + ((1, 2),) * 15 + ((2, 3),) * 16))
 
     def test_matches_the_graph_side_search(self, random_multigraphs):
         graphs = random_multigraphs
