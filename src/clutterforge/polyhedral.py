@@ -6,18 +6,20 @@ ray is tight exactly where both its parents are plus on the new row, and are
 each proved extreme in integers (tightness, then the rank of the tight rows
 by a GF(2) basis or, when that falls short, Bareiss elimination), idealness
 from inspecting them. One exhaustive search, `_covered_within`, decides whether
-a cover fits a weight budget: `tau` is the least budget it meets, and `packs`
-and `mfmc_check` ask it for a cover within the packing number. No floating
-point is used anywhere except the infinity sentinel.
+a cover fits a weight budget: `tau` is the least budget it meets. One packing
+search, `_packs_within`, bounded by it, decides whether k members pack: `nu` is
+the largest k it meets, and `packs` and `mfmc_check` ask whether tau members
+pack. No floating point is used anywhere except the infinity sentinel.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .clutter import (
     Clutter,
@@ -49,6 +51,8 @@ WeightVector = Union[int, Sequence[Weight]]
 def _weight_list(c: Clutter, w: WeightVector, allow_inf: bool) -> list[Weight]:
     if isinstance(w, (int, float)) and not isinstance(w, bool):
         w = [w] * len(c.ground)
+    elif not isinstance(w, Iterable):
+        raise WrongType(f"weights must be a number or a sequence, got {type(w).__name__}")
     weights = list(w)
     if len(weights) != len(c.ground):
         raise DimensionMismatch(
@@ -372,98 +376,88 @@ def _fits(masks: Sequence[int], budget: int, cost: dict, cheapest: dict) -> bool
     return False
 
 
-def _max_disjoint(masks: Sequence[int]) -> int:
-    """Largest number of pairwise-disjoint masks (nonempty, sorted by size)."""
-    best = 0
-
-    def grow(rest: list[int], count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if not rest:
-            return
-        union = 0
-        for m in rest:
-            union |= m
-        # rest[0] is a smallest mask, so at most union // |rest[0]| more fit
-        if count + min(len(rest), union.bit_count() // rest[0].bit_count()) <= best:
-            return
-        first = rest[0]
-        grow([m for m in rest if not m & first], count + 1)
-        grow(rest[1:], count)
-
-    grow(list(masks), 0)
-    return best
-
-
-def tau(c: Clutter, w: WeightVector = 1) -> Weight:
-    """Exact min-weight cover value; INFINITY when no cover exists.
-
-    Infinite weights exclude elements (equivalent to deleting them before
-    covering); zero-weight elements are taken for free. The value is the
-    least budget `_covered_within` meets, found by binary search up to the
-    cost of the cover made of each member's cheapest element.
-    """
-    weights = _weight_list(c, w, allow_inf=True)
-    masks = _cover_masks(c, weights)
-    if masks is None:
-        return INFINITY
-    cheap = {min(_bits(m), key=weights.__getitem__) for m in masks}
-    low, high = -1, sum(weights[b] for b in cheap)
-    # `_covered_within` meets `high` and, being monotone, misses every budget <= low
+def _least(low: int, high: int, meets) -> int:
+    """Least k in (low, high] that the monotone test `meets` passes; it passes high."""
     while high - low > 1:
         mid = (low + high) // 2
-        if _covered_within(masks, mid, weights):
+        if meets(mid):
             high = mid
         else:
             low = mid
     return high
 
 
+def _min_cover(masks: Sequence[int], weights: Optional[Sequence[Weight]] = None) -> int:
+    """The least budget `_covered_within` meets, at most the cost of each mask's cheapest element."""
+    if weights is None:
+        return _least(-1, len({m & -m for m in masks}), lambda b: _covered_within(masks, b))
+    cheap = {min(_bits(m), key=weights.__getitem__) for m in masks}
+    return _least(-1, sum(weights[b] for b in cheap), lambda b: _covered_within(masks, b, weights))
+
+
+def _packs_within(masks: Sequence[int], k: int, weights: Optional[Sequence[Weight]] = None) -> bool:
+    """Whether k masks, with repeats, pack within the weights `_covered_within` takes.
+
+    A greedy family of disjoint masks packs. No packing outweighs a cover,
+    of weight k - 1 or 1/|smallest mask| per element, so either ends the
+    branch. Else the first mask is taken y times, y from the most that fits
+    (1 at unit weights) down to 0, and the later masks whose elements keep
+    a positive weight go on: the depth is the mask count, whatever the weights.
+    """
+    if k <= 0:
+        return True
+    union = taken = count = 0
+    for m in masks:
+        union |= m
+        if not m & taken:
+            taken, count = taken | m, count + 1
+    if count >= k:
+        return True
+    mass = union.bit_count() if weights is None else sum(weights[b] for b in _bits(union))
+    if not masks or mass < k * masks[0].bit_count() or _covered_within(masks, k - 1, weights):
+        return False
+    first, rest = masks[0], masks[1:]
+    if weights is None:
+        return _packs_within([m for m in rest if not m & first], k - 1) or _packs_within(rest, k)
+    bits = _bits(first)
+    for y in range(min(k, *(weights[b] for b in bits)), -1, -1):
+        residual = list(weights)
+        for b in bits:
+            residual[b] -= y
+        spent = sum(1 << b for b in bits if not residual[b])
+        if _packs_within([m for m in rest if not m & spent], k - y, residual):
+            return True
+    return False
+
+
+def tau(c: Clutter, w: WeightVector = 1) -> Weight:
+    """Exact min-weight cover value; INFINITY when no cover exists.
+
+    Infinite weights exclude elements (equivalent to deleting them before
+    covering); zero-weight elements are free. The value is `_min_cover`'s.
+    """
+    weights = _weight_list(c, w, allow_inf=True)
+    masks = _cover_masks(c, weights)
+    if masks is None:
+        return INFINITY
+    return _min_cover(masks, weights)
+
+
 def nu(c: Clutter, w: WeightVector = 1) -> Weight:
     """Exact max packing value: integer member multiplicities y with M^T y <= w.
 
     Weights must be finite; a clutter containing the empty member packs it
-    without bound, reported as INFINITY. At 0/1 weights every multiplicity
-    is 0 or 1, so the value is the largest number of pairwise-disjoint
-    members avoiding the zero-weight elements.
+    without bound, reported as INFINITY. The value is the largest k up to
+    tau that `_packs_within` meets, found by binary search.
     """
     weights = _weight_list(c, w, allow_inf=False)
-    if any(m == 0 for m in c.members):
+    masks = _cover_masks(c, weights)
+    if masks is None:
         return INFINITY
-    if all(x <= 1 for x in weights):
-        return _max_disjoint(_cover_masks(c, weights))
-    members = [_bits(m) for m in c.members]
-    if not members:
-        return 0
-    min_size = min(len(bits) for bits in members)
-    residual = list(weights)
-    best = 0
-
-    def upper_bound(i: int) -> int:
-        by_caps = 0
-        for bits in members[i:]:
-            by_caps += min(residual[b] for b in bits)
-        by_mass = sum(residual) // min_size
-        return min(by_caps, by_mass)
-
-    def dfs(i: int, total: int) -> None:
-        nonlocal best
-        if total > best:
-            best = total
-        if i == len(members) or total + upper_bound(i) <= best:
-            return
-        bits = members[i]
-        cap = min(residual[b] for b in bits)
-        for mult in range(cap, -1, -1):
-            for b in bits:
-                residual[b] -= mult
-            dfs(i + 1, total + mult)
-            for b in bits:
-                residual[b] += mult
-
-    dfs(0, 0)
-    return best
+    # at 0/1 weights every element left in the masks weighs 1
+    unit = None if all(x <= 1 for x in weights) else weights
+    # no packing outweighs a cover, so tau + 1 members never pack
+    return _least(0, _min_cover(masks, unit) + 1, lambda k: not _packs_within(masks, k, unit)) - 1
 
 
 def tau_star(
@@ -589,20 +583,18 @@ def lp_certificate(
 def packs(c: Clutter) -> bool:
     """True when the unit-weight cover and packing values coincide.
 
-    Decided at unit weights, where every packing multiplicity is 0 or 1:
-    nu is the largest number of pairwise-disjoint members (`_max_disjoint`),
-    and as tau >= nu always, tau == nu exactly when `_covered_within` finds
-    a cover of at most nu elements. The empty clutter packs (0 = 0), as does
-    one with the empty member (both values infinite).
+    As tau >= nu always, tau == nu exactly when `_packs_within` packs
+    `_min_cover` members. The empty clutter packs (0 = 0), as does one
+    with the empty member (both values infinite).
     """
     return _packs(c.members)
 
 
-def _packs(members: Sequence[int]) -> bool:
-    """`packs` on an antichain of masks in (cardinality, value) order."""
+def _packs(members: Sequence[int], weights: Optional[Sequence[Weight]] = None) -> bool:
+    """tau == nu, on masks and weights as `_covered_within` takes them."""
     if not members or members[0] == 0:
         return True
-    return _covered_within(members, _max_disjoint(members))
+    return _packs_within(members, _min_cover(members, weights), weights)
 
 
 def has_packing_property(
@@ -662,28 +654,35 @@ def mfmc_check(
 
     A refuter only: returns (w, tau, nu) for the first violation among the
     explicit candidates, then either `samples` seeded random draws or the
-    full [0, bound]^V sweep. Each vector is decided as `packs` decides: nu,
-    then whether `_covered_within` finds a cover of weight at most nu; tau
-    is computed only for the violation returned. Each vector costs a search
-    over every member, so the sweep raises BudgetExceeded when
-    (bound + 1)^|V| times the member count exceeds MFMC_SWEEP_BUDGET. None
-    never certifies the max-flow min-cut property — the structural tests do
-    that. A bound that is not an int raises WrongType, a negative one
-    PreconditionViolated.
+    full [0, bound]^V sweep. Each vector is decided as `packs` decides, by
+    whether `_min_cover` members pack; tau and nu are computed only for the
+    violation returned. Each vector costs searches over every member, so
+    the sweep raises BudgetExceeded when (bound + 1)^|V| times the member
+    count exceeds MFMC_SWEEP_BUDGET. None never certifies the max-flow
+    min-cut property — the structural tests do that. A bound, sample count
+    or seed that is not an int, or a candidate that is not a weight vector,
+    raises WrongType; a negative bound or count PreconditionViolated.
     """
-    if not isinstance(bound, int):
-        raise WrongType(f"weight bound must be an int, got {type(bound).__name__}")
-    if bound < 0:
-        raise PreconditionViolated(f"weight bound must be >= 0, got {bound}")
+    for name, value in (("weight bound", bound), ("sample count", 0 if samples is None else samples)):
+        if not isinstance(value, int):
+            raise WrongType(f"{name} must be an int, got {type(value).__name__}")
+        if value < 0:
+            raise PreconditionViolated(f"{name} must be >= 0, got {value}")
+    for name, value, kind in (("seed", seed, int), ("candidates", candidates, Iterable)):
+        if value is not None and not isinstance(value, kind):
+            raise WrongType(f"{name} must be {kind.__name__}, got {type(value).__name__}")
     n = len(c.ground)
 
     def violation(w: Sequence[int]) -> Optional[tuple[tuple[int, ...], Weight, Weight]]:
-        weights = list(w)
-        v = nu(c, weights)
-        # nu is infinite only with the empty member, and then so is tau
-        if v == INFINITY or _covered_within(_cover_masks(c, weights), v, weights):
+        # a bare number is a uniform weight for `nu`, but not a candidate vector
+        if not isinstance(w, Iterable):
+            raise WrongType(f"candidate must be a weight vector, got {type(w).__name__}")
+        weights = _weight_list(c, w, allow_inf=False)
+        masks = _cover_masks(c, weights)
+        # None only with the empty member, where tau and nu are both infinite
+        if masks is None or _packs(masks, None if all(x <= 1 for x in weights) else weights):
             return None
-        return tuple(w), tau(c, weights), v
+        return tuple(weights), tau(c, weights), nu(c, weights)
 
     if candidates is not None:
         for w in candidates:

@@ -24,7 +24,7 @@ from clutterforge.graphs import (
     is_subdivision_of_At,
 )
 from clutterforge.matroid import TARGETS, CircuitMatroid, has_minor, matroid_minor, matroid_of
-from clutterforge.polyhedral import mfmc_check
+from clutterforge.polyhedral import mfmc_check, tau
 from clutterforge.vspace import Subspace, span
 
 PACKAGE_DIR = Path(clutterforge.__file__).parent
@@ -131,13 +131,25 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: blocks("x"), TypeError),
         (lambda: is_subdivision_of_At("x"), TypeError),
         (lambda: format_graph("x"), TypeError),
+        (lambda: mfmc_check(builtin("delta3"), 1, samples=1.5), TypeError),
+        (lambda: mfmc_check(builtin("delta3"), 1, samples="3"), TypeError),
+        (lambda: mfmc_check(builtin("delta3"), 1, samples=-1), ValueError),
+        (lambda: mfmc_check(builtin("delta3"), 1, samples=3, seed=[1]), TypeError),
+        (lambda: mfmc_check(builtin("delta3"), 1, candidates=5), TypeError),
+        (lambda: mfmc_check(builtin("delta3"), 1, candidates=[5]), TypeError),
+        (lambda: mfmc_check(builtin("delta3"), 1, candidates=[(1, 1)]), ValueError),
+        (lambda: mfmc_check(builtin("delta3"), 1, candidates=[(1, -1, 1)]), ValueError),
+        (lambda: tau(builtin("delta3"), None), TypeError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
          "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sampled",
          "mfmc-negative-bound-sweep", "minor-set-not-a-set", "span-dimension-not-int",
          "mfmc-bound-not-int", "enumeration-vertex-bound-str", "enumeration-edge-bound-float",
          "enumeration-edge-bound-bool", "k4e-not-a-multigraph", "blocks-not-a-multigraph",
-         "subdivision-not-a-multigraph", "format-graph-not-a-multigraph"],
+         "subdivision-not-a-multigraph", "format-graph-not-a-multigraph",
+         "mfmc-samples-float", "mfmc-samples-str", "mfmc-samples-negative", "mfmc-seed-list",
+         "mfmc-candidates-int", "mfmc-candidate-int", "mfmc-candidate-wrong-length",
+         "mfmc-candidate-negative-weight", "tau-weights-none"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

@@ -2,7 +2,8 @@
 
 Expected values come from independent brute-force oracles defined here:
 extreme points by square tight-subsystem enumeration, tau by subset sweep,
-nu by bounded multiplicity enumeration.
+nu by bounded multiplicity enumeration and, on cycles at large weights, by
+a path greedy.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from clutterforge.errors import (
     PreconditionViolated,
     TooLarge,
     VerificationFailure,
+    WrongType,
 )
 from clutterforge.polyhedral import (
     INFINITY,
@@ -49,12 +51,12 @@ from clutterforge.polyhedral import (
     _dd_rays,
     _full_rank,
     _gcd_reduce,
-    _max_disjoint,
     _gf2_rank,
     _verify_extreme,
 )
 from clutterforge.verify import enumerate_subspaces
 from clutterforge.vspace import span
+from test_acceptance import wall_clock_under
 
 HALF = Fraction(1, 2)
 
@@ -276,6 +278,25 @@ def brute_nu(c: Clutter, weights) -> int | float:
                 load[v] += m
         if all(load[v] <= weights[v] for v in range(len(c.ground))):
             best = max(best, sum(mults))
+    return best
+
+
+def cycle_nu(w) -> int:
+    """nu_w of the cycle clutter {i, i+1 mod n}, exactly.
+
+    Fix the copies y of member {0, 1}; the rest is the path 1, 2, ..., n-1,
+    0, on which taking as many copies of the leaf's member as fit is
+    optimal, so nu_w is the largest y plus that greedy count.
+    """
+    n = len(w)
+    best = 0
+    for y in range(min(w[0], w[1]) + 1):
+        total, free = y, w[1] - y
+        for v in list(range(2, n)) + [0]:
+            cap = w[v] - y if v == 0 else w[v]
+            take = min(free, cap)
+            total, free = total + take, cap - take
+        best = max(best, total)
     return best
 
 
@@ -589,20 +610,39 @@ class TestTauNu:
                 assert tau(c, list(w)) == brute_tau(c, w), (c, w)
                 assert nu(c, list(w)) == brute_nu(c, w), (c, w)
         rng = random.Random(12)
-        for _ in range(80):
+        for _ in range(1500):
             c = random_clutter(rng, 7, 6)
-            for _ in range(2):
-                w = [rng.randint(0, 3) for _ in c.ground]
-                assert tau(c, w) == brute_tau(c, w), (c, w)
-                assert nu(c, w) == brute_nu(c, w), (c, w)
-                w = [INFINITY if rng.random() < 0.2 else x for x in w]
-                assert tau(c, w) == brute_tau(c, w), (c, w)
+            w = [rng.randint(0, 4) for _ in c.ground]
+            assert tau(c, w) == brute_tau(c, w), (c, w)
+            assert nu(c, w) == brute_nu(c, w), (c, w)
+            w = [INFINITY if rng.random() < 0.2 else x for x in w]
+            assert tau(c, w) == brute_tau(c, w), (c, w)
         # odd cycles: tau at large weights, where the cover search is deep
         for n in range(3, 16, 2):
             c = Clutter(tuple(range(n)), [{i, (i + 1) % n} for i in range(n)])
             for _ in range(2):
                 w = [rng.randint(0, 1000) for _ in range(n)]
                 assert tau(c, w) == brute_tau(c, w), (c, w)
+
+    def test_nu_at_large_weights_on_cycles(self):
+        # the packing search's depth is the member count, not the weights
+        rng = random.Random(16)
+        for n in range(3, 7):
+            c = Clutter(tuple(range(n)), [{i, (i + 1) % n} for i in range(n)])
+            for _ in range(10):
+                w = [rng.randint(0, 3) for _ in range(n)]
+                assert cycle_nu(w) == brute_nu(c, w), w
+        with wall_clock_under(4.0):
+            for n in range(3, 17):
+                c = Clutter(tuple(range(n)), [{i, (i + 1) % n} for i in range(n)])
+                for _ in range(2):
+                    w = [rng.randint(50, 1000) for _ in range(n)]
+                    with wall_clock_under(2.0):
+                        value = nu(c, w)
+                    assert value == cycle_nu(w), (n, w)
+                    if n % 2 == 0:
+                        # even cycles are bipartite: Egervary's theorem
+                        assert value == tau(c, w), (n, w)
 
     def test_tau_infinite_weight_excludes_element(self):
         d3 = builtin("delta3")
@@ -798,8 +838,7 @@ class TestPacking:
         for c, verdict in zip(clutters, verdicts):
             unit = [1] * len(c.ground)
             assert verdict == (brute_tau(c, unit) == brute_nu(c, unit)), c
-            if c.members and c.members[0]:
-                assert _max_disjoint(c.members) == brute_nu(c, unit), c
+            assert nu(c, 1) == brute_nu(c, unit), c
         assert verdicts.count(False) >= 40 and verdicts.count(True) >= 400
 
     def test_packs_decides_odd_and_even_cycles_quickly(self):
@@ -808,7 +847,7 @@ class TestPacking:
         for n, expected in ((41, False), (61, False), (60, True)):
             c = Clutter(tuple(range(n)), [{i, (i + 1) % n} for i in range(n)])
             assert packs(c) is expected
-            assert _max_disjoint(c.members) == nu(c, 1) == n // 2
+            assert nu(c, 1) == n // 2
             assert tau(c, 1) == (n + 1) // 2
 
     def test_child_members_match_the_minor_definition(self):
@@ -849,25 +888,42 @@ class TestMfmcCheck:
         assert t != v
 
     def test_first_violation_in_product_order(self):
-        clutters = [builtin("delta3"), builtin("q6")]
-        clutters += [mult(s) for q, n in ((2, 3), (3, 2)) for s in enumerate_subspaces(q, n)]
         rng = random.Random(10)
-        clutters += [random_clutter(rng, 6, 6) for _ in range(150)]
-        violations = 0
-        for c in clutters:
-            expected = None
-            for w in itertools.product((0, 1), repeat=len(c.ground)):
-                t, v = brute_tau(c, w), brute_nu(c, w)
-                if t != v:
-                    expected = (w, t, v)
-                    break
-            assert mfmc_check(c, 1) == expected, c
-            violations += expected is not None
-        assert violations >= 20
+        at_bound_1 = [builtin("delta3"), builtin("q6")]
+        at_bound_1 += [mult(s) for q, n in ((2, 3), (3, 2)) for s in enumerate_subspaces(q, n)]
+        at_bound_1 += [random_clutter(rng, 6, 6) for _ in range(150)]
+        # bound 2 sweeps 3^|V| vectors, so its grounds stop at five elements
+        at_bound_2 = [builtin("delta3")]
+        at_bound_2 += [mult(s) for q in (2, 3) for s in enumerate_subspaces(q, 2)]
+        at_bound_2 += [random_clutter(rng, 5, 6) for _ in range(60)]
+        for bound, clutters, least in ((1, at_bound_1, 20), (2, at_bound_2, 12)):
+            violations = 0
+            for c in clutters:
+                expected = None
+                for w in itertools.product(range(bound + 1), repeat=len(c.ground)):
+                    t, v = brute_tau(c, w), brute_nu(c, w)
+                    if t != v:
+                        expected = (w, t, v)
+                        break
+                assert mfmc_check(c, bound) == expected, (bound, c)
+                violations += expected is not None
+            assert violations >= least, bound
 
     def test_candidates_checked_first(self):
         hit = mfmc_check(builtin("q6"), 1, candidates=[(1, 1, 1, 1, 1, 1)])
         assert hit == ((1, 1, 1, 1, 1, 1), 2, 1)
+
+    def test_candidates_are_checked_as_weights(self):
+        d3 = builtin("delta3")
+        with pytest.raises(DimensionMismatch):
+            mfmc_check(d3, 1, candidates=[(1, 1)])
+        for bad in ((1, -1, 1), (1, True, 1), (1, INFINITY, 1)):
+            with pytest.raises(PreconditionViolated):
+                mfmc_check(d3, 1, candidates=[bad])
+        with pytest.raises(WrongType):
+            mfmc_check(d3, 1, candidates=[1])
+        with pytest.raises(PreconditionViolated):
+            mfmc_check(d3, 1, samples=-1)
 
     def test_disjoint_members_never_violate(self):
         c = Clutter((0, 1, 2), [{0, 1}, {2}])
