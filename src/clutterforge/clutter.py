@@ -372,17 +372,6 @@ def localization(space: Subspace, v: Sequence[int]) -> Clutter:
     return minor(mult(space), spec)
 
 
-def projection_minor_spec(space: Subspace, drop: Iterable[int]) -> MinorSpec:
-    """The minor of mult(S) matching a coordinate projection: contract whole parts."""
-    dropped = frozenset(drop)
-    for j in dropped:
-        if not isinstance(j, int) or j < 0 or j >= space.n:
-            raise BadIndex(f"coordinate {j!r} outside 0..{space.n - 1}")
-    return MinorSpec(
-        contract=frozenset((j, v) for j in dropped for v in range(space.q))
-    )
-
-
 def restriction_minor_spec(space: Subspace, boxes: Sequence[Iterable[int]]) -> MinorSpec:
     """The minor of mult(S) matching a box restriction.
 
@@ -729,11 +718,6 @@ def find_minor(
 # ---------------------------------------------------------------------------
 # incidence and text formats
 # ---------------------------------------------------------------------------
-
-def incidence_matrix(c: Clutter) -> list[list[int]]:
-    """0/1 rows, one per member, columns in ground order."""
-    return [[1 if m >> i & 1 else 0 for i in range(len(c.ground))] for m in c.members]
-
 
 def _label_str(e: Label) -> str:
     if isinstance(e, tuple) and len(e) == 2:

@@ -69,10 +69,6 @@ class PreconditionViolated(ClutterforgeError, ValueError):
     """Explicit operation precondition does not hold for the given arguments."""
 
 
-class NoSeriesPair(ClutterforgeError, ValueError):
-    """No series class of size at least two exists, so no series pair can be built."""
-
-
 class WrongType(ClutterforgeError, TypeError):
     """An argument is of a type the operation does not accept."""
 

@@ -13,6 +13,7 @@ pack. No floating point is used anywhere except the infinity sentinel.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -48,7 +49,13 @@ Weight = Union[int, float]
 WeightVector = Union[int, Sequence[Weight]]
 
 
+def _require_clutter(c: object) -> None:
+    if not isinstance(c, Clutter):
+        raise WrongType(f"expected a Clutter, got {type(c).__name__}")
+
+
 def _weight_list(c: Clutter, w: WeightVector, allow_inf: bool) -> list[Weight]:
+    _require_clutter(c)
     if isinstance(w, (int, float)) and not isinstance(w, bool):
         w = [w] * len(c.ground)
     elif not isinstance(w, Iterable):
@@ -236,6 +243,7 @@ def extreme_point_witness(
     the rank of the tight rows. Raises VerificationFailure when it is not
     extreme.
     """
+    _require_clutter(c)
     n = len(c.ground)
     if len(point) != n:
         raise VerificationFailure(f"point of length {len(point)}, ground has {n}")
@@ -253,6 +261,7 @@ def _verified_rays(
     Each ray (x, t) comes with the tight members and support mask that
     `_verify_extreme` returned for the extreme point x/t of Q(C).
     """
+    _require_clutter(c)
     n = len(c.ground)
     if n > max_ground:
         raise TooLarge(f"ground of {n} elements exceeds the cap of {max_ground}")
@@ -460,17 +469,6 @@ def nu(c: Clutter, w: WeightVector = 1) -> Weight:
     return _least(0, _min_cover(masks, unit) + 1, lambda k: not _packs_within(masks, k, unit)) - 1
 
 
-def tau_star(
-    c: Clutter, w: WeightVector = 1, max_ground: int = MAX_POLY_GROUND
-) -> Union[Fraction, float]:
-    """Exact LP covering value: min w.x over Q(C), attained at an extreme point."""
-    weights = _weight_list(c, w, allow_inf=False)
-    points = extreme_points(c, max_ground)
-    if not points:
-        return INFINITY
-    return min(sum(Fraction(a) * x for a, x in zip(weights, p)) for p in points)
-
-
 @dataclass(frozen=True)
 class LPCertificate:
     """Primal extreme point and dual member weights certifying the LP value."""
@@ -587,6 +585,7 @@ def packs(c: Clutter) -> bool:
     `_min_cover` members. The empty clutter packs (0 = 0), as does one
     with the empty member (both values infinite).
     """
+    _require_clutter(c)
     return _packs(c.members)
 
 
@@ -597,50 +596,49 @@ def _packs(members: Sequence[int], weights: Optional[Sequence[Weight]] = None) -
     return _packs_within(members, _min_cover(members, weights), weights)
 
 
-def has_packing_property(
-    c: Clutter, budget: Optional[int] = None
-) -> Optional[MinorSpec]:
+def has_packing_property(c: Clutter, budget: Optional[int] = None) -> Optional[MinorSpec]:
     """Search every minor for a packing failure; None when all pack.
 
-    Every minor is reached by single deletions and contractions, so a
-    depth-first sweep over them visits it. Distinct minors are memoized by
-    their relabeled (ground size, members) shape, so the sweep visits far
-    fewer than 3^|V| clutters. A child's shape comes from the parent's
-    antichain without re-minimalizing: deleting e keeps the members avoiding
-    e, a subfamily and so an antichain; contracting e keeps every member
-    through e, less e, and drops a member avoiding e only when it contains
-    one of those. The sweep walks (ground, members) pairs and builds no
-    Clutter: the masks are already in the canonical form construction gives.
+    Every minor is reached by single deletions and contractions, and
+    `_failing_path` walks them depth first to the first that fails; its
+    path is mapped back to labels. Its results are cached by shape across
+    calls, so the minors that a sweep's clutters share are decided once. A
+    budget that is not an int raises WrongType; 3^|V| over it, BudgetExceeded.
     """
-    limit = PACKING_BUDGET if budget is None else budget
-    if 3 ** len(c.ground) > limit:
-        raise BudgetExceeded(
-            f"packing sweep over 3^{len(c.ground)} minors exceeds the budget"
-        )
-    seen = {(len(c.ground), c.members)}
-
-    def visit(
-        ground: tuple, members: tuple[int, ...], delete: frozenset, contract: frozenset
-    ) -> Optional[MinorSpec]:
-        if not _packs(members):
-            return MinorSpec(delete, contract)
-        size = len(ground) - 1
-        for i, e in enumerate(ground):
-            for build in (_delete_members, _contract_members):
-                key = (size, build(members, i))
-                if key in seen:
-                    continue
-                seen.add(key)
-                child = ground[:i] + ground[i + 1:]
-                if build is _delete_members:
-                    hit = visit(child, key[1], delete | {e}, contract)
-                else:
-                    hit = visit(child, key[1], delete, contract | {e})
-                if hit is not None:
-                    return hit
+    _require_clutter(c)
+    if budget is not None and not isinstance(budget, int):
+        raise WrongType(f"packing budget must be an int, got {type(budget).__name__}")
+    if 3 ** len(c.ground) > (PACKING_BUDGET if budget is None else budget):
+        raise BudgetExceeded(f"packing sweep over 3^{len(c.ground)} minors exceeds the budget")
+    path = _failing_path(len(c.ground), c.members)
+    if path is None:
         return None
+    ground = list(c.ground)
+    removed: tuple[set, set] = (set(), set())
+    for i, contracts in path:
+        removed[contracts].add(ground.pop(i))
+    return MinorSpec(*removed)
 
-    return visit(c.ground, c.members, frozenset(), frozenset())
+
+@functools.lru_cache(maxsize=1 << 16)
+def _failing_path(size: int, members: tuple[int, ...]) -> Optional[tuple[tuple[int, bool], ...]]:
+    """The first minor of a (ground size, members) shape that fails to pack; None if all pack.
+
+    () when the shape fails, else ((i, contracts),) + the path of the first
+    child that has one, element i ascending, deletion before contraction.
+    A child's masks come from the parent's antichain without minimalizing
+    (`_delete_members`, `_contract_members`). The path depends on the shape
+    alone, so it is cached, failures included: a depth-first sweep that
+    skips a shape it has swept skips one whose minors all pack.
+    """
+    if not _packs(members):
+        return ()
+    for i in range(size):
+        for contracts, build in ((False, _delete_members), (True, _contract_members)):
+            sub = _failing_path(size - 1, build(members, i))
+            if sub is not None:
+                return ((i, contracts),) + sub
+    return None
 
 
 def mfmc_check(
@@ -663,6 +661,7 @@ def mfmc_check(
     or seed that is not an int, or a candidate that is not a weight vector,
     raises WrongType; a negative bound or count PreconditionViolated.
     """
+    _require_clutter(c)
     for name, value in (("weight bound", bound), ("sample count", 0 if samples is None else samples)):
         if not isinstance(value, int):
             raise WrongType(f"{name} must be an int, got {type(value).__name__}")

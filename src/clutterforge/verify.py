@@ -32,7 +32,6 @@ from .clutter import (
 )
 from .errors import (
     BudgetExceeded,
-    NoSeriesPair,
     PreconditionViolated,
     TooLarge,
     VerificationFailure,
@@ -41,7 +40,7 @@ from .errors import (
     WrongShape,
 )
 from .gf import build_field
-from .matroid import matroid_of, series_classes
+from .matroid import matroid_of
 from .polyhedral import (
     MAX_POLY_GROUND,
     IdealnessCertificate,
@@ -60,7 +59,6 @@ from .vspace import (
     disjoint_support_basis,
     factor,
     monomial_orbits,
-    project,
     restrict,
     sunflower_basis,
 )
@@ -648,36 +646,8 @@ def localization_profile(space: Subspace, alpha: Sequence[int]) -> LocalizationP
 
 
 # ---------------------------------------------------------------------------
-# series reduction and the replication report
+# the replication report
 # ---------------------------------------------------------------------------
-
-def series_extension_pair(
-    space: Subspace, max_ground: int = MAX_POLY_GROUND
-) -> tuple[Subspace, Subspace]:
-    """Drop one coordinate of a series pair and check idealness is unchanged.
-
-    Two coordinates are in series when every minimal support contains both
-    or neither. The returned pair is (space, projection); a differing
-    idealness verdict raises VerificationFailure. Raises NoSeriesPair when
-    no series class has two coordinates, and BudgetExceeded when either
-    polyhedral computation is out of reach.
-    """
-    m = matroid_of(space)
-    cls = next((c for c in series_classes(m) if len(c) >= 2), None)
-    if cls is None:
-        raise NoSeriesPair("no two coordinates are in series")
-    reduced = project(space, [cls[-1]])
-    try:
-        first = is_ideal(mult(space), max_ground=max_ground)
-        second = is_ideal(mult(reduced), max_ground=max_ground)
-    except TooLarge as exc:
-        raise BudgetExceeded(str(exc)) from exc
-    if first.integral != second.integral:
-        raise VerificationFailure(
-            f"idealness changed under series reduction: {first.integral} vs {second.integral}"
-        )
-    return (space, reduced)
-
 
 @dataclass(frozen=True)
 class ReplicationReport:

@@ -161,11 +161,6 @@ def span(field: GF, n: int, generators: Iterable[Sequence[int]]) -> Subspace:
     return Subspace(field, n, reduced)
 
 
-def enumerate_points(space: Subspace, cap: int = POINT_CAP) -> list[Point]:
-    """All q^dim points of the space, lexicographically sorted."""
-    return list(space.points(cap))
-
-
 # ---------------------------------------------------------------------------
 # structural operations
 # ---------------------------------------------------------------------------

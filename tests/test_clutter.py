@@ -17,7 +17,6 @@ from clutterforge.clutter import (
     find_minor,
     format_clutter,
     format_minor_certificate,
-    incidence_matrix,
     is_isomorphic,
     localization,
     minor,
@@ -25,7 +24,6 @@ from clutterforge.clutter import (
     parse_clutter,
     parse_minor_certificate,
     product,
-    projection_minor_spec,
     replay_minor,
     restriction_minor_spec,
 )
@@ -156,17 +154,6 @@ class TestBuiltin:
         assert builtin("q6") == builtin("Q6")
         with pytest.raises(KeyError):
             builtin("K5")
-
-    def test_incidence_delta3(self):
-        assert incidence_matrix(builtin("Delta3")) == [
-            [1, 1, 0],
-            [1, 0, 1],
-            [0, 1, 1],
-        ]
-
-    def test_incidence_q6_shape(self):
-        rows = incidence_matrix(builtin("Q6"))
-        assert len(rows) == 4 and all(len(r) == 6 and sum(r) == 3 for r in rows)
 
 
 class TestMult:
@@ -345,7 +332,8 @@ class TestCoordinateMinorSpecs:
         for s in subspaces_gf3_3:
             for r in (1, 2):
                 for drop in itertools.combinations(range(3), r):
-                    spec = projection_minor_spec(s, drop)
+                    # a projection contracts the dropped coordinates' whole parts
+                    spec = MinorSpec(contract={(j, v) for j in drop for v in range(3)})
                     got = minor(mult(s), spec)
                     kept = [i for i in range(3) if i not in drop]
                     part_map = {old: new for new, old in enumerate(kept)}
@@ -374,10 +362,6 @@ class TestCoordinateMinorSpecs:
         spec = restriction_minor_spec(s, [{0, 1, 2}] * 3)
         assert spec.contract == frozenset({(0, 0), (0, 1), (0, 2)})
         assert minor(mult(s), spec) == mult(restrict(s, [{0, 1, 2}] * 3))
-
-    def test_projection_spec_bad_coord(self, r11):
-        with pytest.raises(BadIndex):
-            projection_minor_spec(r11, [3])
 
 
 class TestIsomorphic:

@@ -24,7 +24,15 @@ from clutterforge.graphs import (
     is_subdivision_of_At,
 )
 from clutterforge.matroid import TARGETS, CircuitMatroid, has_minor, matroid_minor, matroid_of
-from clutterforge.polyhedral import mfmc_check, tau
+from clutterforge.polyhedral import (
+    extreme_point_witness,
+    has_packing_property,
+    is_ideal,
+    mfmc_check,
+    nu,
+    packs,
+    tau,
+)
 from clutterforge.vspace import Subspace, span
 
 PACKAGE_DIR = Path(clutterforge.__file__).parent
@@ -140,6 +148,15 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: mfmc_check(builtin("delta3"), 1, candidates=[(1, 1)]), ValueError),
         (lambda: mfmc_check(builtin("delta3"), 1, candidates=[(1, -1, 1)]), ValueError),
         (lambda: tau(builtin("delta3"), None), TypeError),
+        (lambda: is_ideal("x"), TypeError),
+        (lambda: tau("x"), TypeError),
+        (lambda: nu("x"), TypeError),
+        (lambda: packs("x"), TypeError),
+        (lambda: has_packing_property("x"), TypeError),
+        (lambda: mfmc_check("x", 1), TypeError),
+        (lambda: extreme_point_witness("x", [1]), TypeError),
+        (lambda: has_packing_property(builtin("delta3"), budget="3"), TypeError),
+        (lambda: has_packing_property(builtin("delta3"), budget=[1]), TypeError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
          "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sampled",
@@ -149,7 +166,10 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
          "subdivision-not-a-multigraph", "format-graph-not-a-multigraph",
          "mfmc-samples-float", "mfmc-samples-str", "mfmc-samples-negative", "mfmc-seed-list",
          "mfmc-candidates-int", "mfmc-candidate-int", "mfmc-candidate-wrong-length",
-         "mfmc-candidate-negative-weight", "tau-weights-none"],
+         "mfmc-candidate-negative-weight", "tau-weights-none", "is-ideal-not-a-clutter",
+         "tau-not-a-clutter", "nu-not-a-clutter", "packs-not-a-clutter",
+         "packing-property-not-a-clutter", "mfmc-not-a-clutter", "witness-not-a-clutter", "packing-budget-str",
+         "packing-budget-list"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

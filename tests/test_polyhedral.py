@@ -46,12 +46,13 @@ from clutterforge.polyhedral import (
     nu,
     packs,
     tau,
-    tau_star,
     _bareiss,
     _dd_rays,
     _full_rank,
     _gcd_reduce,
+    _failing_path,
     _gf2_rank,
+    _packs,
     _verify_extreme,
 )
 from clutterforge.verify import enumerate_subspaces
@@ -323,6 +324,32 @@ def iter_minor_specs(c: Clutter):
             e for e, a in zip(c.ground, assignment) if a == 2
         )
         yield MinorSpec(delete=delete, contract=contract)
+
+
+def seen_set_packing_sweep(c: Clutter):
+    """A depth-first packing sweep whose memo of visited shapes lives for one call."""
+    seen = {(len(c.ground), c.members)}
+
+    def visit(ground, members, delete, contract):
+        if not _packs(members):
+            return MinorSpec(delete, contract)
+        size = len(ground) - 1
+        for i, e in enumerate(ground):
+            for build in (_delete_members, _contract_members):
+                key = (size, build(members, i))
+                if key in seen:
+                    continue
+                seen.add(key)
+                child = ground[:i] + ground[i + 1:]
+                if build is _delete_members:
+                    hit = visit(child, key[1], delete | {e}, contract)
+                else:
+                    hit = visit(child, key[1], delete, contract | {e})
+                if hit is not None:
+                    return hit
+        return None
+
+    return visit(c.ground, c.members, frozenset(), frozenset())
 
 
 @pytest.fixture(scope="module")
@@ -678,6 +705,12 @@ class TestTauNu:
 
 
 class TestTauStar:
+    """The LP covering value tau*, as `lp_certificate` reports it."""
+
+    @staticmethod
+    def value(c: Clutter, w) -> Fraction:
+        return lp_certificate(c, w).value
+
     def test_values_from_oracle(self, r11):
         for c in corpus(r11):
             pts = brute_extreme_points(c)
@@ -685,35 +718,36 @@ class TestTauStar:
                 expected = min(
                     sum(Fraction(a) * x for a, x in zip(w, p)) for p in pts
                 )
-                assert tau_star(c, list(w)) == expected
+                assert self.value(c, list(w)) == expected
 
     def test_delta3_unit(self):
-        assert tau_star(builtin("delta3"), 1) == Fraction(3, 2)
+        assert self.value(builtin("delta3"), 1) == Fraction(3, 2)
 
     def test_q6_unit(self):
-        assert tau_star(builtin("q6"), 1) == 2
+        assert self.value(builtin("q6"), 1) == 2
 
     def test_zero_weights(self, r11):
         for c in corpus(r11):
-            assert tau_star(c, 0) == 0
+            assert self.value(c, 0) == 0
 
     def test_rejects_infinite_weight(self):
         with pytest.raises(PreconditionViolated):
-            tau_star(builtin("delta3"), [INFINITY, 1, 1])
+            self.value(builtin("delta3"), [INFINITY, 1, 1])
 
     def test_lp_duality_chain(self, r11):
         for c in corpus(r11):
             for w in WEIGHTS[len(c.ground)]:
                 w = list(w)
-                assert tau(c, w) >= tau_star(c, w) >= nu(c, w)
+                assert tau(c, w) >= self.value(c, w) >= nu(c, w)
 
 
 class TestLPCertificate:
     def check_certificate(self, c: Clutter, w, cert: LPCertificate):
         n = len(c.ground)
         weights = [w] * n if isinstance(w, int) else list(w)
-        assert cert.value == tau_star(c, w)
-        assert cert.primal in extreme_points(c)
+        points = extreme_points(c)
+        assert cert.value == min(sum(Fraction(a) * x for a, x in zip(weights, p)) for p in points)
+        assert cert.primal in points
         assert sum(
             Fraction(a) * x for a, x in zip(weights, cert.primal)
         ) == cert.value
@@ -869,6 +903,22 @@ class TestPacking:
             assert minor(c, MinorSpec(delete, contract)).members == definition_minor_masks(
                 masks, size, delete, contract
             )
+
+    def test_cached_sweep_matches_the_per_call_sweep(self):
+        rng = random.Random(18)
+        clutters = [random_clutter(rng, 7, 10) for _ in range(300)]
+        clutters += [mult(s) for q, n in ((2, 3), (3, 2)) for s in enumerate_subspaces(q, n)]
+        expected = [seen_set_packing_sweep(c) for c in clutters]
+        assert expected.count(None) >= 100
+        assert sum(spec not in (None, MinorSpec()) for spec in expected) >= 30
+        _failing_path.cache_clear()
+        cold = [has_packing_property(c) for c in clutters]
+        warm = [has_packing_property(c) for c in reversed(clutters)][::-1]
+        assert cold == expected
+        assert warm == expected
+        for c, spec in zip(clutters, cold):
+            if spec is not None:
+                assert packs(minor(c, spec)) is False
 
     def test_failing_spec_is_replayable(self, f3):
         space = span(f3, 3, [(1, 1, 0), (1, 0, 1)])

@@ -30,7 +30,6 @@ from clutterforge.clutter import (
 )
 from clutterforge.errors import (
     BudgetExceeded,
-    NoSeriesPair,
     PreconditionViolated,
     VerificationFailure,
     WrongField,
@@ -38,7 +37,7 @@ from clutterforge.errors import (
     WrongShape,
 )
 from clutterforge.gf import build_field
-from clutterforge.matroid import matroid_of
+from clutterforge.matroid import matroid_of, series_classes
 from clutterforge.polyhedral import IdealnessCertificate, is_ideal, mfmc_check, nu, tau
 import clutterforge.matroid as matroid_module
 import clutterforge.verify as verify_module
@@ -55,13 +54,12 @@ from clutterforge.verify import (
     instance_id,
     localization_profile,
     replication_tau2_report,
-    series_extension_pair,
     summarize_certificate,
     sweep_theorem,
     triple_condition_probe,
     verify_theorem,
 )
-from clutterforge.vspace import disjoint_support_basis, monomial_image, monomial_orbits, permute, span
+from clutterforge.vspace import disjoint_support_basis, monomial_image, monomial_orbits, permute, project, span
 
 
 @pytest.fixture(scope="module")
@@ -513,27 +511,29 @@ class TestLocalizationProfile:
 # ---------------------------------------------------------------------------
 
 class TestSeriesExtension:
+    """Dropping one coordinate of a series pair keeps the idealness verdict."""
+
+    @staticmethod
+    def reduce(space):
+        cls = next(c for c in series_classes(matroid_of(space)) if len(c) >= 2)
+        return project(space, [cls[-1]])
+
     def test_ideal_pair_gf4(self, f4):
         space = span(f4, 4, [(1, 1, 0, 0), (1, 0, 1, 1)])
-        full, reduced = series_extension_pair(space, max_ground=16)
-        assert full.n == 4 and reduced.n == 3
-        assert is_ideal(mult(full), max_ground=16).integral
+        reduced = self.reduce(space)
+        assert reduced.n == 3
+        assert is_ideal(mult(space), max_ground=16).integral
         assert is_ideal(mult(reduced), max_ground=16).integral
 
     def test_non_ideal_pair_gf3(self, f3):
         space = span(f3, 4, [(1, 2, 0, 0), (1, 0, 2, 2)])
-        full, reduced = series_extension_pair(space, max_ground=16)
-        assert not is_ideal(mult(full), max_ground=16).integral
+        reduced = self.reduce(space)
+        assert reduced.n == 3
+        assert not is_ideal(mult(space), max_ground=16).integral
         assert not is_ideal(mult(reduced), max_ground=16).integral
 
     def test_no_series_pair(self, zero_sum_gf3):
-        with pytest.raises(NoSeriesPair):
-            series_extension_pair(zero_sum_gf3)
-
-    def test_budget(self, f8):
-        space = span(f8, 4, [(1, 1, 0, 0), (1, 0, 1, 1)])
-        with pytest.raises(BudgetExceeded):
-            series_extension_pair(space, max_ground=16)
+        assert all(len(c) == 1 for c in series_classes(matroid_of(zero_sum_gf3)))
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +715,9 @@ class TestSweeps:
         assert len(witnessed) == 49
         assert all(r.cond_ii is False for r in witnessed)
 
-    @pytest.mark.parametrize("q, n, which", [(3, 3, "1.1"), (2, 3, "1.4"), (4, 3, "1.2")])
+    @pytest.mark.parametrize(
+        "q, n, which", [(3, 3, "1.1"), (2, 3, "1.4"), (4, 3, "1.2"), (2, 4, "1.4"), (3, 3, "1.4")]
+    )
     def test_parallel_matches_serial(self, q, n, which):
         serial = sweep_theorem(q, n, which)
         parallel = sweep_theorem(q, n, which, jobs=2)

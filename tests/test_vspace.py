@@ -22,7 +22,6 @@ from clutterforge.vspace import (
     SunflowerWitness,
     _support_line,
     disjoint_support_basis,
-    enumerate_points,
     factor,
     format_subspace,
     parse_subspace,
@@ -62,15 +61,15 @@ def ex92(f4):
 class TestSpan:
     def test_r11(self, r11):
         assert r11.dim == 2
-        assert set(enumerate_points(r11)) == R11_POINTS
+        assert set(r11.points()) == R11_POINTS
 
     def test_empty_generators(self, f4):
         z = span(f4, 3, [])
         assert z.dim == 0
-        assert enumerate_points(z) == [(0, 0, 0)]
+        assert z.points() == ((0, 0, 0),)
 
     def test_ex92_sixteen_points(self, ex92):
-        assert set(enumerate_points(ex92)) == EX92_POINTS
+        assert set(ex92.points()) == EX92_POINTS
 
     def test_rref_is_canonical(self, f3):
         a = span(f3, 3, [(1, 1, 0), (0, 0, 1)])
@@ -92,25 +91,25 @@ class TestSpan:
 
     def test_span_of_enumeration_is_identity(self, subspaces_gf3_3, subspaces_gf2_3):
         for s in itertools.chain(subspaces_gf3_3, subspaces_gf2_3):
-            assert span(s.field, s.n, enumerate_points(s)) == s
+            assert span(s.field, s.n, s.points()) == s
 
 
 class TestEnumeratePoints:
     def test_sorted_lexicographically(self, ex92):
-        pts = enumerate_points(ex92)
-        assert pts == sorted(pts)
+        pts = ex92.points()
+        assert list(pts) == sorted(pts)
 
     def test_count_is_q_to_dim(self, subspaces_gf3_3):
         for s in subspaces_gf3_3:
-            assert len(enumerate_points(s)) == 3 ** s.dim
+            assert len(s.points()) == 3 ** s.dim
 
     def test_cap(self, ex92):
         with pytest.raises(TooLarge):
-            enumerate_points(ex92, cap=10)
+            ex92.points(cap=10)
 
     def test_contains_agrees_with_enumeration(self, subspaces_gf3_3):
         for s in subspaces_gf3_3:
-            pts = set(enumerate_points(s))
+            pts = set(s.points())
             for x in itertools.product(range(3), repeat=3):
                 assert s.contains(x) == (x in pts)
 
@@ -125,7 +124,7 @@ class TestProduct:
         a = span(f3, 2, [(1, 1)])
         z = span(f3, 1, [])
         p = product(a, z)
-        assert set(enumerate_points(p)) == {(0, 0, 0), (1, 1, 0), (2, 2, 0)}
+        assert set(p.points()) == {(0, 0, 0), (1, 1, 0), (2, 2, 0)}
 
     def test_pairing_bruteforce(self, f2, f3):
         cases = [
@@ -133,8 +132,8 @@ class TestProduct:
             (span(f3, 1, [(1,)]), span(f3, 2, [(1, 2)])),
         ]
         for s1, s2 in cases:
-            got = set(enumerate_points(product(s1, s2)))
-            want = {x + y for x in enumerate_points(s1) for y in enumerate_points(s2)}
+            got = set(product(s1, s2).points())
+            want = {x + y for x in s1.points() for y in s2.points()}
             assert got == want
 
     def test_field_mismatch(self, f2, f3):
@@ -156,8 +155,8 @@ class TestProject:
         for s in subspaces_gf3_3:
             for drop in [{0}, {1}, {2}, {0, 2}]:
                 kept = [i for i in range(3) if i not in drop]
-                want = {tuple(x[i] for i in kept) for x in enumerate_points(s)}
-                assert set(enumerate_points(project(s, drop))) == want
+                want = {tuple(x[i] for i in kept) for x in s.points()}
+                assert set(project(s, drop).points()) == want
 
     def test_bad_index(self, r11):
         with pytest.raises(BadIndex):
@@ -169,8 +168,8 @@ class TestProject:
 class TestPermute:
     def test_cycle(self, ex92):
         p = permute(ex92, (2, 0, 1))
-        want = {(x[2], x[0], x[1]) for x in enumerate_points(ex92)}
-        assert set(enumerate_points(p)) == want
+        want = {(x[2], x[0], x[1]) for x in ex92.points()}
+        assert set(p.points()) == want
 
     def test_identity(self, ex92):
         assert permute(ex92, (0, 1, 2)) == ex92
@@ -238,7 +237,7 @@ class TestRestrict:
         for s in subspaces_gf3_3:
             rs = restrict(s, box)
             survivors = [
-                x for x in enumerate_points(s) if all(x[i] in box[i] for i in range(3))
+                x for x in s.points() if all(x[i] in box[i] for i in range(3))
             ]
             kept = rs.coords
             assert set(rs.points) == {tuple(x[i] for i in kept) for x in survivors}
@@ -391,7 +390,7 @@ class TestParsing:
 
     def test_text_literal(self, f2):
         s = parse_subspace("2 3\n0 1 1\n1 0 1\n")
-        assert set(enumerate_points(s)) == R11_POINTS
+        assert set(s.points()) == R11_POINTS
 
     def test_zero_space_round_trip(self, f4):
         z = span(f4, 2, [])
