@@ -258,6 +258,11 @@ def _contract_members(members: Sequence[int], i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _require_clutter(c: object) -> None:
+    if not isinstance(c, Clutter):
+        raise WrongType(f"expected a Clutter, got {type(c).__name__}")
+
+
 def minor(c: Clutter, spec: MinorSpec) -> Clutter:
     """Delete I (drop members meeting it), contract J (remove it from members).
 
@@ -266,6 +271,9 @@ def minor(c: Clutter, spec: MinorSpec) -> Clutter:
     Single-element deletions and contractions commute, so they are applied
     one element at a time, highest index first to keep lower indices valid.
     """
+    _require_clutter(c)
+    if not isinstance(spec, MinorSpec):
+        raise WrongType(f"expected a MinorSpec, got {type(spec).__name__}")
     ground_set = set(c.ground)
     for e in spec.delete | spec.contract:
         if e not in ground_set:
@@ -284,6 +292,7 @@ def minor(c: Clutter, spec: MinorSpec) -> Clutter:
 
 def apply_chain(c: Clutter, specs: Iterable[MinorSpec]) -> Clutter:
     """Apply a sequence of minor specs in order."""
+    _require_clutter(c)
     for spec in specs:
         c = minor(c, spec)
     return c
@@ -316,6 +325,7 @@ def replay_minor(
     name = target if isinstance(target, str) else "the target"
     if isinstance(target, str):
         target = builtin(target)
+    _require_clutter(target)
     got = minor(c, spec)
     if mapping is None:
         iso = is_isomorphic(got, target)
@@ -407,6 +417,8 @@ def is_isomorphic(c1: Clutter, c2: Clutter) -> Optional[dict]:
     Backtracking on element images with degree/member-size signatures as
     pruning; grounds capped at 20 elements.
     """
+    _require_clutter(c1)
+    _require_clutter(c2)
     n = len(c1.ground)
     if max(n, len(c2.ground)) > MAX_ISO_GROUND:
         raise TooLarge(f"isomorphism search capped at {MAX_ISO_GROUND} ground elements")
@@ -706,6 +718,8 @@ def find_minor(
     target's labelled copies before any label map is tried, and only the
     first keep-set that holds the target is labelled.
     """
+    _require_clutter(c)
+    _require_clutter(target)
     k = len(target.ground)
     if k > len(c.ground):
         return None
@@ -740,6 +754,7 @@ def _parse_label(token: str) -> Label:
 
 def format_clutter(c: Clutter) -> str:
     """Text form: `elements: ...` header, then one member per line."""
+    _require_clutter(c)
     lines = ["elements: " + " ".join(_label_str(e) for e in c.ground)]
     for m in c.members:
         lines.append(" ".join(_label_str(c.ground[b]) for b in _bits(m)))

@@ -9,7 +9,9 @@ elimination, O(edges x vertices) mask XORs, sized for small graphs.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,6 +19,7 @@ from .errors import BadIndex, BudgetExceeded, ParseError, WrongShape, WrongType
 from .matroid import CircuitMatroid, _fundamental_cycles, _graph_circuits, has_minor
 
 MAX_MINOR_EDGES = 14
+SMALL_ORDERS = 12  # up to this many labellings, trying each beats the search's set-up
 
 
 @dataclass(frozen=True)
@@ -114,27 +117,52 @@ def has_K4e_graph_minor(g: MultiGraph) -> bool:
     matroids, only if it is a minor of one block's. So the verdict is the
     MK4e search of `matroid.has_minor` on each block's cycle matroid,
     skipping blocks below 5 edges or below cycle rank 3 (that of K4/e,
-    which no minor raises). Every such block within 14 edges is searched;
-    only when none has the minor and some are over the cap is
-    BudgetExceeded raised, naming the largest. Skipped blocks may be any size.
+    which no minor raises). Loops are blocks of their own and block ranks
+    sum to the graph's, so a graph with fewer than 5 loopless edges, or
+    loopless cycle rank (edges - vertices + components) below 3, is False
+    at once. Every other block within 14 edges is searched, its vertices
+    relabelled 0..k-1 in order so that a repeated block is looked up in a
+    bounded cache (`_block_has_K4e`); only when none has the minor and some
+    are over the cap is BudgetExceeded raised, naming the largest. Skipped
+    blocks may be any size.
     """
     _require_multigraph(g)
+    loopless = [(u, v) for u, v in g.edges if u != v]
+    if len(loopless) < 5 or len(_fundamental_cycles(loopless)) < 3:
+        return False
     over = 0
     for block in blocks(g):
         edges = [g.edges[e] for e in sorted(block)]
-        n_block = len({x for edge in edges for x in edge})
-        if len(edges) < 5 or len(edges) - n_block + 1 < 3:
+        vertices = sorted({x for edge in edges for x in edge})
+        if len(edges) < 5 or len(edges) - len(vertices) + 1 < 3:
             continue
         if len(edges) > MAX_MINOR_EDGES:
             over = max(over, len(edges))
-        elif has_minor(CircuitMatroid(len(edges), _graph_circuits(edges)), "MK4e") is not None:
-            return True
+        else:
+            index = {x: i for i, x in enumerate(vertices)}
+            if _block_has_K4e(tuple(sorted((index[u], index[v]) for u, v in edges))):
+                return True
     if over:
         raise BudgetExceeded(f"a block of {over} edges exceeds the {MAX_MINOR_EDGES}-edge search cap")
     return False
 
 
-def _refined_signatures(n: int, edges: tuple[tuple[int, int], ...]) -> list:
+@functools.lru_cache(maxsize=4096)
+def _block_has_K4e(edges: tuple[tuple[int, int], ...]) -> bool:
+    """The MK4e search on one block's cycle matroid, its vertices relabelled 0..k-1."""
+    return has_minor(CircuitMatroid(len(edges), _graph_circuits(edges)), "MK4e") is not None
+
+
+def _signature_classes(n: int, edges: tuple[tuple[int, int], ...]) -> list[list[int]]:
+    """The vertices grouped by refined signature, the groups in signature order.
+
+    A vertex's signature starts as (loops, non-loop degree) and is refined
+    twice, each time paired with the sorted signatures of its neighbours;
+    the groups are ordered as those nested tuples compare. Each round uses
+    the ranks of the previous signatures in their place, which keeps that
+    order, and stops early once a round splits no group (no later round
+    would) or every group is one vertex.
+    """
     loops = [0] * n
     neigh: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -143,21 +171,20 @@ def _refined_signatures(n: int, edges: tuple[tuple[int, int], ...]) -> list:
         else:
             neigh[u].append(v)
             neigh[v].append(u)
-    sig = [(loops[v], len(neigh[v])) for v in range(n)]
-    for _ in range(2):
-        sig = [
-            (sig[v], tuple(sorted(sig[x] for x in neigh[v]))) for v in range(n)
-        ]
-    return sig
-
-
-def _signature_classes(n: int, edges: tuple[tuple[int, int], ...]) -> list[list[int]]:
-    """The vertices grouped by refined signature, the groups in signature order."""
-    sig = _refined_signatures(n, edges)
-    classes: dict = {}
-    for v in range(n):
-        classes.setdefault(sig[v], []).append(v)
-    return [classes[s] for s in sorted(classes)]
+    sig: list = [(loops[v], len(neigh[v])) for v in range(n)]
+    classes: list[list[int]] = []
+    for last in (False, False, True):
+        index = {s: i for i, s in enumerate(sorted(set(sig)))}
+        if len(index) == len(classes):
+            break
+        classes = [[] for _ in index]
+        for v in range(n):
+            classes[index[sig[v]]].append(v)
+        if last or len(classes) == n:
+            break
+        rank = [index[x] for x in sig]
+        sig = [(rank[v], tuple(sorted([rank[x] for x in neigh[v]]))) for v in range(n)]
+    return classes
 
 
 def _canonical_edges(
@@ -167,24 +194,75 @@ def _canonical_edges(
 
     Vertices get labels class by class, the classes in the order of their
     signature tuples (nested tuples of ints, compared as tuples), and the
-    least sorted edge list over every order inside each class wins.
+    least sorted edge list over every order inside each class wins. Up to
+    SMALL_ORDERS orders (one when every class is a singleton) are all tried.
+    Past that they are searched depth first, one label at a time: a least
+    sorted edge list is a greatest row-major vector of multiplicities over
+    the types (0, 0), (0, 1), ..., so once labels 0..d-1 are placed, the
+    unlabelled vertices of each class must follow in descending order of
+    their multiplicity to label 0, ties in descending order to label 1, and
+    so on; that ordered partition fixes rows 0..d-1, and a partial labelling
+    whose rows fall below the best complete one is dropped. Twins, vertices
+    whose swap fixes every multiplicity (an automorphism), are labelled in
+    index order only.
     """
-    label = [0] * n
-    best = None
-    for parts in itertools.product(
-        *(itertools.permutations(c) for c in _signature_classes(n, edges))
-    ):
-        for k, v in enumerate(itertools.chain.from_iterable(parts)):
-            label[v] = k
-        cand = tuple(
-            sorted(
-                (label[u], label[v]) if label[u] <= label[v] else (label[v], label[u])
-                for u, v in edges
+    classes = _signature_classes(n, edges)
+    if math.prod(math.factorial(len(c)) for c in classes) <= SMALL_ORDERS:
+        label = [0] * n
+        best = None
+        for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
+            for k, v in enumerate(itertools.chain.from_iterable(parts)):
+                label[v] = k
+            cand = tuple(
+                sorted(
+                    (label[u], label[v]) if label[u] <= label[v] else (label[v], label[u])
+                    for u, v in edges
+                )
             )
-        )
-        if best is None or cand < best:
-            best = cand
-    return best if best is not None else ()
+            if best is None or cand < best:
+                best = cand
+        return best if best is not None else ()
+    mult = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        mult[u][v] += 1
+        if u != v:
+            mult[v][u] += 1
+    twin = [-1] * n  # the previous twin of each vertex
+    for c in classes:
+        for i, v in enumerate(c):
+            for u in reversed(c[:i]):
+                if mult[u][u] == mult[v][v] and all(
+                    mult[u][x] == mult[v][x] for x in range(n) if x != u and x != v
+                ):
+                    twin[v] = u
+                    break
+    rows: list[int] = []  # rows 0..d-1 of the vector, fixed by labels 0..d-1
+    best_rows: list[int] = []
+
+    def search(cells: list[list[int]]) -> None:
+        if rows < best_rows[: len(rows)]:
+            return
+        if not cells:
+            best_rows[:] = rows
+            return
+        for v in cells[0]:
+            if twin[v] in cells[0]:
+                continue
+            row = mult[v]
+            split: list[list[int]] = []
+            for cell in [[x for x in cells[0] if x != v]] + cells[1:]:
+                groups: dict[int, list[int]] = {}
+                for x in cell:
+                    groups.setdefault(row[x], []).append(x)
+                split += [groups[k] for k in sorted(groups, reverse=True)]
+            size = len(rows)
+            rows.append(row[v])
+            rows.extend([row[x] for cell in split for x in cell])
+            search(split)
+            del rows[size:]
+
+    search(classes)
+    return tuple(t for t, k in zip(_edge_types(n), best_rows) for _ in range(k))
 
 
 def _edge_types(n: int) -> list[tuple[int, int]]:
@@ -268,7 +346,11 @@ def enumerate_connected_multigraphs(
     σ(extra) came earlier in the same (T, k) loop, so its class — the
     class of this extra — is already in the output, and no first occurrence
     of a class is ever skipped. Aut(T) is computed once per tree, and only
-    when extras fit within the edge bound.
+    when extras fit within the edge bound. The k-extras are grown from the
+    (k-1)-extras kept, each extended by a type no smaller than its last: a
+    multiset that is least in its Aut(T) orbit stays least with its largest
+    element dropped, and parents in order with the new type ascending give
+    the lexicographic order.
     """
     for bound in (max_vertices, max_edges):
         if not isinstance(bound, int) or isinstance(bound, bool):
@@ -285,11 +367,17 @@ def enumerate_connected_multigraphs(
         seen: set[tuple[tuple[int, int], ...]] = set()
         for tree in trees:
             autos = _automorphisms(n, tree) if room else []
+            kept: list[tuple[int, ...]] = [()]
             for k in range(room + 1):
-                for extra in itertools.combinations_with_replacement(range(len(types)), k):
-                    if any(tuple(sorted(map(s.__getitem__, extra))) < extra for s in autos):
-                        continue
-                    canon = _canonical_edges(n, tuple(sorted(tree + tuple(types[i] for i in extra))))
+                if k:
+                    kept = [
+                        extra
+                        for parent in kept
+                        for extra in (parent + (t,) for t in range(parent[-1] if parent else 0, len(types)))
+                        if not any(tuple(sorted(map(s.__getitem__, extra))) < extra for s in autos)
+                    ]
+                for extra in kept:
+                    canon = _canonical_edges(n, tree + tuple(types[i] for i in extra))
                     if canon not in seen:
                         seen.add(canon)
                         out.append(MultiGraph(n, canon))

@@ -89,6 +89,9 @@ def matroid_of(space: "Subspace") -> CircuitMatroid:
     Validates the rank identity rank = n - dim. Built once per distinct space
     and then shared; the matroid is immutable.
     """
+    from .vspace import _require_subspace
+
+    _require_subspace(space)
     return _matroid_cached(space)
 
 

@@ -29,6 +29,7 @@ from .clutter import (
     _contract_members,
     _delete_members,
     _minimal_masks,
+    _require_clutter,
 )
 from .errors import (
     BudgetExceeded,
@@ -47,11 +48,6 @@ INFINITY = math.inf
 
 Weight = Union[int, float]
 WeightVector = Union[int, Sequence[Weight]]
-
-
-def _require_clutter(c: object) -> None:
-    if not isinstance(c, Clutter):
-        raise WrongType(f"expected a Clutter, got {type(c).__name__}")
 
 
 def _weight_list(c: Clutter, w: WeightVector, allow_inf: bool) -> list[Weight]:

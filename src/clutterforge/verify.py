@@ -55,6 +55,7 @@ from .vspace import (
     Point,
     Subspace,
     _nullspace,
+    _require_subspace,
     _support_line,
     disjoint_support_basis,
     factor,
@@ -957,6 +958,7 @@ def verify_theorem(
     the fact that ideal clutters have no non-ideal minors. Budget failures
     leave verdicts None and are reported per condition.
     """
+    _require_subspace(space)
     t = _normalize_theorem_id(which)
     q = space.q
     _check_field_class(t, q)

@@ -137,6 +137,11 @@ class Subspace:
         return f"Subspace(GF({self.q})^{self.n}, [{rows}])"
 
 
+def _require_subspace(space: object) -> None:
+    if not isinstance(space, Subspace):
+        raise WrongType(f"expected a Subspace, got {type(space).__name__}")
+
+
 @lru_cache(maxsize=4096)
 def _points_cached(space: Subspace) -> tuple[Point, ...]:
     """The sorted points of the space, cached on the space alone: every

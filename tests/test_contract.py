@@ -12,7 +12,18 @@ from pathlib import Path
 import pytest
 
 import clutterforge
-from clutterforge.clutter import Clutter, MinorSpec, builtin, mult
+from clutterforge.clutter import (
+    Clutter,
+    MinorSpec,
+    apply_chain,
+    builtin,
+    find_minor,
+    format_clutter,
+    is_isomorphic,
+    minor,
+    mult,
+    replay_minor,
+)
 from clutterforge.errors import ClutterforgeError
 from clutterforge.gf import build_field
 from clutterforge.graphs import (
@@ -33,7 +44,8 @@ from clutterforge.polyhedral import (
     packs,
     tau,
 )
-from clutterforge.vspace import Subspace, span
+from clutterforge.verify import verify_theorem
+from clutterforge.vspace import Subspace, factor, span
 
 PACKAGE_DIR = Path(clutterforge.__file__).parent
 
@@ -157,6 +169,20 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: extreme_point_witness("x", [1]), TypeError),
         (lambda: has_packing_property(builtin("delta3"), budget="3"), TypeError),
         (lambda: has_packing_property(builtin("delta3"), budget=[1]), TypeError),
+        (lambda: minor("x", MinorSpec()), TypeError),
+        (lambda: minor(builtin("delta3"), "x"), TypeError),
+        (lambda: find_minor("x", builtin("delta3")), TypeError),
+        (lambda: find_minor(builtin("delta3"), "x"), TypeError),
+        (lambda: is_isomorphic("x", builtin("delta3")), TypeError),
+        (lambda: is_isomorphic(builtin("delta3"), "x"), TypeError),
+        (lambda: replay_minor("x", MinorSpec(), "delta3"), TypeError),
+        (lambda: replay_minor(builtin("delta3"), MinorSpec(), 5), TypeError),
+        (lambda: apply_chain("x", [MinorSpec()]), TypeError),
+        (lambda: format_clutter("x"), TypeError),
+        (lambda: verify_theorem("x", "1.1"), TypeError),
+        (lambda: matroid_of("x"), TypeError),
+        (lambda: matroid_of(["x"]), TypeError),
+        (lambda: factor("x"), TypeError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
          "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sampled",
@@ -169,7 +195,12 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
          "mfmc-candidate-negative-weight", "tau-weights-none", "is-ideal-not-a-clutter",
          "tau-not-a-clutter", "nu-not-a-clutter", "packs-not-a-clutter",
          "packing-property-not-a-clutter", "mfmc-not-a-clutter", "witness-not-a-clutter", "packing-budget-str",
-         "packing-budget-list"],
+         "packing-budget-list", "minor-not-a-clutter", "minor-spec-not-a-spec",
+         "find-minor-not-a-clutter", "find-minor-target-not-a-clutter",
+         "isomorphic-first-not-a-clutter", "isomorphic-second-not-a-clutter",
+         "replay-not-a-clutter", "replay-target-not-a-clutter", "chain-not-a-clutter",
+         "format-clutter-not-a-clutter", "verify-theorem-not-a-subspace",
+         "matroid-of-not-a-subspace", "matroid-of-unhashable", "factor-not-a-subspace"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

@@ -2,17 +2,21 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 
 from clutterforge.errors import BadIndex, BudgetExceeded, ParseError
 from clutterforge.graphs import (
+    SMALL_ORDERS,
     MultiGraph,
     _automorphisms,
+    _block_has_K4e,
     _canonical_edges,
     _canonical_spanning_trees,
     _edge_types,
+    _signature_classes,
     blocks,
     enumerate_connected_multigraphs,
     format_graph,
@@ -21,6 +25,7 @@ from clutterforge.graphs import (
     parse_graph,
 )
 from clutterforge.matroid import CircuitMatroid, _fundamental_cycles, _graph_circuits, has_minor
+from test_acceptance import wall_clock_under
 
 
 def bundle(t: int) -> MultiGraph:
@@ -416,6 +421,45 @@ class TestK4eMinor:
         assert verdicts == [ref_has_K4e_graph_minor(g) for g in graphs]
         assert 10 <= sum(verdicts) < len(graphs) - 10
 
+    def test_the_filter_counts_components_and_no_loops(self):
+        # K4/e plus an isolated vertex: loopless rank 5 - 4 + 2 = 3, where
+        # edges - vertices + 1 would read 2
+        assert has_K4e_graph_minor(MultiGraph(4, K4E.edges))
+        _block_has_K4e.cache_clear()
+        loops = ((0, 0), (1, 1), (2, 2), (2, 2))
+        # 4 loopless edges, then 5 of loopless rank 2 (a doubled triangle side
+        # and a pendant edge): loops raise neither count, and nothing is searched
+        assert not has_K4e_graph_minor(MultiGraph(3, K4E.edges[1:] + loops))
+        assert not has_K4e_graph_minor(MultiGraph(4, K4E.edges[:4] + ((2, 3),) + loops))
+        assert _block_has_K4e.cache_info().currsize == 0
+
+    def test_a_block_over_the_cap_still_raises_cold_and_warm(self):
+        # a subdivided A_4 (8 edges, cycle rank 3, searched, no K4/e) and a
+        # 15-edge bundle over the cap, joined at vertex 0
+        theta = tuple(e for i in range(2, 6) for e in ((0, i), (i, 1)))
+        g = MultiGraph(7, theta + ((0, 6),) * 15)
+        _block_has_K4e.cache_clear()
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded, match="block of 15 edges"):
+                has_K4e_graph_minor(g)
+        assert _block_has_K4e.cache_info().hits == 1
+
+    def test_verdicts_cold_and_warm_match_the_uncached_search(self):
+        rng = random.Random(19)
+        graphs = enumerate_connected_multigraphs(5, 7)
+        for _ in range(500):
+            n = rng.randint(1, 7)
+            graphs.append(MultiGraph(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9)))))
+        want = [
+            has_minor(CircuitMatroid(len(g.edges), _graph_circuits(g.edges)), "MK4e") is not None
+            for g in graphs
+        ]
+        assert 50 <= sum(want) < len(graphs) - 50
+        _block_has_K4e.cache_clear()
+        assert [has_K4e_graph_minor(g) for g in graphs] == want
+        assert _block_has_K4e.cache_info().hits > 0
+        assert [has_K4e_graph_minor(g) for g in reversed(graphs)] == want[::-1]
+
     def test_block_search_matches_the_whole_graph_search(self, random_multigraphs):
         def whole_graph(g: MultiGraph) -> bool:
             m = len(g.edges)
@@ -592,6 +636,47 @@ class TestEnumeration:
         want = ref_enumerate(3, 10)
         assert got != want
         assert [MultiGraph(g.n_vertices, ref_canonical_edges(g.n_vertices, g.edges)) for g in got] == want
+
+    def test_canonical_form_matches_the_reference_on_named_graphs(self):
+        rng = random.Random(7)
+        named = [cycle(k) for k in range(3, 9)]
+        named += [MultiGraph(k, tuple(itertools.combinations(range(k), 2))) for k in range(2, 7)]
+        named.append(MultiGraph(6, tuple((u, v) for u in range(3) for v in range(3, 6))))
+        # stars, some spokes doubled, some leaves looped; at most 9 spokes, where
+        # the reference's repr order of signatures is their tuple order
+        for leaves in range(2, 7):
+            spokes = tuple((0, i) for i in range(1, leaves + 1))
+            named.append(MultiGraph(leaves + 1, spokes + spokes[: leaves // 2]))
+            named.append(MultiGraph(leaves + 1, spokes + tuple((i, i) for i in range(1, leaves, 2))))
+        for g in named:
+            p = list(range(g.n_vertices))
+            rng.shuffle(p)
+            for edges in (g.edges, tuple((p[u], p[v]) for u, v in g.edges)):
+                assert _canonical_edges(g.n_vertices, edges) == ref_canonical_edges(g.n_vertices, edges), g
+
+    def test_canonical_form_matches_the_reference_on_random_multigraphs(self):
+        # at most 9 edges keeps every signature entry one digit, where the
+        # reference's repr order of classes is the tuple order
+        rng = random.Random(19)
+        graphs = []
+        for _ in range(2000):
+            n = rng.randint(1, 8)
+            graphs.append((n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9)))))
+        orders = [math.prod(math.factorial(len(c)) for c in _signature_classes(n, e)) for n, e in graphs]
+        assert any(k == 1 for k in orders) and 200 <= sum(k > SMALL_ORDERS for k in orders)
+        assert any(u == v for _, e in graphs for u, v in e)
+        assert any(len(e) != len(set(e)) for _, e in graphs)
+        for n, edges in graphs:
+            assert _canonical_edges(n, edges) == ref_canonical_edges(n, edges), (n, edges)
+
+    def test_symmetric_graphs_canonicalise_quickly(self):
+        # the plain product over class orders takes 9! and 9! labellings here
+        with wall_clock_under(0.25):
+            assert _canonical_edges(9, cycle(9).edges) == ((0, 1), (0, 2)) + tuple(
+                (i, i + 2) for i in range(1, 7)
+            ) + ((7, 8),)
+        with wall_clock_under(0.25):
+            assert _canonical_edges(10, tuple((9, i) for i in range(9))) == tuple((i, 9) for i in range(9))
 
     def test_canonical_form_is_invariant_under_relabeling(self):
         rng = random.Random(13)
