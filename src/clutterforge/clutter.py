@@ -19,7 +19,6 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 from .errors import (
     BadIndex,
     BudgetExceeded,
-    DimensionMismatch,
     OverlapError,
     ParseError,
     PreconditionViolated,
@@ -27,8 +26,9 @@ from .errors import (
     UnknownName,
     VerificationFailure,
     WrongType,
+    _require_int,
 )
-from .vspace import SetSystem, Subspace, restrict
+from .vspace import SetSystem, Subspace, _validate_vector, restrict
 
 Label = Hashable
 
@@ -87,7 +87,7 @@ class Clutter:
             raise PreconditionViolated("duplicate ground labels")
         masks = []
         for m in self.members:
-            if isinstance(m, int):
+            if type(m) is int:
                 if m < 0 or m >= 1 << len(ground):
                     raise BadIndex(f"member mask {m} out of range")
                 masks.append(m)
@@ -373,11 +373,7 @@ def localization(space: Subspace, v: Sequence[int]) -> Clutter:
 
     Equals {the empty member} exactly when v is a point of the space.
     """
-    if len(v) != space.n:
-        raise DimensionMismatch(f"point of length {len(v)}, expected {space.n}")
-    for x in v:
-        if not isinstance(x, int) or x < 0 or x >= space.q:
-            raise BadIndex(f"entry {x!r} is not an element of GF({space.q})")
+    _validate_vector(space.field, space.n, v)
     spec = MinorSpec(contract=frozenset((i, x) for i, x in enumerate(v)))
     return minor(mult(space), spec)
 
@@ -720,6 +716,8 @@ def find_minor(
     """
     _require_clutter(c)
     _require_clutter(target)
+    if budget is not None:
+        _require_int(budget, "minor budget")
     k = len(target.ground)
     if k > len(c.ground):
         return None

@@ -1,4 +1,4 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the int guard that raises one.
 
 Every error raised deliberately by clutterforge subclasses ClutterforgeError,
 so CLI and test code can catch library failures without masking bugs.
@@ -87,3 +87,9 @@ class ParseError(ClutterforgeError, ValueError):
 
 class VerificationFailure(ClutterforgeError, AssertionError):
     """A constructed certificate failed its own replay validation."""
+
+
+def _require_int(value: object, what: str) -> None:
+    """Raise WrongType unless `value` is an int; a bool is not one here."""
+    if type(value) is not int:
+        raise WrongType(f"{what} must be an int, got {type(value).__name__}")

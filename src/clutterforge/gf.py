@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DivisionByZero, NotPrimePower, UnsupportedField, VerificationFailure, WrongType
+from .errors import DivisionByZero, NotPrimePower, UnsupportedField, VerificationFailure, _require_int
 
 MAX_ORDER = 32
 
@@ -121,8 +121,7 @@ class GF:
     """A finite field of order q with table-driven arithmetic on ints 0..q-1."""
 
     def __init__(self, q: int):
-        if not isinstance(q, int) or isinstance(q, bool):
-            raise WrongType(f"field order must be an int, got {type(q).__name__}")
+        _require_int(q, "field order")
         if q > MAX_ORDER:
             raise UnsupportedField(f"field orders above {MAX_ORDER} are not supported, got {q}")
         p, k = _prime_power(q)
@@ -196,9 +195,6 @@ class GF:
         for _ in range(e):
             out = self.mul_table[out][x]
         return out
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def vec_add(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         add = self.add_table

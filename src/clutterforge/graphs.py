@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadIndex, BudgetExceeded, ParseError, WrongShape, WrongType
+from .errors import BadIndex, BudgetExceeded, ParseError, WrongShape, WrongType, _require_int
 from .matroid import CircuitMatroid, _fundamental_cycles, _graph_circuits, has_minor
 
 MAX_MINOR_EDGES = 14
@@ -30,8 +30,7 @@ class MultiGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_vertices, int):
-            raise WrongType(f"vertex count must be an int, got {type(self.n_vertices).__name__}")
+        _require_int(self.n_vertices, "vertex count")
         if self.n_vertices < 0:
             raise BadIndex("vertex count must be nonnegative")
         norm = []
@@ -40,7 +39,7 @@ class MultiGraph:
                 u, v = edge
             except (TypeError, ValueError):
                 raise WrongShape(f"edge {edge!r} is not a pair of vertices") from None
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (type(u) is int and type(v) is int):
                 raise WrongType(f"edge {edge!r} has a non-integer endpoint")
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise BadIndex(f"edge ({u}, {v}) out of range")
@@ -352,9 +351,8 @@ def enumerate_connected_multigraphs(
     element dropped, and parents in order with the new type ascending give
     the lexicographic order.
     """
-    for bound in (max_vertices, max_edges):
-        if not isinstance(bound, int) or isinstance(bound, bool):
-            raise WrongType(f"enumeration bounds must be ints, got {type(bound).__name__}")
+    _require_int(max_vertices, "vertex bound")
+    _require_int(max_edges, "edge bound")
     out: list[MultiGraph] = []
     trees: list[tuple[tuple[int, int], ...]] = [()]
     for n in range(1, max_vertices + 1):

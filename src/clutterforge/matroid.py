@@ -22,6 +22,7 @@ from .errors import (
     UnknownName,
     VerificationFailure,
     WrongType,
+    _require_int,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,13 +41,12 @@ class CircuitMatroid:
     circuits: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int):
-            raise WrongType(f"ground size must be an int, got {type(self.size).__name__}")
+        _require_int(self.size, "ground size")
         try:
             raw = [frozenset(c) for c in self.circuits]
         except TypeError as exc:
             raise WrongType(f"circuits must be sets of ints: {exc}") from exc
-        if not all(isinstance(e, int) for c in raw for e in c):
+        if not all(type(e) is int for c in raw for e in c):
             raise WrongType("circuit elements must be ints")
         circs = tuple(sorted(set(raw), key=lambda s: (len(s), sorted(s))))
         if len(circs) != len(raw):
@@ -132,7 +132,7 @@ def matroid_minor(m: CircuitMatroid, delete: frozenset[int] = frozenset(), contr
     if delete & contract:
         raise OverlapError(f"delete and contract overlap on {sorted(delete & contract)}")
     for e in delete | contract:
-        if not isinstance(e, int):
+        if type(e) is not int:
             raise WrongType(f"element {e!r} is not an int")
         if e < 0 or e >= m.size:
             raise BadIndex(f"element {e} outside ground 0..{m.size - 1}")
@@ -343,6 +343,8 @@ def has_minor(
     """
     from .clutter import find_minor
 
+    if budget is not None:
+        _require_int(budget, "minor budget")
     t = _target(target)
     k = t.size
     n = m.size

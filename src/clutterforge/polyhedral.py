@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +37,7 @@ from .errors import (
     TooLarge,
     VerificationFailure,
     WrongType,
+    _require_int,
 )
 
 MAX_POLY_GROUND = 14
@@ -66,7 +66,7 @@ def _weight_list(c: Clutter, w: WeightVector, allow_inf: bool) -> list[Weight]:
             if not allow_inf:
                 raise PreconditionViolated("infinite weight not allowed here")
             continue
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+        if type(x) is not int or x < 0:
             raise PreconditionViolated(f"weight {x!r} is not a nonnegative integer")
     return weights
 
@@ -133,10 +133,9 @@ def _dd_rays(
 def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, list[list[int]]]:
     """Fraction-free echelon form of an integer matrix (Bareiss, Math. Comp. 1968).
 
-    Pivots are sought in the first `ncols` columns only, so an augmented
-    right-hand side is carried along. Returns the rank and the eliminated
-    rows; every division is exact, since each entry stays a minor of the
-    input.
+    Pivots are sought in the first `ncols` columns. Returns the rank and
+    the eliminated rows; every division is exact, since each entry stays a
+    minor of the input.
     """
     mat = [row[:] for row in rows]
     rank = 0
@@ -258,6 +257,7 @@ def _verified_rays(
     `_verify_extreme` returned for the extreme point x/t of Q(C).
     """
     _require_clutter(c)
+    _require_int(max_ground, "ground cap")
     n = len(c.ground)
     if n > max_ground:
         raise TooLarge(f"ground of {n} elements exceeds the cap of {max_ground}")
@@ -465,111 +465,6 @@ def nu(c: Clutter, w: WeightVector = 1) -> Weight:
     return _least(0, _min_cover(masks, unit) + 1, lambda k: not _packs_within(masks, k, unit)) - 1
 
 
-@dataclass(frozen=True)
-class LPCertificate:
-    """Primal extreme point and dual member weights certifying the LP value."""
-
-    value: Fraction
-    primal: tuple[Fraction, ...]
-    dual: tuple[Fraction, ...]
-
-
-def lp_certificate(
-    c: Clutter, w: WeightVector = 1, max_ground: int = MAX_POLY_GROUND
-) -> LPCertificate:
-    """τ* with a matching exact dual solution (strong-duality certificate).
-
-    The dual packing y >= 0 satisfies M^T y <= w and 1.y = τ*; it is found by
-    enumerating complementary-slackness bases over the tight members at an
-    optimal extreme point, smallest support first.
-    """
-    weights = _weight_list(c, w, allow_inf=False)
-    points = extreme_points(c, max_ground)
-    if not points:
-        raise PreconditionViolated("Q(C) is empty; the LP is infeasible")
-    value, primal = min(
-        (sum(Fraction(a) * x for a, x in zip(weights, p)), p) for p in points
-    )
-    tight = [
-        k
-        for k, m in enumerate(c.members)
-        if sum(primal[b] for b in _bits(m)) == 1
-    ]
-    n = len(c.ground)
-    m_count = len(c.members)
-
-    def check(dual: list[Fraction]) -> bool:
-        if any(y < 0 for y in dual):
-            return False
-        if sum(dual) != value:
-            return False
-        for v in range(n):
-            load = sum(dual[k] for k in range(m_count) if c.members[k] >> v & 1)
-            if load > weights[v]:
-                return False
-        return True
-
-    if check([Fraction(0)] * m_count):
-        return LPCertificate(value, primal, tuple([Fraction(0)] * m_count))
-    # Complementary slackness: an optimal dual is tight at every element the
-    # primal uses, and rows with zero weight are tight for free — so element
-    # subsets drawn from those rows are tried across all bases first.
-    likely = [v for v in range(n) if primal[v] > 0 or weights[v] == 0]
-
-    # Each dual variable is capped by the smallest weight in its member, so a
-    # support of size s can reach the LP value only if the s largest caps do.
-    cap = {k: min(weights[v] for v in _bits(c.members[k])) for k in tight}
-    caps_desc = sorted(cap.values(), reverse=True)
-    min_size = 1
-    while min_size <= len(tight) and sum(caps_desc[:min_size]) < value:
-        min_size += 1
-
-    def attempt(basis: tuple[int, ...], elems: tuple[int, ...]) -> Optional[LPCertificate]:
-        elem_mask = 0
-        for v in elems:
-            elem_mask |= 1 << v
-        if any(c.members[k] & elem_mask == 0 for k in basis):
-            return None
-        size = len(basis)
-        rank, echelon = _bareiss(
-            [[c.members[k] >> v & 1 for k in basis] + [weights[v]] for v in elems], size
-        )
-        if rank < size:
-            return None
-        sol = [Fraction(0)] * size
-        for i in range(size - 1, -1, -1):
-            row = echelon[i]
-            rest = sum(row[j] * sol[j] for j in range(i + 1, size))
-            sol[i] = (row[size] - rest) / Fraction(row[i])
-        dual = [Fraction(0)] * m_count
-        for k, y in zip(basis, sol):
-            dual[k] = y
-        if check(dual):
-            return LPCertificate(value, primal, tuple(dual))
-        return None
-
-    for size in range(min_size, len(tight) + 1):
-        bases = [
-            basis
-            for basis in itertools.combinations(tight, size)
-            if sum(cap[k] for k in basis) >= value
-        ]
-        likely_sets = set(itertools.combinations(likely, size)) if size <= len(likely) else set()
-        for basis in bases:
-            for elems in likely_sets:
-                hit = attempt(basis, elems)
-                if hit is not None:
-                    return hit
-        for basis in bases:
-            for elems in itertools.combinations(range(n), size):
-                if elems in likely_sets:
-                    continue
-                hit = attempt(basis, elems)
-                if hit is not None:
-                    return hit
-    raise VerificationFailure("no complementary-slackness dual basis verified")
-
-
 # ---------------------------------------------------------------------------
 # packing property and MFMC refutation
 # ---------------------------------------------------------------------------
@@ -602,8 +497,8 @@ def has_packing_property(c: Clutter, budget: Optional[int] = None) -> Optional[M
     budget that is not an int raises WrongType; 3^|V| over it, BudgetExceeded.
     """
     _require_clutter(c)
-    if budget is not None and not isinstance(budget, int):
-        raise WrongType(f"packing budget must be an int, got {type(budget).__name__}")
+    if budget is not None:
+        _require_int(budget, "packing budget")
     if 3 ** len(c.ground) > (PACKING_BUDGET if budget is None else budget):
         raise BudgetExceeded(f"packing sweep over 3^{len(c.ground)} minors exceeds the budget")
     path = _failing_path(len(c.ground), c.members)
@@ -637,67 +532,31 @@ def _failing_path(size: int, members: tuple[int, ...]) -> Optional[tuple[tuple[i
     return None
 
 
-def mfmc_check(
-    c: Clutter,
-    bound: int,
-    candidates: Optional[Iterable[Sequence[int]]] = None,
-    samples: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> Optional[tuple[tuple[int, ...], Weight, Weight]]:
-    """Search for a weight vector with cover value != packing value.
+def mfmc_check(c: Clutter, bound: int) -> Optional[tuple[tuple[int, ...], Weight, Weight]]:
+    """Search [0, bound]^V for a weight vector with cover value != packing value.
 
-    A refuter only: returns (w, tau, nu) for the first violation among the
-    explicit candidates, then either `samples` seeded random draws or the
-    full [0, bound]^V sweep. Each vector is decided as `packs` decides, by
-    whether `_min_cover` members pack; tau and nu are computed only for the
+    A refuter only: returns (w, tau, nu) for the first violation in product
+    order. Each vector is decided as `packs` decides, by whether
+    `_min_cover` members pack; tau and nu are computed only for the
     violation returned. Each vector costs searches over every member, so
     the sweep raises BudgetExceeded when (bound + 1)^|V| times the member
     count exceeds MFMC_SWEEP_BUDGET. None never certifies the max-flow
-    min-cut property — the structural tests do that. A bound, sample count
-    or seed that is not an int, or a candidate that is not a weight vector,
-    raises WrongType; a negative bound or count PreconditionViolated.
+    min-cut property — the structural tests do that. A bound that is not an
+    int raises WrongType; a negative one PreconditionViolated.
     """
     _require_clutter(c)
-    for name, value in (("weight bound", bound), ("sample count", 0 if samples is None else samples)):
-        if not isinstance(value, int):
-            raise WrongType(f"{name} must be an int, got {type(value).__name__}")
-        if value < 0:
-            raise PreconditionViolated(f"{name} must be >= 0, got {value}")
-    for name, value, kind in (("seed", seed, int), ("candidates", candidates, Iterable)):
-        if value is not None and not isinstance(value, kind):
-            raise WrongType(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+    _require_int(bound, "weight bound")
+    if bound < 0:
+        raise PreconditionViolated(f"weight bound must be >= 0, got {bound}")
     n = len(c.ground)
-
-    def violation(w: Sequence[int]) -> Optional[tuple[tuple[int, ...], Weight, Weight]]:
-        # a bare number is a uniform weight for `nu`, but not a candidate vector
-        if not isinstance(w, Iterable):
-            raise WrongType(f"candidate must be a weight vector, got {type(w).__name__}")
-        weights = _weight_list(c, w, allow_inf=False)
-        masks = _cover_masks(c, weights)
-        # None only with the empty member, where tau and nu are both infinite
-        if masks is None or _packs(masks, None if all(x <= 1 for x in weights) else weights):
-            return None
-        return tuple(weights), tau(c, weights), nu(c, weights)
-
-    if candidates is not None:
-        for w in candidates:
-            hit = violation(w)
-            if hit is not None:
-                return hit
-    if samples is not None:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            hit = violation([rng.randint(0, bound) for _ in range(n)])
-            if hit is not None:
-                return hit
-        return None
     if (bound + 1) ** n * len(c.members) > MFMC_SWEEP_BUDGET:
         raise BudgetExceeded(
             f"({bound}+1)^{n} weight vectors times {len(c.members)} members exceed "
-            f"the sweep budget of {MFMC_SWEEP_BUDGET}; pass samples= for seeded sampling"
+            f"the sweep budget of {MFMC_SWEEP_BUDGET}"
         )
     for w in itertools.product(range(bound + 1), repeat=n):
-        hit = violation(w)
-        if hit is not None:
-            return hit
+        masks = _cover_masks(c, w)
+        # None only with the empty member, where tau and nu are both infinite
+        if masks is not None and not _packs(masks, None if all(x <= 1 for x in w) else w):
+            return w, tau(c, w), nu(c, w)
     return None

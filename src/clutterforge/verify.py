@@ -38,6 +38,7 @@ from .errors import (
     WrongField,
     WrongFieldClass,
     WrongShape,
+    _require_int,
 )
 from .gf import build_field
 from .matroid import matroid_of
@@ -95,6 +96,8 @@ def enumerate_subspaces(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> It
     (right of the row's pivot, outside pivot columns) range over the field.
     Deterministic order: dimension ascending, then pivots, then entries.
     """
+    for value, what in ((q, "field order"), (n, "dimension"), (budget, "enumeration budget")):
+        _require_int(value, what)
     total = count_subspaces(q, n)
     if total > budget:
         raise BudgetExceeded(f"{total} subspaces of GF({q})^{n} exceeds the budget {budget}")
@@ -136,7 +139,7 @@ def _validate_point(space: Subspace, x: Sequence[int], what: str) -> Point:
     if len(pt) != space.n:
         raise PreconditionViolated(f"{what} has length {len(pt)}, expected {space.n}")
     for v in pt:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0 or v >= space.q:
+        if type(v) is not int or v < 0 or v >= space.q:
             raise PreconditionViolated(f"{what} entry {v!r} is not an element of GF({space.q})")
     return pt
 
@@ -242,7 +245,7 @@ def triple_condition_probe(
     if len({pa, pb, pc}) != 3:
         raise PreconditionViolated("a, b, c must be three distinct points")
     for name, pos in (("i", i), ("j", j), ("k", k)):
-        if not isinstance(pos, int) or isinstance(pos, bool) or pos < 0 or pos >= space.n:
+        if type(pos) is not int or pos < 0 or pos >= space.n:
             raise PreconditionViolated(f"coordinate {name}={pos!r} outside 0..{space.n - 1}")
     if len({i, j, k}) != 3:
         raise PreconditionViolated("i, j, k must be three distinct coordinates")
@@ -959,6 +962,8 @@ def verify_theorem(
     leave verdicts None and are reported per condition.
     """
     _require_subspace(space)
+    if minor_budget is not None:
+        _require_int(minor_budget, "minor budget")
     t = _normalize_theorem_id(which)
     q = space.q
     _check_field_class(t, q)
@@ -978,15 +983,14 @@ def verify_theorem(
         certs["i"] = cert_i
 
     # -- condition (iii): forbidden-minor side -----------------------------
+    # within the limit find_minor searches exhaustively and never raises
     limit = DEFAULT_FIND_MINOR_BUDGET if minor_budget is None else minor_budget
     searchable = 3 ** len(cl.ground) <= limit
     found: Optional[tuple] = None
-    search_unknown = not searchable
     if searchable:
-        for name, hit in _search_minors(cl, _MINOR_TARGETS[t], minor_budget):
-            if isinstance(hit, BudgetExceeded):
-                search_unknown = True
-            elif hit is not None:
+        for name in _MINOR_TARGETS[t]:
+            hit = find_minor(cl, builtin(name), budget=limit)
+            if hit is not None:
                 found = (name, hit[0], hit[1])
                 break
     elif t == "1.3":
@@ -1005,7 +1009,7 @@ def verify_theorem(
             if searchable
             else "constructive witness chain (replayed)"
         )
-    elif not search_unknown:
+    elif searchable:
         cond_iii = True
         methods["iii"] = "exhaustive minor search (absence certified)"
     else:
@@ -1177,6 +1181,7 @@ def sweep_theorem(
     With jobs > 1 the representatives are verified in that many worker
     processes; the reports are the same as with jobs=1.
     """
+    _require_int(jobs, "job count")
     spaces = list(enumerate_subspaces(q, n, budget=enum_budget))
     _check_field_class(_normalize_theorem_id(which), q)  # fail before the orbit search
     orbits = monomial_orbits(spaces)

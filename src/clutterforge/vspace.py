@@ -27,6 +27,7 @@ from .errors import (
     TooLarge,
     VerificationFailure,
     WrongType,
+    _require_int,
 )
 from .gf import GF, build_field
 
@@ -73,7 +74,7 @@ def _validate_vector(field: GF, n: int, x: Sequence[int]) -> Point:
     if len(x) != n:
         raise DimensionMismatch(f"vector {tuple(x)} has length {len(x)}, expected {n}")
     for v in x:
-        if not isinstance(v, int) or v < 0 or v >= field.q:
+        if type(v) is not int or v < 0 or v >= field.q:
             raise BadIndex(f"entry {v!r} is not an element of GF({field.q})")
     return tuple(x)
 
@@ -96,8 +97,7 @@ class Subspace:
     basis: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int):
-            raise WrongType(f"ambient dimension must be an int, got {type(self.n).__name__}")
+        _require_int(self.n, "ambient dimension")
         if self.n < 1:
             raise DimensionMismatch(f"ambient dimension must be >= 1, got {self.n}")
         rows = tuple(_validate_vector(self.field, self.n, r) for r in self.basis)
@@ -119,6 +119,7 @@ class Subspace:
         return tuple(next(i for i, v in enumerate(row) if v) for row in self.basis)
 
     def points(self, cap: int = POINT_CAP) -> tuple[Point, ...]:
+        _require_int(cap, "point cap")
         count = self.q ** self.dim
         if count > cap:
             raise TooLarge(f"{count} points exceeds the enumeration cap {cap}")
@@ -183,7 +184,7 @@ def product(s1: Subspace, s2: Subspace) -> Subspace:
 def _check_coords(space: Subspace, coords: Iterable[int]) -> frozenset[int]:
     out = frozenset(coords)
     for i in out:
-        if not isinstance(i, int) or i < 0 or i >= space.n:
+        if type(i) is not int or i < 0 or i >= space.n:
             raise BadIndex(f"coordinate {i!r} outside 0..{space.n - 1}")
     return out
 
@@ -397,7 +398,7 @@ def restrict(space: Subspace, boxes: Sequence[Iterable[int]]) -> SetSystem:
         if not bs:
             raise BadIndex(f"box {i} is empty")
         for v in bs:
-            if not isinstance(v, int) or v < 0 or v >= space.q:
+            if type(v) is not int or v < 0 or v >= space.q:
                 raise BadIndex(f"box {i} value {v!r} is not in GF({space.q})")
         box_sets.append(bs)
     pts = [x for x in space.points() if all(x[i] in box_sets[i] for i in range(space.n))]
@@ -583,10 +584,10 @@ def parse_subspace(text: str) -> Subspace:
             gens = data["generators"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad JSON subspace: {exc}") from exc
-        if not isinstance(q, int) or not isinstance(n, int) or not isinstance(gens, list):
+        if type(q) is not int or type(n) is not int or not isinstance(gens, list):
             raise ParseError("JSON subspace fields must be q:int, n:int, generators:list")
-        if not all(isinstance(g, list) for g in gens):
-            raise ParseError("JSON generator rows must be lists")
+        if not all(isinstance(g, list) and all(type(v) is int for v in g) for g in gens):
+            raise ParseError("JSON generator rows must be lists of ints")
         rows = [tuple(g) for g in gens]
     else:
         lines = [ln for ln in stripped.splitlines() if ln.strip()]

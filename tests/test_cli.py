@@ -165,8 +165,13 @@ class TestAnalyze:
             b"3 3\n1 \xff 0\n",
             b'{"q": 3, "n": 3, "generators": [1]}',
             b'{"q": 3, "n": 3, "generators": [null]}',
+            b'{"q": 3, "n": true, "generators": [[1]]}',
+            b'{"q": true, "n": 1, "generators": [[1]]}',
+            b'{"q": 3, "n": 2, "generators": [[true, false]]}',
+            b'{"q": 3, "n": 2, "generators": [[1, "0"]]}',
         ],
-        ids=["undecodable-bytes", "json-row-int", "json-row-null"],
+        ids=["undecodable-bytes", "json-row-int", "json-row-null", "json-n-bool", "json-q-bool",
+             "json-entry-bool", "json-entry-str"],
     )
     def test_unreadable_instance_is_a_parse_error(self, capsys, tmp_path, content):
         bad = tmp_path / "bad.txt"

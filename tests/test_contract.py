@@ -20,6 +20,7 @@ from clutterforge.clutter import (
     find_minor,
     format_clutter,
     is_isomorphic,
+    localization,
     minor,
     mult,
     replay_minor,
@@ -37,6 +38,7 @@ from clutterforge.graphs import (
 from clutterforge.matroid import TARGETS, CircuitMatroid, has_minor, matroid_minor, matroid_of
 from clutterforge.polyhedral import (
     extreme_point_witness,
+    extreme_points,
     has_packing_property,
     is_ideal,
     mfmc_check,
@@ -44,8 +46,8 @@ from clutterforge.polyhedral import (
     packs,
     tau,
 )
-from clutterforge.verify import verify_theorem
-from clutterforge.vspace import Subspace, factor, span
+from clutterforge.verify import enumerate_subspaces, sweep_theorem, verify_theorem
+from clutterforge.vspace import Subspace, factor, parse_subspace, project, restrict, span
 
 PACKAGE_DIR = Path(clutterforge.__file__).parent
 
@@ -117,12 +119,21 @@ def test_import_loads_no_process_pool():
         (lambda: MinorSpec(delete=5), TypeError),
         (lambda: CircuitMatroid(3, [5]), TypeError),
         (lambda: Subspace(build_field(3), "2", ()), TypeError),
+        (lambda: Subspace(build_field(3), True, ()), TypeError),
+        (lambda: Subspace(build_field(3), 3, ((True, 0, 1),)), ValueError),
+        (lambda: MultiGraph(True, ()), TypeError),
+        (lambda: CircuitMatroid(True, ()), TypeError),
+        (lambda: CircuitMatroid(3, [frozenset({True, 2})]), TypeError),
+        (lambda: MultiGraph(2, ((True, 0),)), TypeError),
+        (lambda: Clutter((0, 1), [True]), TypeError),
     ],
     ids=["non-rref-basis", "duplicate-labels", "duplicate-circuits", "empty-circuit",
          "nested-circuits", "elimination-fails", "edge-not-a-pair", "vertex-count-not-int",
          "edge-endpoint-not-int", "member-not-iterable", "member-label-unhashable",
          "circuit-element-not-int", "ground-size-not-int", "minor-spec-not-a-set",
-         "circuit-not-a-set", "ambient-dimension-not-int"],
+         "circuit-not-a-set", "ambient-dimension-not-int", "ambient-dimension-bool",
+         "basis-entry-bool", "vertex-count-bool", "ground-size-bool", "circuit-element-bool",
+         "edge-endpoint-bool", "member-mask-bool"],
 )
 def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
     with pytest.raises(ClutterforgeError) as info:
@@ -139,7 +150,6 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: build_field("3"), TypeError),
         (lambda: build_field(3.0), TypeError),
         (lambda: matroid_minor(TARGETS["A3"], frozenset({"a"})), TypeError),
-        (lambda: mfmc_check(builtin("delta3"), -1, samples=3), ValueError),
         (lambda: mfmc_check(builtin("delta3"), -1), ValueError),
         (lambda: matroid_minor(TARGETS["A3"], 5), TypeError),
         (lambda: span(build_field(3), "3", []), TypeError),
@@ -151,14 +161,6 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: blocks("x"), TypeError),
         (lambda: is_subdivision_of_At("x"), TypeError),
         (lambda: format_graph("x"), TypeError),
-        (lambda: mfmc_check(builtin("delta3"), 1, samples=1.5), TypeError),
-        (lambda: mfmc_check(builtin("delta3"), 1, samples="3"), TypeError),
-        (lambda: mfmc_check(builtin("delta3"), 1, samples=-1), ValueError),
-        (lambda: mfmc_check(builtin("delta3"), 1, samples=3, seed=[1]), TypeError),
-        (lambda: mfmc_check(builtin("delta3"), 1, candidates=5), TypeError),
-        (lambda: mfmc_check(builtin("delta3"), 1, candidates=[5]), TypeError),
-        (lambda: mfmc_check(builtin("delta3"), 1, candidates=[(1, 1)]), ValueError),
-        (lambda: mfmc_check(builtin("delta3"), 1, candidates=[(1, -1, 1)]), ValueError),
         (lambda: tau(builtin("delta3"), None), TypeError),
         (lambda: is_ideal("x"), TypeError),
         (lambda: tau("x"), TypeError),
@@ -183,16 +185,30 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: matroid_of("x"), TypeError),
         (lambda: matroid_of(["x"]), TypeError),
         (lambda: factor("x"), TypeError),
+        (lambda: span(build_field(3), 3, [(True, 0, 1)]), ValueError),
+        (lambda: localization(span(build_field(3), 2, [(1, 1)]), (True, 0)), ValueError),
+        (lambda: parse_subspace('{"q": 3, "n": 2, "generators": [[true, 0]]}'), ValueError),
+        (lambda: find_minor(builtin("q6"), builtin("delta3"), budget="729"), TypeError),
+        (lambda: has_minor(TARGETS["U24"], "A3", budget=1.5), TypeError),
+        (lambda: is_ideal(builtin("delta3"), max_ground="14"), TypeError),
+        (lambda: extreme_points(builtin("delta3"), max_ground=14.0), TypeError),
+        (lambda: list(enumerate_subspaces("3", 2)), TypeError),
+        (lambda: list(enumerate_subspaces(3, 2, budget="9")), TypeError),
+        (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.1", minor_budget="9"), TypeError),
+        (lambda: sweep_theorem(3, 2, "1.1", jobs=2.0), TypeError),
+        (lambda: span(build_field(3), 2, [(1, 1)]).points(cap="9"), TypeError),
+        (lambda: has_packing_property(builtin("delta3"), budget=True), TypeError),
+        (lambda: mfmc_check(builtin("delta3"), True), TypeError),
+        (lambda: matroid_minor(TARGETS["A3"], frozenset({True})), TypeError),
+        (lambda: project(span(build_field(3), 2, [(1, 1)]), [True]), ValueError),
+        (lambda: restrict(span(build_field(3), 2, [(1, 1)]), [{True}, {0}]), ValueError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
-         "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sampled",
-         "mfmc-negative-bound-sweep", "minor-set-not-a-set", "span-dimension-not-int",
-         "mfmc-bound-not-int", "enumeration-vertex-bound-str", "enumeration-edge-bound-float",
+         "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sweep",
+         "minor-set-not-a-set", "span-dimension-not-int", "mfmc-bound-not-int", "enumeration-vertex-bound-str", "enumeration-edge-bound-float",
          "enumeration-edge-bound-bool", "k4e-not-a-multigraph", "blocks-not-a-multigraph",
          "subdivision-not-a-multigraph", "format-graph-not-a-multigraph",
-         "mfmc-samples-float", "mfmc-samples-str", "mfmc-samples-negative", "mfmc-seed-list",
-         "mfmc-candidates-int", "mfmc-candidate-int", "mfmc-candidate-wrong-length",
-         "mfmc-candidate-negative-weight", "tau-weights-none", "is-ideal-not-a-clutter",
+         "tau-weights-none", "is-ideal-not-a-clutter",
          "tau-not-a-clutter", "nu-not-a-clutter", "packs-not-a-clutter",
          "packing-property-not-a-clutter", "mfmc-not-a-clutter", "witness-not-a-clutter", "packing-budget-str",
          "packing-budget-list", "minor-not-a-clutter", "minor-spec-not-a-spec",
@@ -200,7 +216,13 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
          "isomorphic-first-not-a-clutter", "isomorphic-second-not-a-clutter",
          "replay-not-a-clutter", "replay-target-not-a-clutter", "chain-not-a-clutter",
          "format-clutter-not-a-clutter", "verify-theorem-not-a-subspace",
-         "matroid-of-not-a-subspace", "matroid-of-unhashable", "factor-not-a-subspace"],
+         "matroid-of-not-a-subspace", "matroid-of-unhashable", "factor-not-a-subspace",
+         "span-entry-bool", "localization-entry-bool", "json-entry-bool", "find-minor-budget-str",
+         "has-minor-budget-float", "is-ideal-ground-cap-str", "extreme-points-ground-cap-float",
+         "enumerate-subspaces-order-str", "enumerate-subspaces-budget-str",
+         "verify-theorem-minor-budget-str", "sweep-jobs-float", "points-cap-str",
+         "packing-budget-bool", "mfmc-bound-bool", "minor-element-bool", "project-coordinate-bool",
+         "restrict-box-value-bool"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

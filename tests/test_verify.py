@@ -626,6 +626,18 @@ class TestVerifyTheorem:
         assert r.methods["i"].startswith("derived")
         assert r.methods["iii"].startswith("derived")
 
+    def test_minor_budget_below_the_ground_never_searches(self, r11, zero_sum_gf3, zero_sum_gf4, monkeypatch):
+        # under 3^|ground| find_minor would take its guided, non-exhaustive path
+        monkeypatch.setattr(verify_module, "find_minor", lambda *a, **k: pytest.fail("minor searched"))
+        for space, which in ((r11, "1.4"), (zero_sum_gf3, "1.1"), (zero_sum_gf4, "1.2")):
+            r = verify_theorem(space, which, minor_budget=3 ** len(mult(space).ground) - 1)
+            assert "iii" not in r.certificates
+            if which == "1.2":
+                assert r.cond_iii is True and r.methods["iii"].startswith("derived")
+            else:
+                assert r.cond_iii is None
+                assert r.methods["iii"] == "unknown: minor search out of budget"
+
     def test_flow_weight_refuter_runs_only_past_the_packing_budget(self, f2, r11, monkeypatch):
         calls = []
         real = verify_module.mfmc_check
