@@ -1,8 +1,9 @@
 """Command-line front end: parse instances, run analyses and sweeps, emit
 certificates and reports.
 
-Subcommands: field, analyze, witness, sweep, localize, matroid. The CLI
-only renders: ``analyze`` reports verify's condition functions, and each
+Subcommands: field, analyze, witness, sweep, localize, matroid.
+``analyze`` reports verify's condition functions for idealness, max-flow
+min-cut and structure, and searches the three named minors itself. Each
 subcommand builds one JSON object and one list of text lines and prints
 one of them through ``_emit``. Output is deterministic (fixed ordering, no
 timestamps); ``--json`` switches every subcommand to machine-readable
@@ -25,6 +26,7 @@ from .clutter import (
     Clutter,
     builtin,
     compose_chain,
+    find_minor,
     format_minor_certificate,
     localization,
     mult,
@@ -46,7 +48,6 @@ from .verify import (
     _factor_pieces,
     _ideal_condition,
     _mfmc_condition,
-    _search_minors,
     c5sq_witness,
     delta3_witness_k4e,
     delta3_witness_u24,
@@ -136,7 +137,7 @@ def cmd_field(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# analyze: renders verify's condition functions
+# analyze: renders verify's condition functions, and searches the named minors
 # ---------------------------------------------------------------------------
 
 def _analysis_ideal(cl: Clutter, max_ground: int) -> tuple[dict[str, Any], list[str]]:
@@ -168,11 +169,14 @@ def _analysis_minors(
 ) -> tuple[dict[str, Any], list[str]]:
     data: dict[str, Any] = {}
     lines: list[str] = []
-    for name, hit in _search_minors(cl, _MINOR_TARGET_NAMES, minor_budget):
-        if isinstance(hit, BudgetExceeded):
+    for name in _MINOR_TARGET_NAMES:
+        try:
+            hit = find_minor(cl, builtin(name), budget=minor_budget)
+        except BudgetExceeded:
             data[name] = None
             lines.append(f"minor {name}: UNKNOWN (search out of budget)")
-        elif hit is None:
+            continue
+        if hit is None:
             data[name] = {"present": False}
             lines.append(f"minor {name}: none (exhaustive search)")
         else:

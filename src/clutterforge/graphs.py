@@ -318,14 +318,6 @@ def _next_tree_level(
     )
 
 
-def _canonical_spanning_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """One canonical edge tuple per free tree on n vertices, sorted."""
-    trees: list[tuple[tuple[int, int], ...]] = [()]
-    for m in range(2, n + 1):
-        trees = _next_tree_level(trees, m)
-    return trees
-
-
 def enumerate_connected_multigraphs(
     max_vertices: int, max_edges: int
 ) -> list[MultiGraph]:

@@ -11,8 +11,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from .clutter import Clutter, MinorSpec, _bits, _minimal_masks, find_minor, is_isomorphic, minor
 from .errors import (
     BadIndex,
     BudgetExceeded,
@@ -24,10 +25,7 @@ from .errors import (
     WrongType,
     _require_int,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .clutter import Clutter
-    from .vspace import Subspace
+from .vspace import Subspace, _require_subspace
 
 MAX_GROUND = 16
 DEFAULT_MINOR_BUDGET = 2_000_000
@@ -72,33 +70,28 @@ class CircuitMatroid:
 
     # -- basic oracle --------------------------------------------------------
 
-    def rank(self, subset: Optional[frozenset[int]] = None) -> int:
-        """Rank of a subset (default: whole ground) via greedy growth."""
-        universe = sorted(range(self.size) if subset is None else subset)
+    def rank(self) -> int:
+        """Rank of the ground via greedy growth."""
         indep: set[int] = set()
-        for e in universe:
+        for e in range(self.size):
             indep.add(e)
             if any(c <= indep for c in self.circuits):
                 indep.discard(e)
         return len(indep)
 
 
-def matroid_of(space: "Subspace") -> CircuitMatroid:
+def matroid_of(space: Subspace) -> CircuitMatroid:
     """Matroid whose circuits are the minimal supports of the space's nonzero points.
 
     Validates the rank identity rank = n - dim. Built once per distinct space
     and then shared; the matroid is immutable.
     """
-    from .vspace import _require_subspace
-
     _require_subspace(space)
     return _matroid_cached(space)
 
 
 @lru_cache(maxsize=4096)
-def _matroid_cached(space: "Subspace") -> CircuitMatroid:
-    from .clutter import _bits, _minimal_masks
-
+def _matroid_cached(space: Subspace) -> CircuitMatroid:
     supports = [sum(1 << i for i, v in enumerate(x) if v) for x in space.points() if any(x)]
     circuits = tuple(frozenset(_bits(c)) for c in _minimal_masks(supports))
     m = CircuitMatroid(space.n, circuits)
@@ -122,8 +115,6 @@ def matroid_minor(m: CircuitMatroid, delete: frozenset[int] = frozenset(), contr
     circuits inside the contracted set, which would leave the empty set, are
     dropped. The result is re-validated against the circuit axioms.
     """
-    from .clutter import Clutter, MinorSpec, _bits, minor
-
     try:
         delete = frozenset(delete)
         contract = frozenset(contract)
@@ -243,46 +234,44 @@ def classify(m: CircuitMatroid) -> StructureReport:
 # fixed small targets and minor search
 # ---------------------------------------------------------------------------
 
-def _fundamental_cycles(edges: Sequence[tuple[int, int]]) -> list[int]:
-    """The fundamental cycles of a multigraph, as edge masks, by one GF(2) elimination.
-
-    Each edge's vertex-incidence mask (1 << u) ^ (1 << v) is reduced against
-    an XOR basis that also records which edges each basis vector combines;
-    an edge that reduces to zero (a loop at once) closes a cycle with the
-    forest edges before it: edges - vertices + components cycles, each edge
-    reduced against at most one basis vector per vertex.
-    """
-    basis: dict[int, tuple[int, int]] = {}  # lowest vertex bit -> (incidence, edges)
-    cycles: list[int] = []
-    for i, (u, v) in enumerate(edges):
-        x, combo = (1 << u) ^ (1 << v), 1 << i
+def _gf2_dependencies(vectors: Iterable[int]) -> list[int]:
+    """One GF(2) elimination of bitmask vectors, in order: 0 for a vector
+    independent of those before it, else the mask of the earlier vectors whose
+    XOR it is plus its own bit. The XOR basis records what each row combines."""
+    basis: dict[int, tuple[int, int]] = {}  # lowest bit -> (vector, combination)
+    out: list[int] = []
+    for i, x in enumerate(vectors):
+        combo = 1 << i
         while x:
             low = x & -x
             if low not in basis:
                 basis[low] = (x, combo)
+                combo = 0
                 break
-            x ^= basis[low][0]
-            combo ^= basis[low][1]
-        else:
-            cycles.append(combo)
-    return cycles
+            b, c = basis[low]
+            x ^= b
+            combo ^= c
+        out.append(combo)
+    return out
+
+
+def _fundamental_cycles(edges: Sequence[tuple[int, int]]) -> list[int]:
+    """The fundamental cycles of a multigraph, as edge masks: each edge whose
+    incidence mask (1 << u) ^ (1 << v) depends on the edges before it (a loop
+    at once) closes one, edges - vertices + components in all."""
+    return [c for c in _gf2_dependencies((1 << u) ^ (1 << v) for u, v in edges) if c]
 
 
 def _graph_circuits(edges: Sequence[tuple[int, int]]) -> tuple[frozenset[int], ...]:
     """Circuits of the cycle matroid of a small multigraph.
 
     XORs of the fundamental cycles are the whole cycle space, and its minimal
-    nonzero elements are the circuits. The minimal filter runs on ints here:
-    this routine builds TARGETS while clutter.py is still importing.
+    nonzero elements are the circuits.
     """
     space = [0]
     for c in _fundamental_cycles(edges):
         space += [s ^ c for s in space]
-    minimal: list[int] = []
-    for s in sorted(space[1:], key=int.bit_count):
-        if not any(c & s == c for c in minimal):
-            minimal.append(s)
-    return tuple(frozenset(i for i in range(len(edges)) if s >> i & 1) for s in minimal)
+    return tuple(frozenset(_bits(s)) for s in _minimal_masks(space[1:]))
 
 
 def _build_targets() -> dict[str, CircuitMatroid]:
@@ -309,9 +298,7 @@ def _target(name: str) -> CircuitMatroid:
     raise UnknownName(f"unknown minor target {name!r}; choose from {sorted(TARGETS)}")
 
 
-def _circuit_clutter(m: CircuitMatroid) -> "Clutter":
-    from .clutter import Clutter
-
+def _circuit_clutter(m: CircuitMatroid) -> Clutter:
     return Clutter(tuple(range(m.size)), m.circuits)
 
 
@@ -321,8 +308,6 @@ def circuits_isomorphic(m1: CircuitMatroid, m2: CircuitMatroid) -> Optional[dict
     Clutter isomorphism of the two circuit families; grounds above 20
     elements raise TooLarge.
     """
-    from .clutter import is_isomorphic
-
     return is_isomorphic(_circuit_clutter(m1), _circuit_clutter(m2))
 
 
@@ -341,8 +326,6 @@ def has_minor(
     circuit family of the matroid minor; every matroid minor has such a
     presentation with T independent.
     """
-    from .clutter import find_minor
-
     if budget is not None:
         _require_int(budget, "minor budget")
     t = _target(target)

@@ -39,6 +39,7 @@ from .errors import (
     WrongType,
     _require_int,
 )
+from .matroid import _gf2_dependencies
 
 MAX_POLY_GROUND = 14
 PACKING_BUDGET = 3 ** 13
@@ -158,21 +159,6 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, list[list[int]]]:
     return rank, mat
 
 
-def _gf2_rank(masks: Iterable[int], target: int) -> int:
-    """Rank over GF(2) of bitmask rows, stopping once it reaches `target`."""
-    basis: dict[int, int] = {}
-    for m in masks:
-        while m:
-            top = m.bit_length() - 1
-            if top not in basis:
-                basis[top] = m
-                break
-            m ^= basis[top]
-        if len(basis) == target:
-            break
-    return len(basis)
-
-
 def _full_rank(masks: list[int], support: int) -> bool:
     """Whether the 0/1 rows `masks`, all inside `support`, span its columns.
 
@@ -181,7 +167,7 @@ def _full_rank(masks: list[int], support: int) -> bool:
     to the exact Bareiss rank.
     """
     cols = _bits(support)
-    if _gf2_rank(masks, len(cols)) == len(cols):
+    if _gf2_dependencies(masks).count(0) == len(cols):
         return True
     rows = [[m >> b & 1 for b in cols] for m in masks]
     return _bareiss(rows, len(cols))[0] == len(cols)

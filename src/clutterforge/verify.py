@@ -676,12 +676,7 @@ class ReplicationReport:
     notes: tuple[str, ...] = ()
 
 
-def replication_tau2_report(
-    space: Subspace,
-    *,
-    max_ground: int = MAX_POLY_GROUND,
-    packing_budget: Optional[int] = None,
-) -> ReplicationReport:
+def replication_tau2_report(space: Subspace) -> ReplicationReport:
     """Cross-check the packing-related guarantees on one instance.
 
     If every minor of mult(space) packs, the space must admit a
@@ -696,7 +691,7 @@ def replication_tau2_report(
     violating: Optional[MinorSpec] = None
     has_packing: Optional[bool] = None
     try:
-        violating = has_packing_property(cl, budget=packing_budget)
+        violating = has_packing_property(cl)
         has_packing = violating is None
     except BudgetExceeded as exc:
         notes.append(f"packing sweep out of budget: {exc}")
@@ -706,7 +701,7 @@ def replication_tau2_report(
         )
     ideal: Optional[bool] = None
     try:
-        ideal = is_ideal(cl, max_ground=max_ground).integral
+        ideal = is_ideal(cl).integral
     except TooLarge as exc:
         notes.append(f"idealness out of budget: {exc}")
     mnp: Optional[bool] = None
@@ -718,7 +713,7 @@ def replication_tau2_report(
         else:
             # the root sweep passed the budget on a ground one element larger
             mnp = all(
-                has_packing_property(minor(cl, spec), budget=packing_budget) is None
+                has_packing_property(minor(cl, spec)) is None
                 for label in cl.ground
                 for spec in (MinorSpec(delete={label}), MinorSpec(contract={label}))
             )
@@ -887,18 +882,6 @@ def _ideal_condition(cl: Clutter, max_ground: int) -> tuple[Optional[bool], str,
         )
         return None, method, None
     return cert.integral, "exact extreme-point enumeration", cert
-
-
-def _search_minors(
-    cl: Clutter, names: Sequence[str], budget: Optional[int]
-) -> Iterator[tuple[str, Any]]:
-    """Each named target with its find_minor outcome, one at a time: the hit,
-    None when the minor is absent, or the BudgetExceeded the search raised."""
-    for name in names:
-        try:
-            yield name, find_minor(cl, builtin(name), budget=budget)
-        except BudgetExceeded as exc:
-            yield name, exc
 
 
 def _mfmc_condition(

@@ -5,7 +5,9 @@ syntactic. Beyond construction and point enumeration the module provides the
 operations that preserve or decompose multipartite structure — products,
 coordinate projections, box restrictions, zero-constrained minors — and the
 two structured-basis detectors: a basis of pairwise disjoint supports, and a
-sunflower basis (shared head block, private tail blocks).
+sunflower basis (shared head block, private tail blocks). The detectors
+read the matroid of the space; `matroid` builds on this module, so they
+import it when called.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import matroid as matroid_mod
 from .errors import (
     BadIndex,
     DimensionMismatch,
@@ -428,8 +429,10 @@ def disjoint_support_basis(space: Subspace) -> Optional[tuple[Point, ...]]:
     disjoint; the basis takes the unique (up to scale) point on each minimal
     support. Verified by re-spanning before returning.
     """
-    m = matroid_mod.matroid_of(space)
-    if matroid_mod.intersecting_circuits(m) is not None:
+    from .matroid import intersecting_circuits, matroid_of
+
+    m = matroid_of(space)
+    if intersecting_circuits(m) is not None:
         return None
     rows = [_support_line(space, circuit) for circuit in sorted(m.circuits, key=min)]
     if len(rows) != space.dim or span(space.field, space.n, rows) != space:
@@ -510,15 +513,17 @@ def sunflower_basis(space: Subspace) -> Optional[SunflowerWitness]:
     NotConnectedComponent when the space splits into factors or has an
     always-zero coordinate; call on factors first.
     """
-    m = matroid_mod.matroid_of(space)
-    report = matroid_mod.classify(m)
+    from .matroid import classify, matroid_of, series_classes
+
+    m = matroid_of(space)
+    report = classify(m)
     if len(report.components) != 1 or report.kinds[0] == "coloop":
         raise NotConnectedComponent(
             "space is not a single circuit-connected component; factor it first"
         )
     if report.kinds[0] != "subdivision":
         return None
-    classes = matroid_mod.series_classes(m)
+    classes = series_classes(m)
     head = frozenset(classes[0])
     # each line is 1 at coordinate 0: validate's shared-head check tests proportionality
     rows = tuple(_support_line(space, head | frozenset(cls)) for cls in classes[1:])
@@ -534,10 +539,10 @@ def factor(space: Subspace) -> list[tuple[tuple[int, ...], Subspace]]:
     always-zero coordinates become singleton {0} factors. The factorization
     is verified by re-multiplying before returning.
     """
-    m = matroid_mod.matroid_of(space)
-    comps = matroid_mod.components(m)
+    from .matroid import components, matroid_of
+
     out: list[tuple[tuple[int, ...], Subspace]] = []
-    for comp in comps:
+    for comp in components(matroid_of(space)):
         drop = [i for i in range(space.n) if i not in comp]
         out.append((comp, project(space, drop) if drop else space))
     rebuilt = out[0][1]

@@ -72,6 +72,35 @@ def test_package_code_has_no_assert_statements():
     assert found == []
 
 
+def _package_imports_in_functions(node: ast.AST, function: str = "") -> list[tuple[str, str]]:
+    """(enclosing function, module) for each package import inside a function body."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _package_imports_in_functions(child, child.name)
+            continue
+        if function and isinstance(child, ast.ImportFrom):
+            if child.level or (child.module or "").split(".")[0] == "clutterforge":
+                found.append((function, child.module or ""))
+        elif function and isinstance(child, ast.Import):
+            found += [(function, a.name) for a in child.names if a.name.split(".")[0] == "clutterforge"]
+        found += _package_imports_in_functions(child, function)
+    return found
+
+
+def test_package_imports_sit_at_module_level_but_the_vspace_detectors():
+    # matroid builds on vspace, so only vspace's structured-basis detectors import it when called
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [(path.stem, function, module) for function, module in _package_imports_in_functions(tree)]
+    assert sorted(found) == [
+        ("vspace", "disjoint_support_basis", "matroid"),
+        ("vspace", "factor", "matroid"),
+        ("vspace", "sunflower_basis", "matroid"),
+    ]
+
+
 def test_sweep_output_is_unchanged_under_optimize_flag():
     argv = ["-m", "clutterforge.cli", "sweep", "--q", "3", "--n", "2", "--theorem", "1.1",
             "--jobs", "2", "--json"]

@@ -32,6 +32,7 @@ from clutterforge.errors import (
     TooLarge,
     VerificationFailure,
 )
+from clutterforge.matroid import _gf2_dependencies
 from clutterforge.polyhedral import (
     INFINITY,
     IdealnessCertificate,
@@ -48,7 +49,6 @@ from clutterforge.polyhedral import (
     _full_rank,
     _gcd_reduce,
     _failing_path,
-    _gf2_rank,
     _packs,
     _verify_extreme,
 )
@@ -433,7 +433,7 @@ class TestRankLadder:
             ncols = len(rows[0])
             masks = [sum(bit << j for j, bit in enumerate(row)) for row in rows]
             rank = fraction_rank(rows)
-            gf2 = _gf2_rank(masks, ncols)
+            gf2 = _gf2_dependencies(masks).count(0)
             assert gf2 == mod2_rank(rows) <= rank
             assert _bareiss(rows, ncols)[0] == rank
             assert _full_rank(masks, (1 << ncols) - 1) is (rank == ncols)
