@@ -18,7 +18,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 import sys
 from typing import Any, Optional, Sequence, TextIO
 
@@ -44,7 +43,6 @@ from .gf import build_field
 from .matroid import TARGETS, circuits_isomorphic, classify, matroid_of, series_classes
 from .polyhedral import MAX_POLY_GROUND
 from .verify import (
-    DEFAULT_ENUM_BUDGET,
     _factor_pieces,
     _ideal_condition,
     _mfmc_condition,
@@ -69,16 +67,6 @@ _WITNESS_BUILDERS = {
 }
 
 _MINOR_TARGET_NAMES = ("delta3", "q6", "c5sq")
-
-
-def _env_budget() -> Optional[int]:
-    raw = os.environ.get("CLUTTERFORGE_BUDGET")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParseError(f"CLUTTERFORGE_BUDGET must be an integer, got {raw!r}") from exc
 
 
 def _read_text(path: str) -> str:
@@ -257,7 +245,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         ok, detail = _check_certificate(space, args.check_cert)
         _emit(args, {"instance": instance_id(space), "check": ok, "detail": detail}, [detail])
         return EXIT_OK if ok else EXIT_ERROR
-    budget = args.budget if args.budget is not None else _env_budget()
     run_all = not (args.ideal or args.mfmc or args.minors or args.structure)
     ideal, mfmc, minors, structure = (
         run_all or wanted for wanted in (args.ideal, args.mfmc, args.minors, args.structure)
@@ -272,11 +259,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines += txt
         unknown |= report["ideal"]["verdict"] is None
     if mfmc:
-        report["mfmc"], txt = _analysis_mfmc(cl, basis is not None, budget)
+        report["mfmc"], txt = _analysis_mfmc(cl, basis is not None, args.budget)
         lines += txt
         unknown |= report["mfmc"]["verdict"] is None
     if minors:
-        report["minors"], txt = _analysis_minors(cl, budget)
+        report["minors"], txt = _analysis_minors(cl, args.budget)
         lines += txt
         unknown |= None in report["minors"].values()
     if structure:
@@ -335,16 +322,14 @@ def cmd_witness(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    budget = args.budget if args.budget is not None else _env_budget()
     swept = sweep_theorem(
         args.q,
         args.n,
         args.theorem,
         jobs=args.jobs,
-        enum_budget=DEFAULT_ENUM_BUDGET if budget is None else budget,
         max_ground=args.max_ground,
-        minor_budget=budget,
-        packing_budget=budget,
+        minor_budget=args.budget,
+        packing_budget=args.budget,
     )
     reports = [r.to_dict() for r in swept]
     total = len(reports)
@@ -504,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--mfmc", action="store_true", help="covering = packing at all weights")
     p_an.add_argument("--minors", action="store_true", help="search the named forbidden minors")
     p_an.add_argument("--structure", action="store_true", help="bases, factors, series classes")
-    p_an.add_argument("--budget", type=int, default=None, help="search budget override")
+    p_an.add_argument("--budget", type=int, default=None, help="minor and packing budget, as 3^|ground|")
     p_an.add_argument("--max-ground", type=int, default=MAX_POLY_GROUND, help="polyhedral ground cap")
     p_an.add_argument("--check-cert", metavar="CERT", default=None,
                       help="re-validate a previously emitted minor certificate")
@@ -524,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--theorem", required=True, help="statement id: 1.1, 1.2, 1.3, or 1.4")
     p_sw.add_argument("--out", default=None, help="write CSV/JSON to this file")
     p_sw.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p_sw.add_argument("--budget", type=int, default=None, help="search budget override")
+    p_sw.add_argument("--budget", type=int, default=None, help="minor and packing budget, as 3^|ground|")
     p_sw.add_argument("--max-ground", type=int, default=MAX_POLY_GROUND, help="polyhedral ground cap")
     p_sw.set_defaults(func=cmd_sweep)
 

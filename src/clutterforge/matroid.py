@@ -28,7 +28,7 @@ from .errors import (
 from .vspace import Subspace, _require_subspace
 
 MAX_GROUND = 16
-DEFAULT_MINOR_BUDGET = 2_000_000
+MINOR_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,11 @@ class CircuitMatroid:
         return len(indep)
 
 
+def _require_matroid(m: object) -> None:
+    if not isinstance(m, CircuitMatroid):
+        raise WrongType(f"expected a CircuitMatroid, got {type(m).__name__}")
+
+
 def matroid_of(space: Subspace) -> CircuitMatroid:
     """Matroid whose circuits are the minimal supports of the space's nonzero points.
 
@@ -115,6 +120,7 @@ def matroid_minor(m: CircuitMatroid, delete: frozenset[int] = frozenset(), contr
     circuits inside the contracted set, which would leave the empty set, are
     dropped. The result is re-validated against the circuit axioms.
     """
+    _require_matroid(m)
     try:
         delete = frozenset(delete)
         contract = frozenset(contract)
@@ -142,6 +148,7 @@ def components(m: CircuitMatroid) -> tuple[tuple[int, ...], ...]:
     Elements in no circuit are their own (coloop) components; other elements
     are joined whenever they share a circuit.
     """
+    _require_matroid(m)
     parent = list(range(m.size))
 
     def find(x: int) -> int:
@@ -308,26 +315,25 @@ def circuits_isomorphic(m1: CircuitMatroid, m2: CircuitMatroid) -> Optional[dict
     Clutter isomorphism of the two circuit families; grounds above 20
     elements raise TooLarge.
     """
+    _require_matroid(m1)
+    _require_matroid(m2)
     return is_isomorphic(_circuit_clutter(m1), _circuit_clutter(m2))
 
 
-def has_minor(
-    m: CircuitMatroid, target: str, budget: Optional[int] = None
-) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+def has_minor(m: CircuitMatroid, target: str) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """Exhaustive search for a named minor (A3, U24, MK4e, MK4).
 
     Returns a (delete, contract) witness pair or None. A3 absence is decided
     by the shortcut that an A3 minor exists exactly when two distinct
     circuits intersect, so only the present case is searched. Raises
     TooLarge beyond ground size 16 and BudgetExceeded when the count of
-    (delete, contract) splits overruns the budget. The search is the clutter
+    (delete, contract) splits overruns MINOR_BUDGET. The search is the clutter
     minor search on the circuits: a clutter minor deleting D and contracting
     T is a target only when no circuit lies inside T, and is then the
     circuit family of the matroid minor; every matroid minor has such a
     presentation with T independent.
     """
-    if budget is not None:
-        _require_int(budget, "minor budget")
+    _require_matroid(m)
     t = _target(target)
     k = t.size
     n = m.size
@@ -339,9 +345,8 @@ def has_minor(
         return None
     free = n - k
     total = math.comb(n, free) * 2 ** free
-    limit = DEFAULT_MINOR_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceeded(f"minor search needs {total} candidates, budget is {limit}")
+    if total > MINOR_BUDGET:
+        raise BudgetExceeded(f"minor search needs {total} candidates, budget is {MINOR_BUDGET}")
     hit = find_minor(_circuit_clutter(m), _circuit_clutter(t), budget=3 ** n)
     return None if hit is None else (hit[0].delete, hit[0].contract)
 
@@ -350,6 +355,7 @@ def intersecting_circuits(
     m: CircuitMatroid,
 ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """First pair of distinct circuits with nonempty intersection, or None."""
+    _require_matroid(m)
     for a, b in itertools.combinations(m.circuits, 2):
         if a & b:
             return a, b

@@ -32,6 +32,7 @@ from .clutter import (
 )
 from .errors import (
     BudgetExceeded,
+    DimensionMismatch,
     PreconditionViolated,
     TooLarge,
     VerificationFailure,
@@ -65,13 +66,17 @@ from .vspace import (
     sunflower_basis,
 )
 
-DEFAULT_ENUM_BUDGET = 1_000_000
+ENUM_BUDGET = 1_000_000
 
 THEOREM_IDS = ("1.1", "1.2", "1.3", "1.4")
 
 
 def gaussian_binomial(n: int, r: int, q: int) -> int:
     """Number of r-dimensional subspaces of an n-dimensional space over GF(q)."""
+    for value, what in ((n, "dimension"), (r, "subspace dimension"), (q, "field order")):
+        _require_int(value, what)
+    if q < 2:
+        raise PreconditionViolated(f"field order must be at least 2, got {q}")
     if r < 0 or r > n:
         return 0
     num = 1
@@ -86,22 +91,24 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
 
 def count_subspaces(q: int, n: int) -> int:
     """Total number of subspaces of GF(q)^n across all dimensions."""
+    _require_int(n, "dimension")
     return sum(gaussian_binomial(n, r, q) for r in range(n + 1))
 
 
-def enumerate_subspaces(q: int, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[Subspace]:
+def enumerate_subspaces(q: int, n: int) -> Iterator[Subspace]:
     """Every subspace of GF(q)^n exactly once, by sweeping RREF matrices.
 
     For each dimension r and each choice of pivot columns, the free entries
     (right of the row's pivot, outside pivot columns) range over the field.
     Deterministic order: dimension ascending, then pivots, then entries.
+    More than ENUM_BUDGET subspaces raise BudgetExceeded.
     """
-    for value, what in ((q, "field order"), (n, "dimension"), (budget, "enumeration budget")):
-        _require_int(value, what)
-    total = count_subspaces(q, n)
-    if total > budget:
-        raise BudgetExceeded(f"{total} subspaces of GF({q})^{n} exceeds the budget {budget}")
     field = build_field(q)
+    total = count_subspaces(q, n)
+    if n < 1:
+        raise DimensionMismatch(f"ambient dimension must be >= 1, got {n}")
+    if total > ENUM_BUDGET:
+        raise BudgetExceeded(f"{total} subspaces of GF({q})^{n} exceeds the budget {ENUM_BUDGET}")
     for r in range(n + 1):
         for pivots in itertools.combinations(range(n), r):
             pivot_set = set(pivots)
@@ -130,6 +137,7 @@ def _is_power_of_two(q: int) -> bool:
 
 def instance_id(space: Subspace) -> str:
     """One-line canonical description of a subspace (field, shape, RREF rows)."""
+    _require_subspace(space)
     rows = ";".join(",".join(str(v) for v in row) for row in space.basis)
     return f"GF({space.q})^{space.n} dim={space.dim} [{rows}]"
 
@@ -1144,7 +1152,6 @@ def sweep_theorem(
     which: Any,
     *,
     jobs: int = 1,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
     **kwargs: Any,
 ) -> list[TheoremReport]:
     """verify_theorem's verdicts on every subspace of GF(q)^n, in enumeration order.
@@ -1165,7 +1172,7 @@ def sweep_theorem(
     processes; the reports are the same as with jobs=1.
     """
     _require_int(jobs, "job count")
-    spaces = list(enumerate_subspaces(q, n, budget=enum_budget))
+    spaces = list(enumerate_subspaces(q, n))
     _check_field_class(_normalize_theorem_id(which), q)  # fail before the orbit search
     orbits = monomial_orbits(spaces)
     reps = [k for k, (r, _) in enumerate(orbits) if r == k]

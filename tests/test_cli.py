@@ -339,23 +339,18 @@ class TestSweep:
         assert "NotPrimePower" in err
 
     def test_tiny_budget_reports_unknown(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--q", 3, "--n", 2, "--theorem", "1.1", "--budget", 5
+        # --budget bounds the minor and packing searches, not the enumeration
+        code, out, _ = run_cli(
+            capsys, "sweep", "--q", 3, "--n", 4, "--theorem", "1.4", "--budget", 81, "--json"
         )
-        assert code == EXIT_UNKNOWN
-        assert err.startswith("UNKNOWN:")
-
-    def test_budget_environment_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("CLUTTERFORGE_BUDGET", "5")
-        code, _, err = run_cli(capsys, "sweep", "--q", 3, "--n", 2, "--theorem", "1.1")
-        assert code == EXIT_UNKNOWN
-        assert err.startswith("UNKNOWN:")
-
-    def test_bad_budget_environment_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("CLUTTERFORGE_BUDGET", "xyz")
-        code, _, err = run_cli(capsys, "sweep", "--q", 3, "--n", 2, "--theorem", "1.1")
-        assert code == EXIT_ERROR
-        assert "ParseError" in err
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["total"] == len(data["reports"]) == 212
+        assert data["disagreements"] == 0
+        unknown_iii = [r for r in data["reports"] if "iii" in r["unknown"]]
+        assert unknown_iii
+        for report in unknown_iii:
+            assert report["methods"]["iii"].startswith("unknown: minor search out of budget")
 
 
 class TestLocalize:

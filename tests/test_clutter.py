@@ -316,7 +316,7 @@ class TestProduct:
         assert frozenset({(0, 1), (0, 2), (1, 1), (1, 2)}) in c.member_sets()
 
     def test_part_shift_matches_space_product(self):
-        subs = list(enumerate_subspaces(3, 2, budget=100))
+        subs = list(enumerate_subspaces(3, 2))
         assert len(subs) == 6
         for s1, s2 in itertools.product(subs, repeat=2):
             assert product(mult(s1), mult(s2)) == mult(space_product(s1, s2))

@@ -35,7 +35,18 @@ from clutterforge.graphs import (
     has_K4e_graph_minor,
     is_subdivision_of_At,
 )
-from clutterforge.matroid import TARGETS, CircuitMatroid, has_minor, matroid_minor, matroid_of
+from clutterforge.matroid import (
+    TARGETS,
+    CircuitMatroid,
+    circuits_isomorphic,
+    classify,
+    components,
+    has_minor,
+    intersecting_circuits,
+    matroid_minor,
+    matroid_of,
+    series_classes,
+)
 from clutterforge.polyhedral import (
     extreme_point_witness,
     extreme_points,
@@ -46,7 +57,14 @@ from clutterforge.polyhedral import (
     packs,
     tau,
 )
-from clutterforge.verify import enumerate_subspaces, sweep_theorem, verify_theorem
+from clutterforge.verify import (
+    count_subspaces,
+    enumerate_subspaces,
+    gaussian_binomial,
+    instance_id,
+    sweep_theorem,
+    verify_theorem,
+)
 from clutterforge.vspace import Subspace, factor, parse_subspace, project, restrict, span
 
 PACKAGE_DIR = Path(clutterforge.__file__).parent
@@ -218,11 +236,9 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: localization(span(build_field(3), 2, [(1, 1)]), (True, 0)), ValueError),
         (lambda: parse_subspace('{"q": 3, "n": 2, "generators": [[true, 0]]}'), ValueError),
         (lambda: find_minor(builtin("q6"), builtin("delta3"), budget="729"), TypeError),
-        (lambda: has_minor(TARGETS["U24"], "A3", budget=1.5), TypeError),
         (lambda: is_ideal(builtin("delta3"), max_ground="14"), TypeError),
         (lambda: extreme_points(builtin("delta3"), max_ground=14.0), TypeError),
         (lambda: list(enumerate_subspaces("3", 2)), TypeError),
-        (lambda: list(enumerate_subspaces(3, 2, budget="9")), TypeError),
         (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.1", minor_budget="9"), TypeError),
         (lambda: sweep_theorem(3, 2, "1.1", jobs=2.0), TypeError),
         (lambda: span(build_field(3), 2, [(1, 1)]).points(cap="9"), TypeError),
@@ -231,6 +247,23 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: matroid_minor(TARGETS["A3"], frozenset({True})), TypeError),
         (lambda: project(span(build_field(3), 2, [(1, 1)]), [True]), ValueError),
         (lambda: restrict(span(build_field(3), 2, [(1, 1)]), [{True}, {0}]), ValueError),
+        (lambda: list(enumerate_subspaces(1, 2)), ValueError),
+        (lambda: sweep_theorem(1, 2, "1.1"), ValueError),
+        (lambda: sweep_theorem(3, -1, "1.1"), ValueError),
+        (lambda: gaussian_binomial(2, 1, 1), ValueError),
+        (lambda: count_subspaces(1, 2), ValueError),
+        (lambda: gaussian_binomial("3", 1, 2), TypeError),
+        (lambda: count_subspaces("3", 2), TypeError),
+        (lambda: count_subspaces(3, "2"), TypeError),
+        (lambda: has_minor("x", "A3"), TypeError),
+        (lambda: classify("x"), TypeError),
+        (lambda: series_classes("x"), TypeError),
+        (lambda: components("x"), TypeError),
+        (lambda: circuits_isomorphic("x", TARGETS["A3"]), TypeError),
+        (lambda: circuits_isomorphic(TARGETS["A3"], "x"), TypeError),
+        (lambda: matroid_minor("x"), TypeError),
+        (lambda: intersecting_circuits("x"), TypeError),
+        (lambda: instance_id("x"), TypeError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
          "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sweep",
@@ -247,11 +280,18 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
          "format-clutter-not-a-clutter", "verify-theorem-not-a-subspace",
          "matroid-of-not-a-subspace", "matroid-of-unhashable", "factor-not-a-subspace",
          "span-entry-bool", "localization-entry-bool", "json-entry-bool", "find-minor-budget-str",
-         "has-minor-budget-float", "is-ideal-ground-cap-str", "extreme-points-ground-cap-float",
-         "enumerate-subspaces-order-str", "enumerate-subspaces-budget-str",
+         "is-ideal-ground-cap-str", "extreme-points-ground-cap-float",
+         "enumerate-subspaces-order-str",
          "verify-theorem-minor-budget-str", "sweep-jobs-float", "points-cap-str",
          "packing-budget-bool", "mfmc-bound-bool", "minor-element-bool", "project-coordinate-bool",
-         "restrict-box-value-bool"],
+         "restrict-box-value-bool", "enumerate-subspaces-order-one", "sweep-order-one",
+         "sweep-dimension-negative", "gaussian-binomial-order-one", "count-subspaces-order-one",
+         "gaussian-binomial-order-str", "count-subspaces-order-str", "count-subspaces-dimension-str",
+         "has-minor-not-a-matroid",
+         "classify-not-a-matroid", "series-classes-not-a-matroid", "components-not-a-matroid",
+         "circuits-isomorphic-first-not-a-matroid", "circuits-isomorphic-second-not-a-matroid",
+         "matroid-minor-not-a-matroid", "intersecting-circuits-not-a-matroid",
+         "instance-id-not-a-subspace"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

@@ -8,6 +8,7 @@ import pytest
 
 from clutterforge.errors import BadIndex, BudgetExceeded, OverlapError, TooLarge
 from clutterforge.matroid import (
+    MINOR_BUDGET,
     TARGETS,
     CircuitMatroid,
     StructureReport,
@@ -311,14 +312,13 @@ class TestHasMinor:
         minor = matroid_minor(TARGETS["MK4e"], delete, contract)
         assert circuits_isomorphic(minor, TARGETS["A3"]) is not None
 
-    def test_budget(self, u24):
-        big = CircuitMatroid(12, ())
+    def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            has_minor(big, "U24", budget=3)
+            has_minor(CircuitMatroid(16, ()), "U24")
 
     def test_budget_message_states_the_budget_applied(self):
-        with pytest.raises(BudgetExceeded, match="needs 160 candidates, budget is 0$"):
-            has_minor(TARGETS["MK4"], "A3", budget=0)
+        with pytest.raises(BudgetExceeded, match=f"needs 3075072 candidates, budget is {MINOR_BUDGET}$"):
+            has_minor(CircuitMatroid(15, ()), "MK4e")
 
     def test_too_large(self):
         with pytest.raises(TooLarge):

@@ -122,7 +122,7 @@ class TestEnumeration:
 
     def test_budget_raises(self):
         with pytest.raises(BudgetExceeded):
-            list(enumerate_subspaces(3, 4, budget=100))
+            list(enumerate_subspaces(2, 9))
 
     def test_dimension_order(self):
         dims = [s.dim for s in enumerate_subspaces(2, 2)]
