@@ -14,17 +14,15 @@ usage errors (including failed certificate checks and sweep disagreements),
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
 import sys
-from typing import Any, Optional, Sequence, TextIO
+from typing import Any, Optional, Sequence
 
 from .clutter import (
     Clutter,
     builtin,
-    compose_chain,
     find_minor,
     format_minor_certificate,
     localization,
@@ -43,6 +41,7 @@ from .gf import build_field
 from .matroid import TARGETS, circuits_isomorphic, classify, matroid_of, series_classes
 from .polyhedral import MAX_POLY_GROUND
 from .verify import (
+    _chain_certificate,
     _factor_pieces,
     _ideal_condition,
     _mfmc_condition,
@@ -77,6 +76,14 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PreconditionViolated(f"cannot write {path}: {exc}") from exc
+
+
 def _parse_alpha(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.replace(" ", "").split(",") if t != "")
@@ -91,10 +98,14 @@ def _fmt_verdict(value: Optional[bool]) -> str:
 
 
 def _emit(
-    args: argparse.Namespace, data: dict[str, Any], lines: list[str], file: Optional[TextIO] = None
+    args: argparse.Namespace, data: dict[str, Any], lines: list[str], out: Optional[str] = None
 ) -> None:
-    """Print the JSON object under --json, else the text lines, to file or else stdout."""
-    print(json.dumps(data) if args.json else "\n".join(lines), file=file)
+    """Print the JSON object under --json, else the text lines, to stdout or else the file out."""
+    text = json.dumps(data) if args.json else "\n".join(lines)
+    if out:
+        _write_text(out, text + "\n")
+    else:
+        print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +298,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
         if args.alpha or args.seed is not None:
             raise ParseError(f"--alpha/--seed apply only to c5sq, not {args.kind}")
         chain = builder(space)
-    composed = compose_chain(chain)
     # the builders replay internally; this is belt and braces
-    found = replay_minor(mult(space), composed, target_name)
+    _, composed, found = _chain_certificate(mult(space), chain, target_name)
     cert_line = format_minor_certificate(composed, {e: t for t, e in found.items()})
     cert_text = (
         f"# minor certificate (re-check with: analyze <instance> --check-cert <this file>)\n"
@@ -298,8 +308,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         f"{cert_line}\n"
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(cert_text)
+        _write_text(args.out, cert_text)
     data = {
         "instance": instance_id(space),
         "kind": args.kind,
@@ -365,8 +374,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     rows.write(f"# total={total} disagreements={disagreements} unknown_verdicts={unknowns}")
     lines = [rows.getvalue()]  # one chunk: the CSV rows and the summary line
-    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as fh:
-        _emit(args, data, lines, fh)
+    _emit(args, data, lines, args.out)
     return EXIT_OK if disagreements == 0 else EXIT_ERROR
 
 

@@ -197,34 +197,43 @@ def _find_completion(
     return None
 
 
-def _triple_chain(
-    coords: Sequence[int],
-    boxes: Mapping[int, Sequence[int]],
-    a: Mapping[int, int],
-    b: Mapping[int, int],
-    c: Mapping[int, int],
-    i: int,
-    j: int,
-    k: int,
-) -> tuple[MinorSpec, MinorSpec]:
-    """The two-step minor extracting a triangle from a blocked triple.
+def _blocked_triple_chain(
+    space: Subspace, points: Sequence[Point], boxes: Sequence[Sequence[int]],
+    a: Point, b: Point, c: Point, i: int, j: int, k: int, prefix: tuple[MinorSpec, ...] = (),
+) -> tuple[MinorSpec, ...]:
+    """The verified triangle minor chain of a blocked triple: prefix, then two steps.
 
-    Step one deletes every element outside the triple's value box and
-    contracts the box elements of the coordinates other than i, j, k; step
-    two contracts the three "odd one out" values. When no completion point
-    exists, replaying the chain leaves the triangle on (i, a_i), (j, b_j),
-    (k, c_k).
+    The triple must hold the cyclic agreement pattern and have no completion
+    point among points. Step one deletes the elements of boxes (one value
+    list per coordinate) outside the triple's value box and contracts the
+    box elements of the coordinates other than i, j, k; step two contracts
+    the three "odd one out" values, leaving the triangle on (i, a_i),
+    (j, b_j), (k, c_k). The whole chain is replayed before being returned.
     """
-    allowed = {p: {a[p], b[p], c[p]} for p in coords}
-    delete = frozenset(
-        (p, v) for p in coords for v in boxes[p] if v not in allowed[p]
-    )
-    contract = frozenset(
-        (p, v) for p in coords if p not in (i, j, k) for v in allowed[p]
-    )
-    first = MinorSpec(delete, contract)
-    second = MinorSpec(contract=frozenset({(i, c[i]), (j, a[j]), (k, b[k])}))
-    return first, second
+    if not _star_holds(a, b, c, i, j, k):
+        raise VerificationFailure("constructed triple fails the cyclic agreement pattern")
+    if _find_completion(points, a, b, c, i, j, k) is not None:
+        raise VerificationFailure("unexpected completion point: the triple is not blocked")
+    allowed = [{a[p], b[p], c[p]} for p in range(space.n)]
+    delete = frozenset((p, v) for p, box in enumerate(boxes) for v in box if v not in allowed[p])
+    contract = frozenset((p, v) for p in range(space.n) if p not in (i, j, k) for v in allowed[p])
+    odd = frozenset({(i, c[i]), (j, a[j]), (k, b[k])})
+    chain = prefix + (MinorSpec(delete, contract), MinorSpec(contract=odd))
+    replay_minor(mult(space), compose_chain(chain), "delta3")
+    return chain
+
+
+def _chain_certificate(
+    cl: Clutter, chain: Sequence[MinorSpec], name: str
+) -> tuple[str, MinorSpec, dict]:
+    """A constructive chain as a minor certificate: (name, spec, target -> ground map).
+
+    The chain's steps are composed into one delete/contract spec and replayed
+    against the named target, so the certificate has the shape of a search
+    hit and replays the same way.
+    """
+    spec = compose_chain(chain)
+    return name, spec, replay_minor(cl, spec, name)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +253,7 @@ def triple_condition_probe(
     None. When mult(space) has no triangle minor, a completion always exists;
     absence of one certifies that the two-step triangle chain succeeds.
     """
+    _require_subspace(space)
     pa = _validate_point(space, a, "a")
     pb = _validate_point(space, b, "b")
     pc = _validate_point(space, c, "c")
@@ -278,6 +288,7 @@ def delta3_witness_u24(space: Subspace) -> tuple[MinorSpec, ...]:
     triangle; it is replayed and checked against the triangle before being
     returned.
     """
+    _require_subspace(space)
     f = space.field
     if not _is_power_of_two(f.q):
         raise WrongField(f"construction needs characteristic 2, got GF({f.q})")
@@ -296,16 +307,8 @@ def delta3_witness_u24(space: Subspace) -> tuple[MinorSpec, ...]:
     a = f.vec_scale(f.mul(f.inv(x), z), v1)
     b = v2
     c = f.vec_add(a, b)
-    i, j, k = 2, 1, 0
-    if not _star_holds(a, b, c, i, j, k):
-        raise VerificationFailure("constructed triple fails the cyclic agreement pattern")
-    if _find_completion(sorted(space.points()), a, b, c, i, j, k) is not None:
-        raise VerificationFailure("unexpected completion point: the triple is not blocked")
-    coords = range(4)
-    boxes = {p: range(f.q) for p in coords}
-    chain = _triple_chain(coords, boxes, a, b, c, i, j, k)
-    replay_minor(mult(space), compose_chain(chain), "delta3")
-    return chain
+    boxes = [range(f.q)] * 4
+    return _blocked_triple_chain(space, sorted(space.points()), boxes, a, b, c, 2, 1, 0)
 
 
 def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
@@ -318,6 +321,7 @@ def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
     two-step triangle extraction on a blocked triple inside it; the chain is
     replayed and checked against the triangle before being returned.
     """
+    _require_subspace(space)
     f = space.field
     q = f.q
     if not _is_power_of_two(q) or q < 4:
@@ -381,15 +385,7 @@ def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
     for name, pt in (("a", a), ("b", b), ("c", c)):
         if pt not in system.points:
             raise VerificationFailure(f"constructed point {name}={pt} left the box")
-    i, j, k = c3, c5, c4
-    if not _star_holds(a, b, c, i, j, k):
-        raise VerificationFailure("constructed triple fails the cyclic agreement pattern")
-    if _find_completion(system.points, a, b, c, i, j, k) is not None:
-        raise VerificationFailure("unexpected completion point inside the box")
-    box_map = {p: boxes[p] for p in range(5)}
-    chain = (spec0,) + _triple_chain(range(5), box_map, a, b, c, i, j, k)
-    replay_minor(mult(space), compose_chain(chain), "delta3")
-    return chain
+    return _blocked_triple_chain(space, system.points, boxes, a, b, c, c3, c5, c4, (spec0,))
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +439,10 @@ def c5sq_witness(
 
     alpha defaults to the lexicographically smallest point outside the
     space; the remaining free value choices default to the smallest valid
-    field elements. Passing rng (a seed or a random.Random) randomizes every
-    free choice instead.
+    field elements. Passing rng (an int seed or a random.Random) randomizes
+    every free choice instead; anything else raises WrongType.
     """
+    _require_subspace(space)
     f = space.field
     q = f.q
     if not _is_power_of_two(q) or q <= 4:
@@ -459,7 +456,8 @@ def c5sq_witness(
         raise WrongShape(
             "matroid mismatch: the minimal supports must be all 2-subsets of the coordinates"
         )
-    if isinstance(rng, int):
+    if rng is not None and not isinstance(rng, random.Random):
+        _require_int(rng, "rng seed")
         rng = random.Random(rng)
     if alpha is None:
         alpha = _pick(
@@ -568,6 +566,7 @@ def localization_profile(space: Subspace, alpha: Sequence[int]) -> LocalizationP
     VerificationFailure. Members of size >= 3 are reported as-is, after
     checking each satisfies the membership sum rule.
     """
+    _require_subspace(space)
     f = space.field
     q = f.q
     n = space.n
@@ -988,7 +987,7 @@ def verify_theorem(
         # the exhaustive search is out of reach; the constructive chain
         # settles presence cheaply whenever the shape admits it
         try:
-            found = ("c5sq", c5sq_witness(space), None)
+            found = _chain_certificate(cl, c5sq_witness(space), "c5sq")
         except (WrongField, WrongShape):
             found = None
     cond_iii: Optional[bool]
@@ -1091,10 +1090,6 @@ def _replay_cond_i(cl: Clutter, moved: Any, source: Clutter, sigma: Mapping) -> 
 def _replay_cond_iii(cl: Clutter, found: tuple, sigma: Mapping) -> tuple:
     """A condition (iii) minor certificate, mapped through sigma and replayed on cl."""
     name, how, mapping = found
-    if mapping is None:  # a constructive witness chain
-        chain = tuple(_map_spec(spec, sigma) for spec in how)
-        replay_minor(cl, compose_chain(chain), name)
-        return name, chain, None
     spec = _map_spec(how, sigma)
     mapping = replay_minor(cl, spec, name, {x: sigma[e] for x, e in mapping.items()})
     return name, spec, mapping

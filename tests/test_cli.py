@@ -279,6 +279,13 @@ class TestWitness:
         assert first == second
         assert first[0] == EXIT_OK
 
+    def test_unwritable_out_is_one_error_line(self, capsys, gf4_u24, tmp_path):
+        cert = tmp_path / "missing" / "u24.cert"
+        code, out, err = run_cli(capsys, "witness", gf4_u24, "--kind", "u24", "--out", cert)
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith(f"error: PreconditionViolated: cannot write {cert}")
+        assert err.count("\n") == 1
+
     def test_json_steps(self, capsys, gf8_hyperplane):
         code, out, _ = run_cli(
             capsys, "witness", gf8_hyperplane, "--kind", "c5sq", "--json"
@@ -332,6 +339,15 @@ class TestSweep:
         assert code == EXIT_OK
         assert out == ""
         assert "# total=6 disagreements=0" in out_path.read_text(encoding="utf-8")
+
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--q", 2, "--n", 2, "--theorem", "1.4", "--out", out_path
+        )
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith(f"error: PreconditionViolated: cannot write {out_path}")
+        assert err.count("\n") == 1
 
     def test_non_prime_power_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--q", 6, "--n", 2, "--theorem", "1.1")

@@ -58,11 +58,16 @@ from clutterforge.polyhedral import (
     tau,
 )
 from clutterforge.verify import (
+    c5sq_witness,
     count_subspaces,
+    delta3_witness_k4e,
+    delta3_witness_u24,
     enumerate_subspaces,
     gaussian_binomial,
     instance_id,
+    localization_profile,
     sweep_theorem,
+    triple_condition_probe,
     verify_theorem,
 )
 from clutterforge.vspace import Subspace, factor, parse_subspace, project, restrict, span
@@ -264,6 +269,13 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: matroid_minor("x"), TypeError),
         (lambda: intersecting_circuits("x"), TypeError),
         (lambda: instance_id("x"), TypeError),
+        (lambda: c5sq_witness(span(build_field(8), 3, [(1, 0, 1), (0, 1, 1)]), rng=True), TypeError),
+        (lambda: c5sq_witness(span(build_field(8), 3, [(1, 0, 1), (0, 1, 1)]), rng="x"), TypeError),
+        (lambda: c5sq_witness("x"), TypeError),
+        (lambda: delta3_witness_u24("x"), TypeError),
+        (lambda: delta3_witness_k4e("x"), TypeError),
+        (lambda: triple_condition_probe("x", (0,), (1,), (2,), 0, 1, 2), TypeError),
+        (lambda: localization_profile("x", (0, 0, 0)), TypeError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
          "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sweep",
@@ -291,7 +303,9 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
          "classify-not-a-matroid", "series-classes-not-a-matroid", "components-not-a-matroid",
          "circuits-isomorphic-first-not-a-matroid", "circuits-isomorphic-second-not-a-matroid",
          "matroid-minor-not-a-matroid", "intersecting-circuits-not-a-matroid",
-         "instance-id-not-a-subspace"],
+         "instance-id-not-a-subspace", "c5sq-rng-bool", "c5sq-rng-str",
+         "c5sq-not-a-subspace", "u24-witness-not-a-subspace", "k4e-witness-not-a-subspace",
+         "triple-probe-not-a-subspace", "localization-profile-not-a-subspace"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

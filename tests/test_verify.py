@@ -26,6 +26,7 @@ from clutterforge.clutter import (
     find_minor,
     is_isomorphic,
     localization,
+    minor,
     mult,
 )
 from clutterforge.errors import (
@@ -39,6 +40,7 @@ from clutterforge.errors import (
 from clutterforge.gf import build_field
 from clutterforge.matroid import matroid_of, series_classes
 from clutterforge.polyhedral import IdealnessCertificate, is_ideal, mfmc_check, nu, tau
+import clutterforge.clutter as clutter_module
 import clutterforge.matroid as matroid_module
 import clutterforge.verify as verify_module
 import clutterforge.vspace as vspace_module
@@ -862,19 +864,9 @@ def replay_transported(space, report):
     if report.cond_iii is False and "iii" in report.certificates:
         name, how, mapping = report.certificates["iii"]
         target = builtin(name)
-        if mapping is None:
-            g, ms = ground, members
-            for spec in how:
-                g, ms = minor_by_definition(g, ms, spec.delete, spec.contract)
-            g = sorted(g)
-            assert any(
-                {frozenset(dict(zip(target.ground, perm))[x] for x in t) for t in target.member_sets()} == ms
-                for perm in itertools.permutations(g)
-            )
-        else:
-            g, ms = minor_by_definition(ground, members, how.delete, how.contract)
-            assert g == set(mapping.values())
-            assert ms == {frozenset(mapping[x] for x in t) for t in target.member_sets()}
+        g, ms = minor_by_definition(ground, members, how.delete, how.contract)
+        assert g == set(mapping.values())
+        assert ms == {frozenset(mapping[x] for x in t) for t in target.member_sets()}
 
 
 def orbits_by_brute_force(spaces):
@@ -1008,12 +1000,27 @@ class TestMonomialOrbits:
     def test_transport_refuses_a_wrong_witness_chain(self, f8):
         plane = span(f8, 3, [(1, 0, 2), (0, 1, 3)])
         report, source, sigma = self._orbit_case(plane, "1.3")
-        name, chain, mapping = report.certificates["iii"]
-        assert (name, mapping) == ("c5sq", None)
+        assert report.methods["iii"] == "constructive witness chain (replayed)"
+        name, spec, mapping = report.certificates["iii"]
+        assert name == "c5sq" and isinstance(spec, MinorSpec)
+        assert set(mapping) == set(builtin("c5sq").ground)
+        assert set(mapping.values()) == set(minor(source, spec).ground)
         verify_module._transport(report, source, sigma, plane)
-        short = dataclasses.replace(report, certificates={**report.certificates, "iii": (name, chain[:-1], None)})
-        with pytest.raises(VerificationFailure, match="not isomorphic to c5sq"):
-            verify_module._transport(short, source, sigma, plane)
+        short = MinorSpec(spec.delete, spec.contract - {min(spec.contract)})
+        moved = {**mapping, min(mapping): min(spec.delete)}
+        for cert in ((name, short, mapping), (name, spec, moved)):
+            bad = dataclasses.replace(report, certificates={**report.certificates, "iii": cert})
+            with pytest.raises(VerificationFailure):
+                verify_module._transport(bad, source, sigma, plane)
+
+    def test_transported_witness_chain_replays_on_its_map(self, f8, monkeypatch):
+        plane = span(f8, 3, [(1, 0, 2), (0, 1, 3)])
+        report, source, sigma = self._orbit_case(plane, "1.3")
+        searched = []
+        real = clutter_module.is_isomorphic
+        monkeypatch.setattr(clutter_module, "is_isomorphic", lambda *a: searched.append(a) or real(*a))
+        transported = verify_module._transport(report, source, sigma, plane)
+        assert transported.cond_iii is False and searched == []
 
 
 class TestCrossStatementInvariants:
