@@ -2,7 +2,7 @@
 
 A clutter is an antichain of subsets (members) of a finite ground set. The
 central construction is mult(S): the ground set has one part per coordinate,
-each part a disjoint copy of the allowed values there, and each point of S
+each part a disjoint copy of the field's values, and each point of S
 contributes the member that picks its value in every part. Ground elements
 are labels — (part, value) pairs for mult-derived clutters, opaque integers
 or strings otherwise — and members are stored as bitmasks over the ground
@@ -28,7 +28,7 @@ from .errors import (
     WrongType,
     _require_int,
 )
-from .vspace import SetSystem, Subspace, _validate_vector, restrict
+from .vspace import Subspace, _validate_vector
 
 Label = Hashable
 
@@ -170,32 +170,20 @@ class MinorSpec:
 # construction
 # ---------------------------------------------------------------------------
 
-def mult(obj: Union[Subspace, SetSystem]) -> Clutter:
-    """The multipartite clutter of a subspace or box-restricted point set.
+def mult(space: Subspace) -> Clutter:
+    """The multipartite clutter of a subspace.
 
     Ground: one part per coordinate, holding one labeled element (i, v) per
-    allowed value v there. Members: one per point, choosing the point's value
-    in every part.
+    value v of GF(q). Members: one per point, choosing the point's value in
+    every part.
     """
-    if isinstance(obj, Subspace):
-        coords = tuple(range(obj.n))
-        values = [tuple(range(obj.q))] * obj.n
-        points = obj.points(cap=MAX_MULT_POINTS)
-    elif isinstance(obj, SetSystem):
-        coords = obj.coords
-        values = [tuple(sorted(box)) for box in obj.boxes]
-        points = obj.points
-        if len(points) > MAX_MULT_POINTS:
-            raise TooLarge(f"{len(points)} points exceeds {MAX_MULT_POINTS}")
-    else:
-        raise WrongType(f"mult expects a Subspace or SetSystem, got {type(obj).__name__}")
-    ground = [(c, v) for c, vals in zip(coords, values) for v in vals]
+    if not isinstance(space, Subspace):
+        raise WrongType(f"mult expects a Subspace, got {type(space).__name__}")
+    points = space.points(cap=MAX_MULT_POINTS)
+    ground = tuple((i, v) for i in range(space.n) for v in range(space.q))
     if len(ground) > MAX_GROUND_SIZE:
         raise TooLarge(f"ground of {len(ground)} elements exceeds {MAX_GROUND_SIZE}")
-    members = [
-        frozenset((c, x[k]) for k, c in enumerate(coords)) for x in points
-    ]
-    out = Clutter(tuple(ground), tuple(members))
+    out = Clutter(ground, tuple(frozenset(enumerate(x)) for x in points))
     if len(out.members) != len(points):
         raise VerificationFailure("points must biject with members")
     return out
@@ -376,22 +364,6 @@ def localization(space: Subspace, v: Sequence[int]) -> Clutter:
     _validate_vector(space.field, space.n, v)
     spec = MinorSpec(contract=frozenset((i, x) for i, x in enumerate(v)))
     return minor(mult(space), spec)
-
-
-def restriction_minor_spec(space: Subspace, boxes: Sequence[Iterable[int]]) -> MinorSpec:
-    """The minor of mult(S) matching a box restriction.
-
-    Deletes the out-of-box elements of every part; contracts the surviving
-    elements of the coordinates where all surviving points agree (the
-    coordinates the restriction drops).
-    """
-    system = restrict(space, boxes)
-    box_sets = [frozenset(b) for b in boxes]
-    delete = frozenset(
-        (i, v) for i in range(space.n) for v in range(space.q) if v not in box_sets[i]
-    )
-    contract = frozenset((j, u) for j, _ in system.dropped for u in box_sets[j])
-    return MinorSpec(delete, contract)
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +700,7 @@ def find_minor(
 
 
 # ---------------------------------------------------------------------------
-# incidence and text formats
+# certificate text format
 # ---------------------------------------------------------------------------
 
 def _label_str(e: Label) -> str:
@@ -748,30 +720,6 @@ def _parse_label(token: str) -> Label:
         return int(token)
     except ValueError:
         return token
-
-
-def format_clutter(c: Clutter) -> str:
-    """Text form: `elements: ...` header, then one member per line."""
-    _require_clutter(c)
-    lines = ["elements: " + " ".join(_label_str(e) for e in c.ground)]
-    for m in c.members:
-        lines.append(" ".join(_label_str(c.ground[b]) for b in _bits(m)))
-    return "\n".join(lines) + "\n"
-
-
-def parse_clutter(text: str) -> Clutter:
-    """Parse the clutter text format produced by format_clutter."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("elements:"):
-        raise ParseError("clutter text must start with an 'elements:' header")
-    ground = tuple(_parse_label(tok) for tok in lines[0][len("elements:"):].split())
-    members = []
-    for ln in lines[1:]:
-        members.append(frozenset(_parse_label(tok) for tok in ln.split()))
-    try:
-        return Clutter(ground, tuple(members))
-    except BadIndex as exc:
-        raise ParseError(str(exc)) from exc
 
 
 def format_minor_certificate(spec: MinorSpec, mapping: Mapping) -> str:

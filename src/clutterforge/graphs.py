@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadIndex, BudgetExceeded, ParseError, WrongShape, WrongType, _require_int
+from .errors import BadIndex, BudgetExceeded, WrongShape, WrongType, _require_int
 from .matroid import CircuitMatroid, _fundamental_cycles, _graph_circuits, has_minor
 
 MAX_MINOR_EDGES = 14
@@ -372,29 +372,3 @@ def enumerate_connected_multigraphs(
                         seen.add(canon)
                         out.append(MultiGraph(n, canon))
     return out
-
-
-def format_graph(g: MultiGraph) -> str:
-    """Edge-list text: one `u v` line per edge."""
-    _require_multigraph(g)
-    return "".join(f"{u} {v}\n" for u, v in g.edges)
-
-
-def parse_graph(text: str) -> MultiGraph:
-    """Parse an edge list (`u v` per line); vertex count is 1 + max endpoint."""
-    edges = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != 2:
-            raise ParseError(f"line {lineno}: expected two endpoints, got {line!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer endpoint in {line!r}") from exc
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative endpoint in {line!r}")
-        edges.append((u, v))
-    n = 1 + max((max(u, v) for u, v in edges), default=-1)
-    return MultiGraph(n, tuple(edges))

@@ -28,7 +28,6 @@ from .clutter import (
     minor,
     mult,
     replay_minor,
-    restriction_minor_spec,
 )
 from .errors import (
     BudgetExceeded,
@@ -62,7 +61,6 @@ from .vspace import (
     disjoint_support_basis,
     factor,
     monomial_orbits,
-    restrict,
     sunflower_basis,
 )
 
@@ -317,9 +315,10 @@ def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
     The space must live in five coordinates over GF(2^k), k >= 2, with
     matroid equal to the cycle matroid of the triangle with two doubled
     edges (two disjoint 2-element minimal supports plus four 3-element
-    ones). The chain first restricts to a 12-point box, then runs the
-    two-step triangle extraction on a blocked triple inside it; the chain is
-    replayed and checked against the triangle before being returned.
+    ones). The chain first deletes the elements outside a box that keeps 12
+    points, then runs the two-step triangle extraction on a blocked triple
+    among them; the chain is replayed and checked against the triangle
+    before being returned.
     """
     _require_subspace(space)
     f = space.field
@@ -373,19 +372,20 @@ def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
     boxes[c3] = (0, f.mul(t, y))
     boxes[c4] = tuple(range(q))
     boxes[c5] = tuple(range(q))
-    spec0 = restriction_minor_spec(space, boxes)
-    system = restrict(space, boxes)
-    if system.coords != (0, 1, 2, 3, 4) or len(system.points) != 12:
+    kept = [p for p in space.points() if all(p[i] in boxes[i] for i in range(5))]
+    varying = [i for i in range(5) if len({p[i] for p in kept}) > 1]
+    if len(kept) != 12 or len(varying) != 5:
         raise VerificationFailure(
-            f"box restriction kept {len(system.points)} points on {system.coords}, expected 12 on all five coordinates"
+            f"box kept {len(kept)} points varying on {varying}, expected 12 varying on all five coordinates"
         )
+    spec0 = MinorSpec(delete=frozenset((i, v) for i in range(5) for v in range(q) if v not in boxes[i]))
     a = f.vec_scale(z, v1)
     b = f.vec_scale(w, v1)
     c = f.vec_add(f.vec_scale(x, v2), f.vec_scale(y, v3))
     for name, pt in (("a", a), ("b", b), ("c", c)):
-        if pt not in system.points:
+        if pt not in kept:
             raise VerificationFailure(f"constructed point {name}={pt} left the box")
-    return _blocked_triple_chain(space, system.points, boxes, a, b, c, c3, c5, c4, (spec0,))
+    return _blocked_triple_chain(space, kept, boxes, a, b, c, c3, c5, c4, (spec0,))
 
 
 # ---------------------------------------------------------------------------
@@ -952,8 +952,10 @@ def verify_theorem(
     leave verdicts None and are reported per condition.
     """
     _require_subspace(space)
-    if minor_budget is not None:
-        _require_int(minor_budget, "minor budget")
+    _require_int(max_ground, "max ground")
+    for budget, what in ((minor_budget, "minor budget"), (packing_budget, "packing budget")):
+        if budget is not None:
+            _require_int(budget, what)
     t = _normalize_theorem_id(which)
     q = space.q
     _check_field_class(t, q)
@@ -1163,15 +1165,17 @@ def sweep_theorem(
     method>; transported from <representative's instance> by a checked
     monomial isomorphism".
 
-    With jobs > 1 the representatives are verified in that many worker
-    processes; the reports are the same as with jobs=1.
+    jobs must be at least 1. With jobs > 1 the representatives are verified
+    in that many worker processes; the reports are the same as with jobs=1.
     """
     _require_int(jobs, "job count")
+    if jobs < 1:
+        raise PreconditionViolated(f"job count must be at least 1, got {jobs}")
     spaces = list(enumerate_subspaces(q, n))
     _check_field_class(_normalize_theorem_id(which), q)  # fail before the orbit search
     orbits = monomial_orbits(spaces)
     reps = [k for k, (r, _) in enumerate(orbits) if r == k]
-    if jobs <= 1:
+    if jobs == 1:
         verified = [verify_theorem(spaces[r], which, **kwargs) for r in reps]
     else:
         # imported here so that `import clutterforge` does not pay for it

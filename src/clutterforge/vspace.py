@@ -3,8 +3,8 @@
 A Subspace is stored by its reduced-row-echelon basis, which makes equality
 syntactic. Beyond construction and point enumeration the module provides the
 operations that preserve or decompose multipartite structure — products,
-coordinate projections, box restrictions, zero-constrained minors — and the
-two structured-basis detectors: a basis of pairwise disjoint supports, and a
+coordinate projections, zero-constrained minors — and the two
+structured-basis detectors: a basis of pairwise disjoint supports, and a
 sunflower basis (shared head block, private tail blocks). The detectors
 read the matroid of the space; `matroid` builds on this module, so they
 import it when called.
@@ -347,78 +347,6 @@ def subspace_minor(
 
 
 # ---------------------------------------------------------------------------
-# box restriction
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SetSystem:
-    """A multipartite point set: what remains of a subspace after a box restriction.
-
-    coords are the surviving original coordinate indices; boxes[k] is the set
-    of allowed values at coords[k]; points are the surviving points written in
-    the surviving coordinates; dropped lists (coordinate, value) pairs where
-    every surviving point agreed.
-    """
-
-    field: GF
-    coords: tuple[int, ...]
-    boxes: tuple[frozenset[int], ...]
-    points: tuple[Point, ...]
-    dropped: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != len(self.boxes):
-            raise DimensionMismatch("coords and boxes must align")
-        object.__setattr__(self, "boxes", tuple(frozenset(b) for b in self.boxes))
-        pts = sorted(set(tuple(p) for p in self.points))
-        for p in pts:
-            if len(p) != len(self.coords):
-                raise DimensionMismatch(f"point {p} does not match {len(self.coords)} coordinates")
-            for v, box in zip(p, self.boxes):
-                if v not in box:
-                    raise BadIndex(f"point {p} leaves its box")
-        object.__setattr__(self, "points", tuple(pts))
-
-    @property
-    def q(self) -> int:
-        return self.field.q
-
-
-def restrict(space: Subspace, boxes: Sequence[Iterable[int]]) -> SetSystem:
-    """Intersect the space with a box, dropping coordinates of full agreement.
-
-    Returns the surviving points as a SetSystem. Coordinates where every
-    surviving point takes one common value are recorded in `dropped` and
-    removed. An empty intersection keeps the full box and drops nothing.
-    """
-    if len(boxes) != space.n:
-        raise DimensionMismatch(f"{len(boxes)} boxes for {space.n} coordinates")
-    box_sets: list[frozenset[int]] = []
-    for i, b in enumerate(boxes):
-        bs = frozenset(b)
-        if not bs:
-            raise BadIndex(f"box {i} is empty")
-        for v in bs:
-            if type(v) is not int or v < 0 or v >= space.q:
-                raise BadIndex(f"box {i} value {v!r} is not in GF({space.q})")
-        box_sets.append(bs)
-    pts = [x for x in space.points() if all(x[i] in box_sets[i] for i in range(space.n))]
-    if not pts:
-        return SetSystem(space.field, tuple(range(space.n)), tuple(box_sets), (), ())
-    agreed = [i for i in range(space.n) if len({x[i] for x in pts}) == 1]
-    dropped = tuple((i, pts[0][i]) for i in agreed)
-    kept = [i for i in range(space.n) if i not in agreed]
-    new_pts = tuple(tuple(x[i] for i in kept) for x in pts)
-    return SetSystem(
-        space.field,
-        tuple(kept),
-        tuple(box_sets[i] for i in kept),
-        new_pts,
-        dropped,
-    )
-
-
-# ---------------------------------------------------------------------------
 # structured bases
 # ---------------------------------------------------------------------------
 
@@ -555,21 +483,8 @@ def factor(space: Subspace) -> list[tuple[tuple[int, ...], Subspace]]:
 
 
 # ---------------------------------------------------------------------------
-# parsing and formatting
+# parsing
 # ---------------------------------------------------------------------------
-
-def format_subspace(space: Subspace) -> str:
-    """Text form: a `q n` header line, then one generator row per line."""
-    lines = [f"{space.q} {space.n}"]
-    lines += [" ".join(str(v) for v in row) for row in space.basis]
-    return "\n".join(lines) + "\n"
-
-
-def subspace_to_json(space: Subspace) -> str:
-    return json.dumps(
-        {"q": space.q, "n": space.n, "generators": [list(r) for r in space.basis]}
-    )
-
 
 def parse_subspace(text: str) -> Subspace:
     """Parse the text or JSON form of a subspace.

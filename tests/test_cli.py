@@ -50,6 +50,12 @@ def gf4_u24(tmp_path):
     return write_space(tmp_path, "gf4_u24.txt", 4, 4, [(1, 0, 1, 1), (0, 1, 1, 2)])
 
 
+@pytest.fixture
+def gf4_k4e(tmp_path):
+    """GF(4)^5 space whose matroid is the triangle with two doubled edges."""
+    return write_space(tmp_path, "gf4_k4e.txt", 4, 5, [(1, 0, 0, 1, 1), (0, 1, 0, 1, 0), (0, 0, 1, 0, 1)])
+
+
 class TestField:
     def test_tables(self, capsys):
         code, out, _ = run_cli(capsys, "field", "--q", 4)
@@ -212,6 +218,14 @@ class TestWitness:
         assert code == EXIT_OK
         assert "VALID: replayed minor vs delta3 (stated label bijection)" in out
 
+    def test_k4e_certificate_round_trip(self, capsys, gf4_k4e, tmp_path):
+        cert = tmp_path / "k4e.cert"
+        code, _, _ = run_cli(capsys, "witness", gf4_k4e, "--kind", "k4e", "--out", str(cert))
+        assert code == EXIT_OK
+        code, out, _ = run_cli(capsys, "analyze", gf4_k4e, "--check-cert", str(cert))
+        assert code == EXIT_OK
+        assert "VALID: replayed minor vs delta3" in out
+
     def test_tampered_certificate_rejected(self, capsys, gf4_u24, tmp_path):
         cert = tmp_path / "u24.cert"
         run_cli(capsys, "witness", gf4_u24, "--kind", "u24", "--out", str(cert))
@@ -330,6 +344,13 @@ class TestSweep:
         )
         assert serial == parallel
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_job_count_below_one_is_one_error_line(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "sweep", "--q", 3, "--n", 2, "--theorem", "1.4", "--jobs", jobs)
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith("error: PreconditionViolated: job count must be at least 1")
+        assert err.count("\n") == 1
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(
@@ -438,6 +459,8 @@ PINNED = [
     ("localize-gf8_hyperplane-json", "gf8_hyperplane", ("localize", "--alpha", "1,0,0", "--json"), EXIT_OK),
     ("witness-gf4_u24-u24", "gf4_u24", ("witness", "--kind", "u24"), EXIT_OK),
     ("witness-gf4_u24-u24-json", "gf4_u24", ("witness", "--kind", "u24", "--json"), EXIT_OK),
+    ("witness-gf4_k4e-k4e", "gf4_k4e", ("witness", "--kind", "k4e"), EXIT_OK),
+    ("witness-gf4_k4e-k4e-json", "gf4_k4e", ("witness", "--kind", "k4e", "--json"), EXIT_OK),
 ]
 
 

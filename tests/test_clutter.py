@@ -15,17 +15,14 @@ from clutterforge.clutter import (
     builtin,
     compose_chain,
     find_minor,
-    format_clutter,
     format_minor_certificate,
     is_isomorphic,
     localization,
     minor,
     mult,
-    parse_clutter,
     parse_minor_certificate,
     product,
     replay_minor,
-    restriction_minor_spec,
 )
 from clutterforge.clutter import _embed, _holds, _labelled_copies, _minimal_masks
 from clutterforge.errors import (
@@ -39,7 +36,7 @@ from clutterforge.errors import (
 )
 from clutterforge.gf import build_field
 from clutterforge.matroid import TARGETS, _circuit_clutter
-from clutterforge.vspace import project, restrict, span
+from clutterforge.vspace import project, span
 from clutterforge.vspace import product as space_product
 from clutterforge.verify import c5sq_witness, enumerate_subspaces
 
@@ -191,24 +188,6 @@ class TestMult:
         assert all(m.bit_count() == 3 for m in c.members)
         assert c.is_multipartite()
 
-    def test_set_system_restriction(self, ex92):
-        system = restrict(ex92, [{0, 1}] * 3)
-        c = mult(system)
-        assert c.ground == tuple((i, v) for i in range(3) for v in range(2))
-        assert set(c.member_sets()) == {
-            frozenset({(0, 0), (1, 0), (2, 0)}),
-            frozenset({(0, 0), (1, 1), (2, 1)}),
-            frozenset({(0, 1), (1, 0), (2, 1)}),
-            frozenset({(0, 1), (1, 1), (2, 0)}),
-        }
-
-    def test_set_system_single_survivor(self, f3):
-        system = restrict(span(f3, 2, []), [{0}, {0}])
-        assert system.coords == ()
-        c = mult(system)
-        assert c.ground == ()
-        assert c.member_sets() == (frozenset(),)
-
     def test_ground_too_large(self):
         from clutterforge.gf import build_field
 
@@ -339,29 +318,13 @@ class TestCoordinateMinorSpecs:
                     part_map = {old: new for new, old in enumerate(kept)}
                     assert relabel_parts(got, part_map) == mult(project(s, drop))
 
-    def test_restriction_spec_matches_restricted_points(self, subspaces_gf3_3):
-        box_choices = [
-            [{0, 1}, {0, 1}, {0, 1}],
-            [{0}, {0, 1}, {0, 1, 2}],
-            [{1, 2}, {0, 2}, {0, 1}],
-            [{0, 1, 2}] * 3,
-        ]
-        for s in subspaces_gf3_3:
-            for boxes in box_choices:
-                spec = restriction_minor_spec(s, boxes)
-                assert minor(mult(s), spec) == mult(restrict(s, boxes))
-
     def test_restriction_spec_on_binary_box(self, ex92, r11):
-        spec = restriction_minor_spec(ex92, [{0, 1}] * 3)
+        # every coordinate keeps both binary values, so restricting to the
+        # box deletes the values outside it and contracts nothing
+        spec = MinorSpec(delete={(i, v) for i in range(3) for v in (2, 3)})
         got = minor(mult(ex92), spec)
-        assert got == mult(restrict(ex92, [{0, 1}] * 3))
+        assert got == mult(r11)
         assert is_isomorphic(got, builtin("Q6")) is not None
-
-    def test_restriction_spec_drops_agreed_coordinate(self, f3):
-        s = span(f3, 3, [(0, 1, 0), (0, 0, 1)])
-        spec = restriction_minor_spec(s, [{0, 1, 2}] * 3)
-        assert spec.contract == frozenset({(0, 0), (0, 1), (0, 2)})
-        assert minor(mult(s), spec) == mult(restrict(s, [{0, 1, 2}] * 3))
 
 
 class TestIsomorphic:
@@ -713,37 +676,6 @@ class TestReplayMinor:
 
 
 class TestTextFormats:
-    def test_round_trip_int_labels(self):
-        c = builtin("Q6")
-        assert parse_clutter(format_clutter(c)) == c
-
-    def test_round_trip_part_value_labels(self, r11):
-        c = mult(r11)
-        assert parse_clutter(format_clutter(c)) == c
-
-    def test_round_trip_empty_member(self):
-        c = Clutter((3,), (frozenset(),))
-        text = format_clutter(c)
-        assert text == "elements: 3\n\n"
-        assert parse_clutter(text) == c
-
-    def test_format_shows_tokens(self, r11):
-        text = format_clutter(mult(r11))
-        assert text.splitlines()[0] == "elements: 0:0 0:1 1:0 1:1 2:0 2:1"
-        assert "0:0 1:0 2:0" in text
-
-    def test_missing_header(self):
-        with pytest.raises(ParseError):
-            parse_clutter("1 2\n2 3\n")
-
-    def test_unknown_member_label(self):
-        with pytest.raises(ParseError):
-            parse_clutter("elements: 1 2\n1 5\n")
-
-    def test_string_labels(self):
-        c = Clutter(("uv", "wx"), ({"uv", "wx"},))
-        assert parse_clutter(format_clutter(c)) == c
-
     def test_certificate_round_trip(self, r11):
         spec, mapping = find_minor(mult(r11), builtin("Q6"))
         text = format_minor_certificate(spec, mapping)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from clutterforge.errors import BadIndex, BudgetExceeded, ParseError
+from clutterforge.errors import BadIndex, BudgetExceeded
 from clutterforge.graphs import (
     SMALL_ORDERS,
     MultiGraph,
@@ -18,10 +18,8 @@ from clutterforge.graphs import (
     _signature_classes,
     blocks,
     enumerate_connected_multigraphs,
-    format_graph,
     has_K4e_graph_minor,
     is_subdivision_of_At,
-    parse_graph,
 )
 from clutterforge.matroid import CircuitMatroid, _fundamental_cycles, _graph_circuits, has_minor
 from test_acceptance import wall_clock_under
@@ -720,26 +718,3 @@ class TestEnumeration:
         for g in graphs:
             allowed = all(_block_is_allowed(g, b) for b in blocks(g))
             assert has_K4e_graph_minor(g) == (not allowed), (g.n_vertices, g.edges)
-
-
-class TestTextFormat:
-    def test_round_trip(self):
-        text = format_graph(K4E)
-        assert parse_graph(text) == K4E
-
-    def test_format_literal(self):
-        assert format_graph(MultiGraph(3, ((2, 1), (0, 0)))) == "1 2\n0 0\n"
-
-    def test_parse_skips_blank_lines(self):
-        assert parse_graph("0 1\n\n1 2\n") == MultiGraph(3, ((0, 1), (1, 2)))
-
-    def test_parse_empty(self):
-        assert parse_graph("") == MultiGraph(0, ())
-
-    def test_parse_errors(self):
-        with pytest.raises(ParseError):
-            parse_graph("0 1 2\n")
-        with pytest.raises(ParseError):
-            parse_graph("0 x\n")
-        with pytest.raises(ParseError):
-            parse_graph("-1 0\n")
