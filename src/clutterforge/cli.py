@@ -3,13 +3,13 @@ certificates and reports.
 
 Subcommands: field, analyze, witness, sweep, localize, matroid.
 ``analyze`` reports verify's condition functions for idealness, max-flow
-min-cut and structure, and searches the three named minors itself. Each
-subcommand builds one JSON object and one list of text lines and prints
-one of them through ``_emit``. Output is deterministic (fixed ordering, no
-timestamps); ``--json`` switches every subcommand to machine-readable
-output. Exit codes: 0 success (for sweeps: zero disagreements), 1 input or
-usage errors (including failed certificate checks and sweep disagreements),
-2 verdicts left UNKNOWN by budget limits.
+min-cut and structure, and decides the three named minors by the rule that
+condition (iii) uses. Each subcommand builds one JSON object and one list
+of text lines and prints one of them through ``_emit``. Output is
+deterministic (fixed ordering, no timestamps); ``--json`` switches every
+subcommand to machine-readable output. Exit codes: 0 success (for sweeps:
+zero disagreements), 1 input or usage errors (including failed certificate
+checks and sweep disagreements), 2 verdicts left UNKNOWN by budget limits.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from typing import Any, Optional, Sequence
 from .clutter import (
     Clutter,
     builtin,
-    find_minor,
     format_minor_certificate,
     localization,
     mult,
@@ -41,13 +40,12 @@ from .gf import build_field
 from .matroid import TARGETS, circuits_isomorphic, classify, matroid_of, series_classes
 from .polyhedral import MAX_POLY_GROUND
 from .verify import (
+    _WITNESS_BUILDERS,
     _chain_certificate,
     _factor_pieces,
     _ideal_condition,
     _mfmc_condition,
-    c5sq_witness,
-    delta3_witness_k4e,
-    delta3_witness_u24,
+    _named_minor,
     instance_id,
     localization_profile,
     summarize_certificate,
@@ -58,12 +56,6 @@ from .vspace import Point, Subspace, disjoint_support_basis, parse_subspace
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
-
-_WITNESS_BUILDERS = {
-    "u24": (delta3_witness_u24, "delta3"),
-    "k4e": (delta3_witness_k4e, "delta3"),
-    "c5sq": (c5sq_witness, "c5sq"),
-}
 
 _MINOR_TARGET_NAMES = ("delta3", "q6", "c5sq")
 
@@ -136,7 +128,7 @@ def cmd_field(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# analyze: renders verify's condition functions, and searches the named minors
+# analyze: renders verify's condition functions and its named-minor rule
 # ---------------------------------------------------------------------------
 
 def _analysis_ideal(cl: Clutter, max_ground: int) -> tuple[dict[str, Any], list[str]]:
@@ -164,22 +156,20 @@ def _analysis_mfmc(
 
 
 def _analysis_minors(
-    cl: Clutter, minor_budget: Optional[int]
+    space: Subspace, cl: Clutter, minor_budget: Optional[int]
 ) -> tuple[dict[str, Any], list[str]]:
     data: dict[str, Any] = {}
     lines: list[str] = []
     for name in _MINOR_TARGET_NAMES:
-        try:
-            hit = find_minor(cl, builtin(name), budget=minor_budget)
-        except BudgetExceeded:
+        present, _, found = _named_minor(space, cl, name, minor_budget)
+        if present is None:
             data[name] = None
             lines.append(f"minor {name}: UNKNOWN (search out of budget)")
-            continue
-        if hit is None:
+        elif not present:
             data[name] = {"present": False}
             lines.append(f"minor {name}: none (exhaustive search)")
         else:
-            cert = format_minor_certificate(*hit)
+            cert = format_minor_certificate(*found[1:])
             data[name] = {"present": True, "certificate": cert}
             lines.append(f"minor {name}: {cert}")
     return data, lines
@@ -274,7 +264,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines += txt
         unknown |= report["mfmc"]["verdict"] is None
     if minors:
-        report["minors"], txt = _analysis_minors(cl, args.budget)
+        report["minors"], txt = _analysis_minors(space, cl, args.budget)
         lines += txt
         unknown |= None in report["minors"].values()
     if structure:

@@ -654,35 +654,16 @@ def _embed(
     return bt(0)
 
 
-def _guided_find_minor(
-    c: Clutter, target: Clutter, limit: int
-) -> Optional[tuple[MinorSpec, dict]]:
-    parts = c.parts()
-    if parts is not None and 3 ** (len(c.ground) - len(parts)) <= limit:
-        for transversal in itertools.product(*parts.values()):
-            j = frozenset(transversal)
-            local = minor(c, MinorSpec(contract=j))
-            found = _exhaustive_find_minor(local, target)
-            if found is not None:
-                spec2, mapping = found
-                spec = MinorSpec(spec2.delete, j | spec2.contract)
-                return spec, replay_minor(c, spec, target, mapping)
-    raise BudgetExceeded(
-        f"exhaustive minor search on {len(c.ground)} ground elements exceeds the "
-        f"budget; localization-guided search found nothing (absence not certified)"
-    )
-
-
 def find_minor(
     c: Clutter, target: Clutter, budget: Optional[int] = None
 ) -> Optional[tuple[MinorSpec, dict]]:
     """Search for the target as a minor: (delete/contract spec, label bijection).
 
-    Within budget (default ground size 13, measured as 3^|ground|) the search
-    is exhaustive, so None certifies absence. Beyond it, a localization-guided
-    search contracts one element per part first and raises BudgetExceeded if
-    that fails — absence is then not certified. Either way, for targets of at
-    most MAX_COPY_GROUND elements, each keep-set is decided against the
+    The search is exhaustive, so None certifies absence. It runs only within
+    the budget, measured as 3^|ground| (default ground size 13); past it,
+    BudgetExceeded is raised and nothing is searched. A target with more
+    elements than the ground is absent whatever the budget. For targets of
+    at most MAX_COPY_GROUND elements, each keep-set is decided against the
     target's labelled copies before any label map is tried, and only the
     first keep-set that holds the target is labelled.
     """
@@ -695,7 +676,10 @@ def find_minor(
         return None
     limit = DEFAULT_FIND_MINOR_BUDGET if budget is None else budget
     if 3 ** len(c.ground) > limit:
-        return _guided_find_minor(c, target, limit)
+        raise BudgetExceeded(
+            f"exhaustive minor search on {len(c.ground)} ground elements exceeds the "
+            f"budget {limit} (absence not certified)"
+        )
     return _exhaustive_find_minor(c, target)
 
 

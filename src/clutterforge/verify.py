@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .clutter import (
-    DEFAULT_FIND_MINOR_BUDGET,
     Clutter,
     MinorSpec,
     apply_chain,
@@ -514,6 +513,14 @@ def c5sq_witness(
     return (spec0, spec1, spec2)
 
 
+# witness kind -> (chain builder, target); per target, in the order tried
+_WITNESS_BUILDERS = {
+    "u24": (delta3_witness_u24, "delta3"),
+    "k4e": (delta3_witness_k4e, "delta3"),
+    "c5sq": (c5sq_witness, "c5sq"),
+}
+
+
 # ---------------------------------------------------------------------------
 # localization structure of scaled zero-sum spaces over GF(2^k)
 # ---------------------------------------------------------------------------
@@ -859,6 +866,33 @@ _MINOR_TARGETS = {
 }
 
 
+def _named_minor(
+    space: Subspace, cl: Clutter, name: str, budget: Optional[int]
+) -> tuple[Optional[bool], str, Optional[tuple[str, MinorSpec, dict]]]:
+    """Whether cl = mult(space) has the named minor, as (present, method, certificate).
+
+    Within the budget the exhaustive search decides, and a hit is the
+    certificate. Past it, the first builder for the target whose shape
+    checks pass gives a replayed chain; when none applies, presence is
+    unknown.
+    """
+    try:
+        hit = find_minor(cl, builtin(name), budget=budget)
+    except BudgetExceeded:
+        for builder, target in _WITNESS_BUILDERS.values():
+            if target != name:
+                continue
+            try:
+                found = _chain_certificate(cl, builder(space), name)
+            except (WrongField, WrongShape):
+                continue
+            return True, "constructive witness chain (replayed)", found
+        return None, "unknown: minor search out of budget", None
+    if hit is None:
+        return False, "exhaustive minor search (absence certified)", None
+    return True, "minor search (witness replayed)", (name, *hit)
+
+
 def _factor_pieces(space: Subspace) -> list[tuple[tuple[int, ...], Subspace, Any]]:
     """Each coordinate factor of the space with its sunflower witness, None
     when it has none, or "dimension <= 1" when it needs none."""
@@ -946,10 +980,12 @@ def verify_theorem(
     (ii); the bounded-weight refuter runs only when that sweep is out of
     budget, since at weights w in {0,1}^V tau and nu are those of the minor
     deleting {e : w_e = 0}, which the sweep tests. Condition (ii) uses the
-    structural detectors; condition (iii) uses exhaustive minor search within
-    budget, the constructive 5-cycle witness where applicable, and otherwise
-    the fact that ideal clutters have no non-ideal minors. Budget failures
-    leave verdicts None and are reported per condition.
+    structural detectors. Condition (iii) decides each target minor by
+    _named_minor, the rule `analyze` uses too: exhaustive search within the
+    minor budget, past it a replayed constructive chain whose shape checks
+    pass, and otherwise the fact that ideal clutters have no non-ideal
+    minors. Budget failures leave verdicts None and are reported per
+    condition.
     """
     _require_subspace(space)
     _require_int(max_ground, "max ground")
@@ -975,38 +1011,17 @@ def verify_theorem(
         certs["i"] = cert_i
 
     # -- condition (iii): forbidden-minor side -----------------------------
-    # within the limit find_minor searches exhaustively and never raises
-    limit = DEFAULT_FIND_MINOR_BUDGET if minor_budget is None else minor_budget
-    searchable = 3 ** len(cl.ground) <= limit
-    found: Optional[tuple] = None
-    if searchable:
-        for name in _MINOR_TARGETS[t]:
-            hit = find_minor(cl, builtin(name), budget=limit)
-            if hit is not None:
-                found = (name, hit[0], hit[1])
-                break
-    elif t == "1.3":
-        # the exhaustive search is out of reach; the constructive chain
-        # settles presence cheaply whenever the shape admits it
-        try:
-            found = _chain_certificate(cl, c5sq_witness(space), "c5sq")
-        except (WrongField, WrongShape):
-            found = None
-    cond_iii: Optional[bool]
-    if found is not None:
-        cond_iii = False
-        certs["iii"] = found
-        methods["iii"] = (
-            "minor search (witness replayed)"
-            if searchable
-            else "constructive witness chain (replayed)"
-        )
-    elif searchable:
-        cond_iii = True
-        methods["iii"] = "exhaustive minor search (absence certified)"
-    else:
-        cond_iii = None
-        methods["iii"] = "unknown: minor search out of budget"
+    cond_iii: Optional[bool] = True
+    for name in _MINOR_TARGETS[t]:
+        present, method, found = _named_minor(space, cl, name, minor_budget)
+        if present is not False or cond_iii:
+            # a present target decides, and an unknown one outranks an absent one
+            methods["iii"] = method
+        if present:
+            cond_iii, certs["iii"] = False, found
+            break
+        if present is None:
+            cond_iii = None
 
     # -- derivations across conditions, labeled as such --------------------
     if t != "1.4" and cond_i is None:

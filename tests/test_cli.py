@@ -10,6 +10,7 @@ import pytest
 
 import clutterforge.cli
 import clutterforge.matroid
+import clutterforge.verify
 from clutterforge.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, main
 
 
@@ -122,13 +123,13 @@ class TestAnalyze:
 
     def test_json_report_searches_each_minor_once(self, capsys, gf4_plane, monkeypatch):
         targets = []
-        real = clutterforge.cli.find_minor
+        real = clutterforge.verify.find_minor
 
         def counting(cl, target, *args, **kwargs):
             targets.append(target)
             return real(cl, target, *args, **kwargs)
 
-        monkeypatch.setattr(clutterforge.cli, "find_minor", counting)
+        monkeypatch.setattr(clutterforge.verify, "find_minor", counting)
         code, _, _ = run_cli(capsys, "analyze", gf4_plane, "--json")
         assert code == EXIT_OK
         assert len(targets) == 3

@@ -425,12 +425,14 @@ class TestFindMinor:
     def test_target_larger_than_ground(self):
         assert find_minor(builtin("Delta3"), builtin("Q6")) is None
 
-    def test_guided_search_finds_composed_witness(self, f3):
+    def test_over_budget_raises_and_a_covering_budget_searches(self, f3):
         rows = [(1, 1, 0, 0, 0), (1, 0, 1, 0, 0)]
         s = span(f3, 5, rows)
         c = mult(s)
         assert len(c.ground) == 15
-        spec, mapping = find_minor(c, builtin("Delta3"))
+        with pytest.raises(BudgetExceeded):
+            find_minor(c, builtin("Delta3"))
+        spec, mapping = find_minor(c, builtin("Delta3"), budget=3 ** 15)
         got = minor(c, spec)
         want = {
             frozenset(mapping[e] for e in m)
@@ -438,7 +440,7 @@ class TestFindMinor:
         }
         assert set(got.member_sets()) == want
 
-    def test_guided_search_absence_uncertified(self, f2):
+    def test_over_budget_absence_uncertified(self, f2):
         s = span(f2, 7, [(1, 0, 0, 0, 0, 0, 0)])
         with pytest.raises(BudgetExceeded):
             find_minor(mult(s), builtin("Delta3"))

@@ -101,8 +101,9 @@ def test_every_exported_name_resolves_once():
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.name == "__init__.py":
+    tests_dir = Path(__file__).parent
+    for path in [*sorted(PACKAGE_DIR.glob("*.py")), *sorted(tests_dir.glob("*.py"))]:
+        if path == PACKAGE_DIR / "__init__.py":
             continue  # it imports to re-export
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -113,7 +114,7 @@ def test_no_module_imports_a_name_it_never_uses():
             for alias in node.names:
                 name = (alias.asname or alias.name).split(".")[0]
                 if name not in used:
-                    unused.append(f"{path.name}:{node.lineno} {name}")
+                    unused.append(f"{path.parent.name}/{path.name}:{node.lineno} {name}")
     assert unused == []
 
 

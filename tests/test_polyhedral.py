@@ -35,7 +35,6 @@ from clutterforge.errors import (
 from clutterforge.matroid import _gf2_dependencies
 from clutterforge.polyhedral import (
     INFINITY,
-    IdealnessCertificate,
     extreme_point_witness,
     extreme_points,
     has_packing_property,

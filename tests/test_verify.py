@@ -28,6 +28,7 @@ from clutterforge.clutter import (
     localization,
     minor,
     mult,
+    replay_minor,
 )
 from clutterforge.errors import (
     BudgetExceeded,
@@ -46,7 +47,6 @@ import clutterforge.verify as verify_module
 import clutterforge.vspace as vspace_module
 from clutterforge.verify import (
     LocalizationProfile,
-    TheoremReport,
     c5sq_witness,
     count_subspaces,
     delta3_witness_k4e,
@@ -629,8 +629,9 @@ class TestVerifyTheorem:
         assert r.methods["iii"].startswith("derived")
 
     def test_minor_budget_below_the_ground_never_searches(self, r11, zero_sum_gf3, zero_sum_gf4, monkeypatch):
-        # under 3^|ground| find_minor would take its guided, non-exhaustive path
-        monkeypatch.setattr(verify_module, "find_minor", lambda *a, **k: pytest.fail("minor searched"))
+        # under 3^|ground| find_minor raises BudgetExceeded before any search,
+        # and no builder fits these shapes
+        monkeypatch.setattr(clutter_module, "_exhaustive_find_minor", lambda *a: pytest.fail("minor searched"))
         for space, which in ((r11, "1.4"), (zero_sum_gf3, "1.1"), (zero_sum_gf4, "1.2")):
             r = verify_theorem(space, which, minor_budget=3 ** len(mult(space).ground) - 1)
             assert "iii" not in r.certificates
@@ -680,6 +681,48 @@ class TestVerifyTheorem:
         spec = MinorSpec(delete={(0, 1)}, contract={(2, 3)})
         out = summarize_certificate(spec)
         assert out == {"delete": ["(0, 1)"], "contract": ["(2, 3)"]}
+
+
+class TestNamedMinor:
+    """verify._named_minor, the one rule condition (iii) and `analyze` share."""
+
+    BASES = (
+        (4, 4, [(1, 0, 1, 1), (0, 1, 1, 2)]),  # U24 plane
+        (4, 5, [(1, 0, 0, 1, 1), (0, 1, 0, 1, 0), (0, 0, 1, 0, 1)]),  # MK4e space
+        (8, 3, [(1, 1, 0), (1, 0, 1)]),  # zero-sum plane
+    )
+
+    def test_builder_hits_agree_with_the_exhaustive_search(self):
+        # past the default budget a builder decides presence; a search with a
+        # budget covering the ground must then find the same target
+        rng = random.Random(26)
+        replayed = 0
+        for q, n, rows in self.BASES:
+            f = build_field(q)
+            base = span(f, n, rows)
+            spaces = [random_monomial_image(base, rng) for _ in range(4)]
+            spaces += [
+                span(f, n, [[rng.randrange(q) for _ in range(n)] for _ in rows]) for _ in range(4)
+            ]
+            for space in spaces:
+                cl = mult(space)
+                for name in ("delta3", "q6", "c5sq"):
+                    present, method, found = verify_module._named_minor(space, cl, name, None)
+                    if method != "constructive witness chain (replayed)":
+                        assert present is None and found is None
+                        continue
+                    replayed += 1
+                    assert present is True and found[0] == name
+                    replay_minor(cl, found[1], name, found[2])
+                    assert find_minor(cl, builtin(name), budget=3 ** len(cl.ground)) is not None
+        assert replayed >= 12
+
+    def test_u24_plane_is_refuted_by_its_chain(self, f4):
+        r = verify_theorem(span(f4, 4, [(1, 0, 1, 1), (0, 1, 1, 2)]), "1.2")
+        assert r.verdicts == {"i": False, "ii": False, "iii": False}
+        assert r.methods["iii"] == "constructive witness chain (replayed)"
+        assert r.methods["i"] == "derived: a non-integral minor was found"
+        assert r.certificates["iii"][0] == "delta3"
 
 
 class TestSweeps:
