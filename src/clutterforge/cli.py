@@ -506,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--n", type=int, required=True)
     p_sw.add_argument("--theorem", required=True, help="statement id: 1.1, 1.2, 1.3, or 1.4")
     p_sw.add_argument("--out", default=None, help="write CSV/JSON to this file")
-    p_sw.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sw.add_argument("--jobs", type=int, default=1, help="parallel workers, at most one per orbit representative")
     p_sw.add_argument("--budget", type=int, default=None, help="minor and packing budget, as 3^|ground|")
     p_sw.add_argument("--max-ground", type=int, default=MAX_POLY_GROUND, help="polyhedral ground cap")
     p_sw.set_defaults(func=cmd_sweep)

@@ -479,8 +479,13 @@ def has_packing_property(c: Clutter, budget: Optional[int] = None) -> Optional[M
     Every minor is reached by single deletions and contractions, and
     `_failing_path` walks them depth first to the first that fails; its
     path is mapped back to labels. Its results are cached by shape across
-    calls, so the minors that a sweep's clutters share are decided once. A
-    budget that is not an int raises WrongType; 3^|V| over it, BudgetExceeded.
+    calls, so the minors that a sweep's clutters share are decided once.
+    Shapes whose minors all pack by a rule are not expanded: at most two
+    members, or pairwise-disjoint ones, are None at once, and a shape with
+    elements in no member is None exactly when its shape without them is,
+    since such elements change no minor's tau or nu. The returned spec is
+    the full walk's either way. A budget that is not an int raises
+    WrongType; 3^|V| over it, BudgetExceeded.
     """
     _require_clutter(c)
     if budget is not None:
@@ -507,8 +512,31 @@ def _failing_path(size: int, members: tuple[int, ...]) -> Optional[tuple[tuple[i
     (`_delete_members`, `_contract_members`). The path depends on the shape
     alone, so it is cached, failures included: a depth-first sweep that
     skips a shape it has swept skips one whose minors all pack.
+
+    Two rules return the walk's own answer without expanding every shape.
+    A shape with at most two members, or with pairwise-disjoint ones, is
+    None: both classes are closed under deletion and contraction, and each
+    such clutter packs (two meeting members give tau = nu = 1, two or more
+    disjoint ones tau = nu = their count, the empty member both infinite).
+    Elements in no member change no minor's tau or nu (deleting or
+    contracting one leaves the members as they are), so a shape with such
+    elements first looks up its squeezed shape, those elements dropped and
+    the masks renumbered in order, which keeps the (cardinality, value)
+    order. Its None or () is the shape's; only when it fails deeper does
+    the walk below run, to return the path through the shape's own elements.
     """
-    if not _packs(members):
+    union = 0
+    for m in members:
+        union |= m
+    if len(members) <= 2 or sum(m.bit_count() for m in members) == union.bit_count():
+        return None
+    if union != (1 << size) - 1:
+        keep = _bits(union)
+        squeezed = tuple(sum(1 << j for j, b in enumerate(keep) if m >> b & 1) for m in members)
+        sub = _failing_path(len(keep), squeezed)
+        if not sub:  # None: every minor packs; (): the shape itself fails
+            return sub
+    elif not _packs(members):
         return ()
     for i in range(size):
         for contracts, build in ((False, _delete_members), (True, _contract_members)):

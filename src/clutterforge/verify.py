@@ -1181,7 +1181,8 @@ def sweep_theorem(
     monomial isomorphism".
 
     jobs must be at least 1. With jobs > 1 the representatives are verified
-    in that many worker processes; the reports are the same as with jobs=1.
+    in that many worker processes, at most one per representative; the
+    reports are the same as with jobs=1.
     """
     _require_int(jobs, "job count")
     if jobs < 1:
@@ -1197,7 +1198,8 @@ def sweep_theorem(
         from concurrent.futures import ProcessPoolExecutor
 
         task = functools.partial(_verify_basis, q, n, which, **kwargs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at the first submit: no more than the tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(reps))) as pool:
             # one representative per task: their costs differ widely
             verified = list(pool.map(task, [spaces[r].basis for r in reps]))
     done = {r: (report, mult(spaces[r])) for r, report in zip(reps, verified)}

@@ -322,6 +322,35 @@ def iter_minor_specs(c: Clutter):
         yield MinorSpec(delete=delete, contract=contract)
 
 
+def idle_mask(c: Clutter) -> int:
+    """The ground elements in no member, as a mask."""
+    union = 0
+    for m in c.members:
+        union |= m
+    return (1 << len(c.ground)) - 1 & ~union
+
+
+def padded(ground, sets, front: int, back: int) -> Clutter:
+    """The clutter of `sets` on `ground`, with `front` elements in no member before it and `back` after."""
+    pads = tuple(("pad", i) for i in range(front + back))
+    return Clutter(pads[:front] + tuple(ground) + pads[front:], sets)
+
+
+def disjoint_clutter(rng: random.Random, max_ground: int) -> Clutter:
+    """Pairwise-disjoint members cut from a shuffled ground, some of it left in no member.
+
+    One time in ten the empty member is added, which leaves it alone.
+    """
+    n = rng.randint(1, max_ground)
+    order = rng.sample(range(n), n)
+    ends = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    blocks = [order[start:end] for start, end in zip([0] + ends, ends)]
+    members = [b for b in blocks if rng.random() < 0.8]
+    if rng.random() < 0.1:
+        members.append(())
+    return Clutter(tuple(range(n)), members)
+
+
 def seen_set_packing_sweep(c: Clutter):
     """A depth-first packing sweep whose memo of visited shapes lives for one call."""
     seen = {(len(c.ground), c.members)}
@@ -832,10 +861,33 @@ class TestPacking:
     def test_cached_sweep_matches_the_per_call_sweep(self):
         rng = random.Random(18)
         clutters = [random_clutter(rng, 7, 10) for _ in range(300)]
-        clutters += [mult(s) for q, n in ((2, 3), (3, 2)) for s in enumerate_subspaces(q, n)]
+        spaces = [mult(s) for q, n in ((2, 3), (3, 2), (2, 4), (3, 3)) for s in enumerate_subspaces(q, n)]
+        # an always-zero coordinate leaves its nonzero values in no member
+        assert sum(idle_mask(c) != 0 for c in spaces) >= 40
+        clutters += spaces
+        # at most two members, and pairwise-disjoint members with and without the empty one
+        clutters += [random_clutter(rng, 7, 2, min_size=1) for _ in range(40)]
+        clutters += [disjoint_clutter(rng, 8) for _ in range(40)]
+        clutters += [Clutter((0, 1), []), Clutter((), [set()]), Clutter((0, 1, 2), [set()])]
+        blocked = {}
+        for name in ("delta3", "q6"):
+            target = builtin(name)
+            sets = [set(s) for s in target.member_sets()]
+            # joined to one new element the clutter packs (tau = nu = 1), and contracting it fails
+            joined = [s | {"x"} for s in sets]
+            for front, back in ((1, 0), (0, 1), (1, 1), (2, 1)):
+                clutters.append(padded(target.ground, sets, front, back))
+                blocked[len(clutters)] = (name, front)
+                clutters.append(padded(target.ground + ("x",), joined, front, back))
         expected = [seen_set_packing_sweep(c) for c in clutters]
         assert expected.count(None) >= 100
         assert sum(spec not in (None, MinorSpec()) for spec in expected) >= 30
+        for k, (name, front) in blocked.items():
+            # the padded target fails at itself; the padded joined one is walked, and with
+            # padding at index 0 the first step deletes it
+            assert expected[k - 1] == MinorSpec(), name
+            assert "x" in expected[k].contract, name
+            assert (clutters[k].ground[0] in expected[k].delete) == (front > 0), name
         _failing_path.cache_clear()
         cold = [has_packing_property(c) for c in clutters]
         warm = [has_packing_property(c) for c in reversed(clutters)][::-1]
@@ -844,6 +896,35 @@ class TestPacking:
         for c, spec in zip(clutters, cold):
             if spec is not None:
                 assert packs(minor(c, spec)) is False
+
+    def test_no_failing_minor_exactly_when_every_minor_packs(self):
+        rng = random.Random(27)
+        clutters = [disjoint_clutter(rng, 6) for _ in range(20)]
+        for _ in range(180):
+            # pairs and triples on most of up to six elements, the rest in no member
+            size = rng.randint(3, 6)
+            used = [e for e in range(size) if rng.random() < 0.85] or [0]
+            members = [
+                rng.sample(used, rng.randint(min(2, len(used)), min(3, len(used))))
+                for _ in range(rng.randint(1, 8))
+            ]
+            clutters.append(Clutter(tuple(range(size)), members))
+        brute: dict = {}
+
+        def brute_packs(m: Clutter) -> bool:
+            key = (len(m.ground), m.members)
+            if key not in brute:
+                unit = [1] * len(m.ground)
+                brute[key] = brute_tau(m, unit) == brute_nu(m, unit)
+            return brute[key]
+
+        verdicts = []
+        for c in clutters:
+            every_minor_packs = all(brute_packs(minor(c, spec)) for spec in iter_minor_specs(c))
+            verdicts.append(has_packing_property(c) is None)
+            assert verdicts[-1] == every_minor_packs, c
+        assert verdicts.count(False) >= 30 and verdicts.count(True) >= 100
+        assert sum(idle_mask(c) != 0 for c, v in zip(clutters, verdicts) if not v) >= 15
 
     def test_failing_spec_is_replayable(self, f3):
         space = span(f3, 3, [(1, 1, 0), (1, 0, 1)])

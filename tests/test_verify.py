@@ -9,6 +9,7 @@ polyhedral computation where the ground is small.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import itertools
 import json
@@ -780,6 +781,32 @@ class TestSweeps:
         parallel = sweep_theorem(q, n, which, jobs=2)
         assert parallel == serial
         assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
+
+    def test_pool_has_at_most_one_worker_per_representative(self, monkeypatch):
+        # a fork pool starts all its workers at the first submit; this stub records
+        # the size asked for and runs the tasks in this process, so nothing forks
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        serial = sweep_theorem(3, 3, "1.1")
+        reps = sum(r == k for k, (r, _) in enumerate(monomial_orbits(list(enumerate_subspaces(3, 3)))))
+        assert reps == 8
+        for jobs in (64, 3):
+            assert [r.to_dict() for r in sweep_theorem(3, 3, "1.1", jobs=jobs)] == [r.to_dict() for r in serial]
+        assert sizes == [8, 3]
 
     def test_wrong_statement_rejected_before_orbit_search(self, monkeypatch):
         monkeypatch.setattr(verify_module, "monomial_orbits", lambda spaces: pytest.fail("orbits searched"))
