@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, NoReturn, Optional, Sequence
 
 from .clutter import (
     Clutter,
@@ -58,6 +58,7 @@ EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
 
 _MINOR_TARGET_NAMES = ("delta3", "q6", "c5sq")
+_BUDGET_HELP = "exhaustive-search budget (minor search and packing sweep), as 3^|ground|"
 
 
 def _read_text(path: str) -> str:
@@ -148,20 +149,20 @@ def _analysis_ideal(cl: Clutter, max_ground: int) -> tuple[dict[str, Any], list[
 
 
 def _analysis_mfmc(
-    cl: Clutter, has_basis: bool, packing_budget: Optional[int]
+    cl: Clutter, has_basis: bool, budget: Optional[int]
 ) -> tuple[dict[str, Any], list[str]]:
-    verdict, method, cert = _mfmc_condition(cl, has_basis, packing_budget)
+    verdict, method, cert = _mfmc_condition(cl, has_basis, budget)
     data = {"verdict": verdict, "method": method, "certificate": summarize_certificate(cert)}
     return data, [f"mfmc: {_fmt_verdict(verdict).upper()} ({method})"]
 
 
 def _analysis_minors(
-    space: Subspace, cl: Clutter, minor_budget: Optional[int]
+    space: Subspace, cl: Clutter, budget: Optional[int]
 ) -> tuple[dict[str, Any], list[str]]:
     data: dict[str, Any] = {}
     lines: list[str] = []
     for name in _MINOR_TARGET_NAMES:
-        present, _, found = _named_minor(space, cl, name, minor_budget)
+        present, _, found = _named_minor(space, cl, name, budget)
         if present is None:
             data[name] = None
             lines.append(f"minor {name}: UNKNOWN (search out of budget)")
@@ -327,8 +328,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         args.theorem,
         jobs=args.jobs,
         max_ground=args.max_ground,
-        minor_budget=args.budget,
-        packing_budget=args.budget,
+        budget=args.budget,
     )
     reports = [r.to_dict() for r in swept]
     total = len(reports)
@@ -467,8 +467,25 @@ def cmd_matroid(args: argparse.Namespace) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, which main reports like any input error."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(message)
+
+
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clutterforge",
         description=(
             "Exact idealness and max-flow min-cut analysis for multipartite "
@@ -487,8 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--mfmc", action="store_true", help="covering = packing at all weights")
     p_an.add_argument("--minors", action="store_true", help="search the named forbidden minors")
     p_an.add_argument("--structure", action="store_true", help="bases, factors, series classes")
-    p_an.add_argument("--budget", type=int, default=None, help="minor and packing budget, as 3^|ground|")
-    p_an.add_argument("--max-ground", type=int, default=MAX_POLY_GROUND, help="polyhedral ground cap")
+    p_an.add_argument("--budget", type=_non_negative, default=None, help=_BUDGET_HELP)
+    p_an.add_argument("--max-ground", type=_non_negative, default=MAX_POLY_GROUND, help="polyhedral ground cap")
     p_an.add_argument("--check-cert", metavar="CERT", default=None,
                       help="re-validate a previously emitted minor certificate")
     p_an.set_defaults(func=cmd_analyze)
@@ -507,8 +524,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--theorem", required=True, help="statement id: 1.1, 1.2, 1.3, or 1.4")
     p_sw.add_argument("--out", default=None, help="write CSV/JSON to this file")
     p_sw.add_argument("--jobs", type=int, default=1, help="parallel workers, at most one per orbit representative")
-    p_sw.add_argument("--budget", type=int, default=None, help="minor and packing budget, as 3^|ground|")
-    p_sw.add_argument("--max-ground", type=int, default=MAX_POLY_GROUND, help="polyhedral ground cap")
+    p_sw.add_argument("--budget", type=_non_negative, default=None, help=_BUDGET_HELP)
+    p_sw.add_argument("--max-ground", type=_non_negative, default=MAX_POLY_GROUND, help="polyhedral ground cap")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_loc = sub.add_parser("localize", help="profile one localization of a subspace")
@@ -526,9 +543,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"UNKNOWN: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ Label = Hashable
 MAX_GROUND_SIZE = 64
 MAX_MULT_POINTS = 1 << 16
 MAX_ISO_GROUND = 20
-DEFAULT_FIND_MINOR_BUDGET = 3 ** 13
+SEARCH_BUDGET = 3 ** 13  # 3^|ground| cap of the minor search and of the packing sweep
 MAX_COPY_GROUND = 6  # copy tables for targets up to 6! = 720 relabellings
 
 
@@ -674,7 +674,7 @@ def find_minor(
     k = len(target.ground)
     if k > len(c.ground):
         return None
-    limit = DEFAULT_FIND_MINOR_BUDGET if budget is None else budget
+    limit = SEARCH_BUDGET if budget is None else budget
     if 3 ** len(c.ground) > limit:
         raise BudgetExceeded(
             f"exhaustive minor search on {len(c.ground)} ground elements exceeds the "

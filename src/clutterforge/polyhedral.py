@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .clutter import (
+    SEARCH_BUDGET,
     Clutter,
     MinorSpec,
     _bits,
@@ -42,7 +43,6 @@ from .errors import (
 from .matroid import _gf2_dependencies
 
 MAX_POLY_GROUND = 14
-PACKING_BUDGET = 3 ** 13
 MFMC_SWEEP_BUDGET = 1 << 20
 
 INFINITY = math.inf
@@ -490,7 +490,7 @@ def has_packing_property(c: Clutter, budget: Optional[int] = None) -> Optional[M
     _require_clutter(c)
     if budget is not None:
         _require_int(budget, "packing budget")
-    if 3 ** len(c.ground) > (PACKING_BUDGET if budget is None else budget):
+    if 3 ** len(c.ground) > (SEARCH_BUDGET if budget is None else budget):
         raise BudgetExceeded(f"packing sweep over 3^{len(c.ground)} minors exceeds the budget")
     path = _failing_path(len(c.ground), c.members)
     if path is None:

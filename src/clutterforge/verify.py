@@ -234,44 +234,6 @@ def _chain_certificate(
 
 
 # ---------------------------------------------------------------------------
-# the triple condition and its probe
-# ---------------------------------------------------------------------------
-
-def triple_condition_probe(
-    space: Subspace, a: Sequence[int], b: Sequence[int], c: Sequence[int], i: int, j: int, k: int
-) -> Optional[Point]:
-    """Search for the completion point promised to delta-3-free point sets.
-
-    Preconditions: a, b, c are distinct points of the space and the cyclic
-    agreement pattern holds at the distinct coordinates i, j, k (a,b agree at
-    i against c; b,c at j against a; c,a at k against b). Returns the first
-    point d (in sorted order) outside {a,b,c} whose every entry comes from
-    {a,b,c} and which matches at least two of c_i, a_j, b_k at i, j, k — or
-    None. When mult(space) has no triangle minor, a completion always exists;
-    absence of one certifies that the two-step triangle chain succeeds.
-    """
-    _require_subspace(space)
-    pa = _validate_point(space, a, "a")
-    pb = _validate_point(space, b, "b")
-    pc = _validate_point(space, c, "c")
-    for name, pt in (("a", pa), ("b", pb), ("c", pc)):
-        if not space.contains(pt):
-            raise PreconditionViolated(f"{name}={pt} is not a point of the space")
-    if len({pa, pb, pc}) != 3:
-        raise PreconditionViolated("a, b, c must be three distinct points")
-    for name, pos in (("i", i), ("j", j), ("k", k)):
-        if type(pos) is not int or pos < 0 or pos >= space.n:
-            raise PreconditionViolated(f"coordinate {name}={pos!r} outside 0..{space.n - 1}")
-    if len({i, j, k}) != 3:
-        raise PreconditionViolated("i, j, k must be three distinct coordinates")
-    if not _star_holds(pa, pb, pc, i, j, k):
-        raise PreconditionViolated(
-            "the cyclic agreement pattern fails: need a_i=b_i!=c_i, b_j=c_j!=a_j, c_k=a_k!=b_k"
-        )
-    return _find_completion(sorted(space.points()), pa, pb, pc, i, j, k)
-
-
-# ---------------------------------------------------------------------------
 # constructive triangle witnesses
 # ---------------------------------------------------------------------------
 
@@ -926,11 +888,11 @@ def _ideal_condition(cl: Clutter, max_ground: int) -> tuple[Optional[bool], str,
 
 
 def _mfmc_condition(
-    cl: Clutter, cond_ii: bool, packing_budget: Optional[int]
+    cl: Clutter, cond_ii: bool, budget: Optional[int]
 ) -> tuple[Optional[bool], str, Any]:
     """Condition (i) of statement 1.4 as (verdict, method, certificate)."""
     try:
-        violation = has_packing_property(cl, budget=packing_budget)
+        violation = has_packing_property(cl, budget=budget)
     except BudgetExceeded as exc:
         try:
             hit = mfmc_check(cl, 1)
@@ -960,8 +922,7 @@ def verify_theorem(
     which: Any,
     *,
     max_ground: int = MAX_POLY_GROUND,
-    minor_budget: Optional[int] = None,
-    packing_budget: Optional[int] = None,
+    budget: Optional[int] = None,
 ) -> TheoremReport:
     """Evaluate one three-way equivalence on one instance, with certificates.
 
@@ -972,8 +933,10 @@ def verify_theorem(
       1.4 (any q):      covering = packing at all weights <=> disjoint-support
                         basis <=> neither delta3 nor q6 minor
 
+    budget caps both searches over the minors of mult(space), the minor
+    search and the packing sweep, as 3^|ground| (default SEARCH_BUDGET).
     Condition (i) is computed by exact extreme-point enumeration when the
-    ground fits max_ground; beyond budget it is derived from the other
+    ground fits max_ground; beyond it it is derived from the other
     conditions where a sound one-directional argument exists, and the
     derivation is labeled in methods. For 1.4 it is refuted by a
     packing-property sweep over every minor, else derived from condition
@@ -982,16 +945,14 @@ def verify_theorem(
     deleting {e : w_e = 0}, which the sweep tests. Condition (ii) uses the
     structural detectors. Condition (iii) decides each target minor by
     _named_minor, the rule `analyze` uses too: exhaustive search within the
-    minor budget, past it a replayed constructive chain whose shape checks
-    pass, and otherwise the fact that ideal clutters have no non-ideal
-    minors. Budget failures leave verdicts None and are reported per
-    condition.
+    budget, past it a replayed constructive chain whose shape checks pass,
+    and otherwise the fact that ideal clutters have no non-ideal minors.
+    Budget failures leave verdicts None and are reported per condition.
     """
     _require_subspace(space)
     _require_int(max_ground, "max ground")
-    for budget, what in ((minor_budget, "minor budget"), (packing_budget, "packing budget")):
-        if budget is not None:
-            _require_int(budget, what)
+    if budget is not None:
+        _require_int(budget, "search budget")
     t = _normalize_theorem_id(which)
     q = space.q
     _check_field_class(t, q)
@@ -1004,7 +965,7 @@ def verify_theorem(
 
     # -- condition (i): polyhedral / flow side -----------------------------
     if t == "1.4":
-        cond_i, methods["i"], cert_i = _mfmc_condition(cl, cond_ii, packing_budget)
+        cond_i, methods["i"], cert_i = _mfmc_condition(cl, cond_ii, budget)
     else:
         cond_i, methods["i"], cert_i = _ideal_condition(cl, max_ground)
     if cert_i is not None:
@@ -1013,7 +974,7 @@ def verify_theorem(
     # -- condition (iii): forbidden-minor side -----------------------------
     cond_iii: Optional[bool] = True
     for name in _MINOR_TARGETS[t]:
-        present, method, found = _named_minor(space, cl, name, minor_budget)
+        present, method, found = _named_minor(space, cl, name, budget)
         if present is not False or cond_iii:
             # a present target decides, and an unknown one outranks an absent one
             methods["iii"] = method

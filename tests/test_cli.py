@@ -390,6 +390,46 @@ class TestSweep:
         for report in unknown_iii:
             assert report["methods"]["iii"].startswith("unknown: minor search out of budget")
 
+    def test_budget_reaches_the_library_unchanged(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--q", 3, "--n", 3, "--theorem", "1.4", "--budget", 6561, "--json"
+        )
+        assert code == EXIT_OK
+        swept = clutterforge.verify.sweep_theorem(3, 3, "1.4", budget=6561)
+        assert json.loads(out)["reports"] == [json.loads(json.dumps(r.to_dict())) for r in swept]
+
+
+class TestUsageErrors:
+    """A usage error is one `error: ParseError` line and exit 1, like any input error."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "x.txt", "--budget", "abc"], "argument --budget: invalid int value: 'abc'"),
+            (["sweep", "--q", "x", "--n", "2", "--theorem", "1.1"], "argument --q: invalid int value: 'x'"),
+            (["analyze"], "the following arguments are required: input"),
+            (["analyze", "x.txt", "--budget", "-1"], "argument --budget: must be at least 0, got -1"),
+            (["analyze", "x.txt", "--max-ground", "-3"], "argument --max-ground: must be at least 0, got -3"),
+            (["sweep", "--q", "3", "--n", "2", "--theorem", "1.4", "--budget", "-1"],
+             "argument --budget: must be at least 0, got -1"),
+            (["sweep", "--q", "3", "--n", "2", "--theorem", "1.4", "--max-ground", "-3"],
+             "argument --max-ground: must be at least 0, got -3"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["budget-not-int", "q-not-int", "missing-input", "analyze-negative-budget",
+             "analyze-negative-max-ground", "sweep-negative-budget", "sweep-negative-max-ground",
+             "missing-command"],
+    )
+    def test_one_error_line_and_exit_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (EXIT_ERROR, "", f"error: ParseError: {message}\n")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--help"])
+        assert info.value.code == 0
+        assert "exhaustive-search budget" in capsys.readouterr().out
+
 
 class TestLocalize:
     def test_profile(self, capsys, gf8_hyperplane):

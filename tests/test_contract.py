@@ -65,7 +65,6 @@ from clutterforge.verify import (
     instance_id,
     localization_profile,
     sweep_theorem,
-    triple_condition_probe,
     verify_theorem,
 )
 from clutterforge.vspace import Subspace, factor, parse_subspace, project, span
@@ -265,8 +264,7 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: is_ideal(builtin("delta3"), max_ground="14"), TypeError),
         (lambda: extreme_points(builtin("delta3"), max_ground=14.0), TypeError),
         (lambda: list(enumerate_subspaces("3", 2)), TypeError),
-        (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.1", minor_budget="9"), TypeError),
-        (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.1", packing_budget="x"), TypeError),
+        (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.1", budget="9"), TypeError),
         (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.4", max_ground="x"), TypeError),
         (lambda: sweep_theorem(3, 2, "1.1", jobs=2.0), TypeError),
         (lambda: sweep_theorem(3, 2, "1.4", jobs=-3), ValueError),
@@ -297,7 +295,6 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: c5sq_witness("x"), TypeError),
         (lambda: delta3_witness_u24("x"), TypeError),
         (lambda: delta3_witness_k4e("x"), TypeError),
-        (lambda: triple_condition_probe("x", (0,), (1,), (2,), 0, 1, 2), TypeError),
         (lambda: localization_profile("x", (0, 0, 0)), TypeError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
@@ -317,7 +314,7 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
          "span-entry-bool", "localization-entry-bool", "json-entry-bool", "find-minor-budget-str",
          "is-ideal-ground-cap-str", "extreme-points-ground-cap-float",
          "enumerate-subspaces-order-str",
-         "verify-theorem-minor-budget-str", "verify-theorem-packing-budget-str",
+         "verify-theorem-budget-str",
          "verify-theorem-max-ground-str", "sweep-jobs-float", "sweep-jobs-negative", "points-cap-str",
          "packing-budget-bool", "mfmc-bound-bool", "minor-element-bool", "project-coordinate-bool",
          "enumerate-subspaces-order-one", "sweep-order-one",
@@ -329,7 +326,7 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
          "matroid-minor-not-a-matroid", "intersecting-circuits-not-a-matroid",
          "instance-id-not-a-subspace", "c5sq-rng-bool", "c5sq-rng-str",
          "c5sq-not-a-subspace", "u24-witness-not-a-subspace", "k4e-witness-not-a-subspace",
-         "triple-probe-not-a-subspace", "localization-profile-not-a-subspace"],
+         "localization-profile-not-a-subspace"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

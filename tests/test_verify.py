@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 from clutterforge.clutter import (
+    SEARCH_BUDGET,
     Clutter,
     MinorSpec,
     apply_chain,
@@ -41,13 +42,14 @@ from clutterforge.errors import (
 )
 from clutterforge.gf import build_field
 from clutterforge.matroid import matroid_of, series_classes
-from clutterforge.polyhedral import IdealnessCertificate, is_ideal, mfmc_check, nu, tau
+from clutterforge.polyhedral import IdealnessCertificate, has_packing_property, is_ideal, mfmc_check, nu, tau
 import clutterforge.clutter as clutter_module
 import clutterforge.matroid as matroid_module
 import clutterforge.verify as verify_module
 import clutterforge.vspace as vspace_module
 from clutterforge.verify import (
     LocalizationProfile,
+    _blocked_triple_chain,
     c5sq_witness,
     count_subspaces,
     delta3_witness_k4e,
@@ -59,7 +61,6 @@ from clutterforge.verify import (
     replication_tau2_report,
     summarize_certificate,
     sweep_theorem,
-    triple_condition_probe,
     verify_theorem,
 )
 from clutterforge.vspace import disjoint_support_basis, monomial_image, monomial_orbits, permute, project, span
@@ -133,55 +134,21 @@ class TestEnumeration:
 
 
 # ---------------------------------------------------------------------------
-# triple condition probe
+# blocked triples: the checks before a triangle chain is built
 # ---------------------------------------------------------------------------
 
-class TestTripleProbe:
-    def test_completion_found(self, r11):
-        d = triple_condition_probe(r11, (0, 0, 0), (0, 1, 1), (1, 0, 1), 0, 2, 1)
-        assert d == (1, 1, 0)
+class TestBlockedTripleChain:
+    TRIPLE = ((0, 0, 0), (0, 1, 1), (1, 0, 1))
 
-    def test_completion_satisfies_two_of_three(self, r11):
-        a, b, c = (0, 0, 0), (0, 1, 1), (1, 0, 1)
-        i, j, k = 0, 2, 1
-        d = triple_condition_probe(r11, a, b, c, i, j, k)
-        hits = (d[i] == c[i]) + (d[j] == a[j]) + (d[k] == b[k])
-        assert hits >= 2
-        assert all(d[p] in {a[p], b[p], c[p]} for p in range(3))
+    def test_completion_point_raises(self, r11):
+        # (1, 1, 0) completes this triple at (0, 2, 1): it matches c at 0 and a at 2
+        with pytest.raises(VerificationFailure, match="unexpected completion point"):
+            _blocked_triple_chain(r11, sorted(r11.points()), [range(2)] * 3, *self.TRIPLE, 0, 2, 1)
 
-    def test_point_outside_space_rejected(self, r11):
-        with pytest.raises(PreconditionViolated):
-            triple_condition_probe(r11, (1, 0, 0), (0, 1, 1), (1, 0, 1), 0, 2, 1)
-
-    def test_duplicate_points_rejected(self, r11):
-        with pytest.raises(PreconditionViolated):
-            triple_condition_probe(r11, (0, 0, 0), (0, 0, 0), (1, 0, 1), 0, 2, 1)
-
-    def test_duplicate_coordinates_rejected(self, r11):
-        with pytest.raises(PreconditionViolated):
-            triple_condition_probe(r11, (0, 0, 0), (0, 1, 1), (1, 0, 1), 0, 0, 1)
-
-    def test_coordinate_out_of_range_rejected(self, r11):
-        with pytest.raises(PreconditionViolated):
-            triple_condition_probe(r11, (0, 0, 0), (0, 1, 1), (1, 0, 1), 0, 2, 5)
-
-    def test_wrong_length_point_rejected(self, r11):
-        with pytest.raises(PreconditionViolated):
-            triple_condition_probe(r11, (0, 0), (0, 1, 1), (1, 0, 1), 0, 2, 1)
-
-    def test_agreement_pattern_must_hold(self, r11):
-        with pytest.raises(PreconditionViolated):
-            triple_condition_probe(r11, (0, 0, 0), (0, 1, 1), (1, 0, 1), 1, 2, 0)
-
-    def test_no_completion_on_blocked_triple(self, f4):
-        # inside a U24 point set the constructed triple has no completion
-        space = span(f4, 4, [(1, 0, 1, 1), (0, 1, 1, 2)])
-        f = f4
-        v1, v2 = space.basis
-        a = f.vec_scale(f.mul(f.inv(v1[2]), v2[2]), v1)
-        b = v2
-        c = f.vec_add(a, b)
-        assert triple_condition_probe(space, a, b, c, 2, 1, 0) is None
+    def test_broken_agreement_pattern_raises(self, r11):
+        # at (1, 2, 0) a and b disagree at coordinate 1
+        with pytest.raises(VerificationFailure, match="cyclic agreement pattern"):
+            _blocked_triple_chain(r11, sorted(r11.points()), [range(2)] * 3, *self.TRIPLE, 1, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +601,7 @@ class TestVerifyTheorem:
         # and no builder fits these shapes
         monkeypatch.setattr(clutter_module, "_exhaustive_find_minor", lambda *a: pytest.fail("minor searched"))
         for space, which in ((r11, "1.4"), (zero_sum_gf3, "1.1"), (zero_sum_gf4, "1.2")):
-            r = verify_theorem(space, which, minor_budget=3 ** len(mult(space).ground) - 1)
+            r = verify_theorem(space, which, budget=3 ** len(mult(space).ground) - 1)
             assert "iii" not in r.certificates
             if which == "1.2":
                 assert r.cond_iii is True and r.methods["iii"].startswith("derived")
@@ -655,7 +622,7 @@ class TestVerifyTheorem:
         swept = verify_theorem(r11, "1.4")
         assert swept.methods["i"].startswith("refuted: a minor fails to pack")
         assert calls == []
-        weighted = verify_theorem(r11, "1.4", packing_budget=1)
+        weighted = verify_theorem(r11, "1.4", budget=1)
         assert weighted.cond_i is False and len(calls) == 1
         assert weighted.methods["i"] == "refuted: explicit weight vector with covering > packing"
         w, cover, packing_value = weighted.certificates["i"]
@@ -682,6 +649,42 @@ class TestVerifyTheorem:
         spec = MinorSpec(delete={(0, 1)}, contract={(2, 3)})
         out = summarize_certificate(spec)
         assert out == {"delete": ["(0, 1)"], "contract": ["(2, 3)"]}
+
+
+class TestSearchBudget:
+    """One budget, as 3^|ground|, caps both searches over the minors: find_minor and the packing sweep."""
+
+    @staticmethod
+    def _clutter(size):
+        # contracting 3 leaves delta3, and the members cover twice but pack once
+        return Clutter(tuple(range(size)), [{0, 1}, {1, 2}, {0, 2, 3}])
+
+    def test_default_searches_ground_13_and_refuses_ground_14(self):
+        assert SEARCH_BUDGET == 3 ** 13
+        c = self._clutter(13)
+        assert find_minor(c, builtin("delta3")) is not None
+        assert has_packing_property(c) == MinorSpec()
+        c = self._clutter(14)
+        with pytest.raises(BudgetExceeded):
+            find_minor(c, builtin("delta3"))
+        with pytest.raises(BudgetExceeded):
+            has_packing_property(c)
+
+    def test_one_value_gates_both_searches(self, r11):
+        # mult(r11) is q6 on 6 ground elements
+        below = verify_theorem(r11, "1.4", budget=3 ** 6 - 1)
+        assert below.methods["i"] == "refuted: explicit weight vector with covering > packing"
+        assert below.cond_iii is None and below.methods["iii"] == "unknown: minor search out of budget"
+        at = verify_theorem(r11, "1.4", budget=3 ** 6)
+        assert at.methods["i"].startswith("refuted: a minor fails to pack")
+        assert at.cond_iii is False and at.methods["iii"] == "minor search (witness replayed)"
+
+    @pytest.mark.parametrize("keyword", ["minor_budget", "packing_budget"])
+    def test_budget_is_the_only_search_keyword(self, r11, keyword):
+        with pytest.raises(TypeError):
+            verify_theorem(r11, "1.4", **{keyword: 3 ** 6})
+        with pytest.raises(TypeError):
+            sweep_theorem(2, 2, "1.4", **{keyword: 3 ** 6})
 
 
 class TestNamedMinor:
@@ -748,7 +751,7 @@ class TestSweeps:
         assert all(r.agreement and not r.unknown for r in reports)
 
     def test_odd_q5_cubes_with_raised_budget(self):
-        reports = sweep_theorem(5, 3, "1.1", minor_budget=3**15)
+        reports = sweep_theorem(5, 3, "1.1", budget=3**15)
         assert len(reports) == 64
         assert all(r.agreement and not r.unknown for r in reports)
         assert sum(1 for r in reports if r.cond_ii is False) == 16
@@ -996,7 +999,7 @@ class TestMonomialOrbits:
             (8, 3, "1.3", {}),
             (2, 4, "1.4", {}),
             (3, 3, "1.4", {}),
-            (3, 3, "1.4", {"packing_budget": 1}),  # refuted by weight vectors
+            (3, 3, "1.4", {"budget": 1}),  # refuted by weight vectors
         ],
     )
     def test_transported_certificates_replay(self, q, n, which, kwargs):
