@@ -265,6 +265,7 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: extreme_points(builtin("delta3"), max_ground=14.0), TypeError),
         (lambda: list(enumerate_subspaces("3", 2)), TypeError),
         (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.1", budget="9"), TypeError),
+        (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.4", budget="x"), TypeError),
         (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.4", max_ground="x"), TypeError),
         (lambda: sweep_theorem(3, 2, "1.1", jobs=2.0), TypeError),
         (lambda: sweep_theorem(3, 2, "1.4", jobs=-3), ValueError),
@@ -314,7 +315,7 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
          "span-entry-bool", "localization-entry-bool", "json-entry-bool", "find-minor-budget-str",
          "is-ideal-ground-cap-str", "extreme-points-ground-cap-float",
          "enumerate-subspaces-order-str",
-         "verify-theorem-budget-str",
+         "verify-theorem-minor-budget-str", "verify-theorem-packing-budget-str",
          "verify-theorem-max-ground-str", "sweep-jobs-float", "sweep-jobs-negative", "points-cap-str",
          "packing-budget-bool", "mfmc-bound-bool", "minor-element-bool", "project-coordinate-bool",
          "enumerate-subspaces-order-one", "sweep-order-one",
