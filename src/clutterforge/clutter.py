@@ -39,6 +39,14 @@ SEARCH_BUDGET = 3 ** 13  # 3^|ground| cap of the minor search and of the packing
 MAX_COPY_GROUND = 6  # copy tables for targets up to 6! = 720 relabellings
 
 
+def _require_limit(value: int, what: str) -> int:
+    """A search budget or cap, when it is an int >= 0."""
+    _require_int(value, what)
+    if value < 0:
+        raise PreconditionViolated(f"{what} must be at least 0, got {value}")
+    return value
+
+
 def _canonical_key(m: int) -> tuple[int, int]:
     return (m.bit_count(), m)
 
@@ -196,6 +204,8 @@ def builtin(name: str) -> Clutter:
         "q6": ((1, 2, 3, 4, 5, 6), ({1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5})),
         "c5sq": ((1, 2, 3, 4, 5), ({1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 1})),
     }
+    if not isinstance(name, str):
+        raise WrongType(f"builtin name must be a str, got {type(name).__name__}")
     key = name.lower()
     if key not in table:
         raise UnknownName(f"unknown builtin {name!r}; choose from Delta3, Q6, C5sq")
@@ -320,6 +330,8 @@ def replay_minor(
         if iso is None:
             raise VerificationFailure(f"replayed minor is not isomorphic to {name}: {got!r}")
         return {t: e for e, t in iso.items()}
+    if not isinstance(mapping, Mapping):
+        raise WrongType(f"mapping must be a mapping, got {type(mapping).__name__}")
     if (
         set(mapping) != set(target.ground)
         or set(mapping.values()) != set(got.ground)
@@ -669,12 +681,9 @@ def find_minor(
     """
     _require_clutter(c)
     _require_clutter(target)
-    if budget is not None:
-        _require_int(budget, "minor budget")
-    k = len(target.ground)
-    if k > len(c.ground):
+    limit = SEARCH_BUDGET if budget is None else _require_limit(budget, "minor budget")
+    if len(target.ground) > len(c.ground):
         return None
-    limit = SEARCH_BUDGET if budget is None else budget
     if 3 ** len(c.ground) > limit:
         raise BudgetExceeded(
             f"exhaustive minor search on {len(c.ground)} ground elements exceeds the "

@@ -30,6 +30,7 @@ from .clutter import (
     _delete_members,
     _minimal_masks,
     _require_clutter,
+    _require_limit,
 )
 from .errors import (
     BudgetExceeded,
@@ -485,12 +486,12 @@ def has_packing_property(c: Clutter, budget: Optional[int] = None) -> Optional[M
     elements in no member is None exactly when its shape without them is,
     since such elements change no minor's tau or nu. The returned spec is
     the full walk's either way. A budget that is not an int raises
-    WrongType; 3^|V| over it, BudgetExceeded.
+    WrongType, a negative one PreconditionViolated; 3^|V| over it,
+    BudgetExceeded.
     """
     _require_clutter(c)
-    if budget is not None:
-        _require_int(budget, "packing budget")
-    if 3 ** len(c.ground) > (SEARCH_BUDGET if budget is None else budget):
+    limit = SEARCH_BUDGET if budget is None else _require_limit(budget, "packing budget")
+    if 3 ** len(c.ground) > limit:
         raise BudgetExceeded(f"packing sweep over 3^{len(c.ground)} minors exceeds the budget")
     path = _failing_path(len(c.ground), c.members)
     if path is None:

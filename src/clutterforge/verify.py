@@ -18,6 +18,7 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 from .clutter import (
     Clutter,
     MinorSpec,
+    _require_limit,
     apply_chain,
     builtin,
     compose_chain,
@@ -195,27 +196,26 @@ def _find_completion(
 
 
 def _blocked_triple_chain(
-    space: Subspace, points: Sequence[Point], boxes: Sequence[Sequence[int]],
-    a: Point, b: Point, c: Point, i: int, j: int, k: int, prefix: tuple[MinorSpec, ...] = (),
+    space: Subspace, a: Point, b: Point, c: Point, i: int, j: int, k: int
 ) -> tuple[MinorSpec, ...]:
-    """The verified triangle minor chain of a blocked triple: prefix, then two steps.
+    """The verified two-step triangle minor chain of a blocked triple.
 
     The triple must hold the cyclic agreement pattern and have no completion
-    point among points. Step one deletes the elements of boxes (one value
-    list per coordinate) outside the triple's value box and contracts the
-    box elements of the coordinates other than i, j, k; step two contracts
-    the three "odd one out" values, leaving the triangle on (i, a_i),
-    (j, b_j), (k, c_k). The whole chain is replayed before being returned.
+    point in the space. Step one deletes every element (p, v) with v outside
+    the triple's value box {a_p, b_p, c_p} and contracts the box elements of
+    the coordinates other than i, j, k; step two contracts the three "odd one
+    out" values, leaving the triangle on (i, a_i), (j, b_j), (k, c_k). The
+    chain is replayed before being returned.
     """
     if not _star_holds(a, b, c, i, j, k):
         raise VerificationFailure("constructed triple fails the cyclic agreement pattern")
-    if _find_completion(points, a, b, c, i, j, k) is not None:
+    if _find_completion(space.points(), a, b, c, i, j, k) is not None:
         raise VerificationFailure("unexpected completion point: the triple is not blocked")
     allowed = [{a[p], b[p], c[p]} for p in range(space.n)]
-    delete = frozenset((p, v) for p, box in enumerate(boxes) for v in box if v not in allowed[p])
+    delete = frozenset((p, v) for p in range(space.n) for v in range(space.q) if v not in allowed[p])
     contract = frozenset((p, v) for p in range(space.n) if p not in (i, j, k) for v in allowed[p])
     odd = frozenset({(i, c[i]), (j, a[j]), (k, b[k])})
-    chain = prefix + (MinorSpec(delete, contract), MinorSpec(contract=odd))
+    chain = (MinorSpec(delete, contract), MinorSpec(contract=odd))
     replay_minor(mult(space), compose_chain(chain), "delta3")
     return chain
 
@@ -266,8 +266,7 @@ def delta3_witness_u24(space: Subspace) -> tuple[MinorSpec, ...]:
     a = f.vec_scale(f.mul(f.inv(x), z), v1)
     b = v2
     c = f.vec_add(a, b)
-    boxes = [range(f.q)] * 4
-    return _blocked_triple_chain(space, sorted(space.points()), boxes, a, b, c, 2, 1, 0)
+    return _blocked_triple_chain(space, a, b, c, 2, 1, 0)
 
 
 def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
@@ -276,10 +275,10 @@ def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
     The space must live in five coordinates over GF(2^k), k >= 2, with
     matroid equal to the cycle matroid of the triangle with two doubled
     edges (two disjoint 2-element minimal supports plus four 3-element
-    ones). The chain first deletes the elements outside a box that keeps 12
-    points, then runs the two-step triangle extraction on a blocked triple
-    among them; the chain is replayed and checked against the triangle
-    before being returned.
+    ones). The chain is the two-step triangle extraction
+    `_blocked_triple_chain(space, a, b, c, i, j, k)` on a blocked triple built
+    from the points of three minimal supports; it is replayed and checked
+    against the triangle before being returned.
     """
     _require_subspace(space)
     f = space.field
@@ -299,17 +298,13 @@ def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
         raise WrongShape(
             "matroid mismatch: need two disjoint 2-element and four 3-element minimal supports"
         )
-    paired = set(pairs[0]) | set(pairs[1])
-    lone = [e for e in range(5) if e not in paired]
-    if len(lone) != 1:
-        raise WrongShape("exactly one coordinate must avoid the 2-element supports")
-    c1 = lone[0]
+    # two disjoint pairs among five coordinates leave exactly one coordinate
+    (c1,) = set(range(5)) - set(pairs[0]) - set(pairs[1])
     tri = min(t for t in triples if c1 in t)
-    u, v = sorted(set(tri) - {c1})
+    c4, c5 = sorted(set(tri) - {c1})
     pair_of = {e: p for p in pairs for e in p}
-    c4, c5 = u, v
-    (c2,) = set(pair_of[u]) - {u}
-    (c3,) = set(pair_of[v]) - {v}
+    (c2,) = set(pair_of[c4]) - {c4}
+    (c3,) = set(pair_of[c5]) - {c5}
 
     def circuit_point(supp: frozenset[int], unit_at: int) -> Point:
         p = _support_line(space, supp)
@@ -324,29 +319,13 @@ def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
         # rescale the third row so its tail differs from z; 2 encodes a
         # field element outside {0, 1}, available since q >= 4
         v3 = f.vec_scale(2, v3)
-    t, w = v3[c3], v3[c5]
+    w = v3[c5]
     if z == w:
         raise VerificationFailure("tail values still collide after rescaling")
-    boxes: list[Sequence[int]] = [()] * 5
-    boxes[c1] = (0, z, w)
-    boxes[c2] = (0, x)
-    boxes[c3] = (0, f.mul(t, y))
-    boxes[c4] = tuple(range(q))
-    boxes[c5] = tuple(range(q))
-    kept = [p for p in space.points() if all(p[i] in boxes[i] for i in range(5))]
-    varying = [i for i in range(5) if len({p[i] for p in kept}) > 1]
-    if len(kept) != 12 or len(varying) != 5:
-        raise VerificationFailure(
-            f"box kept {len(kept)} points varying on {varying}, expected 12 varying on all five coordinates"
-        )
-    spec0 = MinorSpec(delete=frozenset((i, v) for i in range(5) for v in range(q) if v not in boxes[i]))
     a = f.vec_scale(z, v1)
     b = f.vec_scale(w, v1)
     c = f.vec_add(f.vec_scale(x, v2), f.vec_scale(y, v3))
-    for name, pt in (("a", a), ("b", b), ("c", c)):
-        if pt not in kept:
-            raise VerificationFailure(f"constructed point {name}={pt} left the box")
-    return _blocked_triple_chain(space, kept, boxes, a, b, c, c3, c5, c4, (spec0,))
+    return _blocked_triple_chain(space, a, b, c, c3, c5, c4)
 
 
 # ---------------------------------------------------------------------------
@@ -947,12 +926,13 @@ def verify_theorem(
     _named_minor, the rule `analyze` uses too: exhaustive search within the
     budget, past it a replayed constructive chain whose shape checks pass,
     and otherwise the fact that ideal clutters have no non-ideal minors.
-    Budget failures leave verdicts None and are reported per condition.
+    Budget failures leave verdicts None and are reported per condition; a
+    negative budget or max_ground raises PreconditionViolated.
     """
     _require_subspace(space)
-    _require_int(max_ground, "max ground")
+    _require_limit(max_ground, "max ground")
     if budget is not None:
-        _require_int(budget, "search budget")
+        _require_limit(budget, "search budget")
     t = _normalize_theorem_id(which)
     q = space.q
     _check_field_class(t, q)

@@ -297,6 +297,13 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: delta3_witness_u24("x"), TypeError),
         (lambda: delta3_witness_k4e("x"), TypeError),
         (lambda: localization_profile("x", (0, 0, 0)), TypeError),
+        (lambda: builtin(3), TypeError),
+        (lambda: replay_minor(builtin("delta3"), MinorSpec(), "delta3", mapping=5), TypeError),
+        (lambda: find_minor(builtin("q6"), builtin("delta3"), budget=-1), ValueError),
+        (lambda: has_packing_property(builtin("q6"), budget=-1), ValueError),
+        (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.4", budget=-1), ValueError),
+        (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.1", max_ground=-1), ValueError),
+        (lambda: sweep_theorem(2, 2, "1.4", budget=-1), ValueError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
          "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sweep",
@@ -327,7 +334,10 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
          "matroid-minor-not-a-matroid", "intersecting-circuits-not-a-matroid",
          "instance-id-not-a-subspace", "c5sq-rng-bool", "c5sq-rng-str",
          "c5sq-not-a-subspace", "u24-witness-not-a-subspace", "k4e-witness-not-a-subspace",
-         "localization-profile-not-a-subspace"],
+         "localization-profile-not-a-subspace", "builtin-name-not-a-str",
+         "replay-mapping-not-a-mapping", "find-minor-budget-negative", "packing-budget-negative",
+         "verify-theorem-budget-negative", "verify-theorem-max-ground-negative",
+         "sweep-budget-negative"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

@@ -25,6 +25,7 @@ from clutterforge.clutter import (
     MinorSpec,
     apply_chain,
     builtin,
+    compose_chain,
     find_minor,
     is_isomorphic,
     localization,
@@ -143,12 +144,12 @@ class TestBlockedTripleChain:
     def test_completion_point_raises(self, r11):
         # (1, 1, 0) completes this triple at (0, 2, 1): it matches c at 0 and a at 2
         with pytest.raises(VerificationFailure, match="unexpected completion point"):
-            _blocked_triple_chain(r11, sorted(r11.points()), [range(2)] * 3, *self.TRIPLE, 0, 2, 1)
+            _blocked_triple_chain(r11, *self.TRIPLE, 0, 2, 1)
 
     def test_broken_agreement_pattern_raises(self, r11):
         # at (1, 2, 0) a and b disagree at coordinate 1
         with pytest.raises(VerificationFailure, match="cyclic agreement pattern"):
-            _blocked_triple_chain(r11, sorted(r11.points()), [range(2)] * 3, *self.TRIPLE, 1, 2, 0)
+            _blocked_triple_chain(r11, *self.TRIPLE, 1, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +217,14 @@ class TestDelta3WitnessK4e:
     def test_example_chain_replays(self, f4):
         space = span(f4, 5, self.BASE)
         chain = delta3_witness_k4e(space)
-        assert len(chain) == 3
+        assert len(chain) == 2
         final = apply_chain(mult(space), chain)
         assert is_isomorphic(final, builtin("delta3")) is not None
+        # the composed spec of tests/cli_golden/witness-gf4_k4e-k4e.out
+        assert compose_chain(chain) == MinorSpec(
+            delete=frozenset({(0, 3), (1, 0), (1, 3), (2, 0), (2, 3), (3, 2), (3, 3), (4, 1), (4, 3)}),
+            contract=frozenset({(0, 0), (0, 1), (0, 2), (1, 2), (2, 1), (3, 0), (3, 1), (4, 2)}),
+        )
 
     def test_example_matroid_shape(self, f4):
         space = span(f4, 5, self.BASE)
