@@ -42,6 +42,7 @@ from .polyhedral import MAX_POLY_GROUND
 from .verify import (
     _WITNESS_BUILDERS,
     _chain_certificate,
+    _factor_mults,
     _factor_pieces,
     _ideal_condition,
     _mfmc_condition,
@@ -149,20 +150,20 @@ def _analysis_ideal(cl: Clutter, max_ground: int) -> tuple[dict[str, Any], list[
 
 
 def _analysis_mfmc(
-    cl: Clutter, has_basis: bool, budget: Optional[int]
+    cl: Clutter, has_basis: bool, budget: Optional[int], pieces: Sequence[Clutter]
 ) -> tuple[dict[str, Any], list[str]]:
-    verdict, method, cert = _mfmc_condition(cl, has_basis, budget)
+    verdict, method, cert = _mfmc_condition(cl, has_basis, budget, pieces)
     data = {"verdict": verdict, "method": method, "certificate": summarize_certificate(cert)}
     return data, [f"mfmc: {_fmt_verdict(verdict).upper()} ({method})"]
 
 
 def _analysis_minors(
-    space: Subspace, cl: Clutter, budget: Optional[int]
+    space: Subspace, cl: Clutter, budget: Optional[int], pieces: Sequence[Clutter]
 ) -> tuple[dict[str, Any], list[str]]:
     data: dict[str, Any] = {}
     lines: list[str] = []
     for name in _MINOR_TARGET_NAMES:
-        present, _, found = _named_minor(space, cl, name, budget)
+        present, _, found = _named_minor(space, cl, name, budget, pieces)
         if present is None:
             data[name] = None
             lines.append(f"minor {name}: UNKNOWN (search out of budget)")
@@ -253,6 +254,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     cl = mult(space) if ideal or mfmc or minors else None
     basis = disjoint_support_basis(space) if mfmc or structure else None
+    pieces = _factor_mults(space, cl, args.budget) if mfmc or minors else ()
     report: dict[str, Any] = {"instance": instance_id(space)}
     lines: list[str] = [f"instance: {instance_id(space)}"]
     unknown = False
@@ -261,11 +263,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines += txt
         unknown |= report["ideal"]["verdict"] is None
     if mfmc:
-        report["mfmc"], txt = _analysis_mfmc(cl, basis is not None, args.budget)
+        report["mfmc"], txt = _analysis_mfmc(cl, basis is not None, args.budget, pieces)
         lines += txt
         unknown |= report["mfmc"]["verdict"] is None
     if minors:
-        report["minors"], txt = _analysis_minors(space, cl, args.budget)
+        report["minors"], txt = _analysis_minors(space, cl, args.budget, pieces)
         lines += txt
         unknown |= None in report["minors"].values()
     if structure:

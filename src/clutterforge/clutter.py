@@ -54,6 +54,8 @@ def _canonical_key(m: int) -> tuple[int, int]:
 def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Inclusion-minimal masks, deduplicated, sorted by (cardinality, value)."""
     uniq = sorted(set(masks), key=_canonical_key)
+    if not uniq or uniq[0].bit_count() == uniq[-1].bit_count():
+        return tuple(uniq)  # distinct masks of one size are an antichain
     out: list[int] = []
     for m in uniq:
         if not any(s & m == s for s in out):

@@ -17,6 +17,7 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .clutter import (
     Clutter,
+    SEARCH_BUDGET,
     MinorSpec,
     _require_limit,
     apply_chain,
@@ -55,11 +56,13 @@ from .polyhedral import (
 from .vspace import (
     Point,
     Subspace,
+    _is_semilinear,
     _nullspace,
     _require_subspace,
     _support_line,
     disjoint_support_basis,
     factor,
+    monomial_image,
     monomial_orbits,
     sunflower_basis,
 )
@@ -807,18 +810,45 @@ _MINOR_TARGETS = {
 }
 
 
+def _factor_mults(space: Subspace, cl: Clutter, budget: Optional[int]) -> tuple[Clutter, ...]:
+    """mult of each coordinate factor of the space, when it has at least two
+    and the searches on cl = mult(space) are within the budget; else ().
+
+    cl is then the clutter product of these, and every minor of a product
+    is the product of minors of its factors, whose tau and nu are the
+    minima of theirs. So cl has the packing property when every factor
+    has it, and none of delta3, q6 and c5sq, which are not products (no
+    element lies in every member, and q6 fails each of its 2x2 splits),
+    is a minor of cl unless it is a minor of a factor. The callers search
+    the factors first and fall back to cl on any hit, so their answers and
+    certificates are those of the search on cl.
+    """
+    if 3 ** len(cl.ground) > (SEARCH_BUDGET if budget is None else budget):
+        return ()
+    pieces = factor(space)
+    return tuple(mult(piece) for _, piece in pieces) if len(pieces) > 1 else ()
+
+
 def _named_minor(
-    space: Subspace, cl: Clutter, name: str, budget: Optional[int]
+    space: Subspace,
+    cl: Clutter,
+    name: str,
+    budget: Optional[int],
+    pieces: Sequence[Clutter] = (),
 ) -> tuple[Optional[bool], str, Optional[tuple[str, MinorSpec, dict]]]:
     """Whether cl = mult(space) has the named minor, as (present, method, certificate).
 
     Within the budget the exhaustive search decides, and a hit is the
-    certificate. Past it, the first builder for the target whose shape
-    checks pass gives a replayed chain; when none applies, presence is
-    unknown.
+    certificate; absence from every one of the pieces, `_factor_mults`,
+    decides absence without searching cl. Past the budget, the first
+    builder for the target whose shape checks pass gives a replayed chain;
+    when none applies, presence is unknown.
     """
+    wanted = builtin(name)
+    if pieces and all(find_minor(piece, wanted, budget=budget) is None for piece in pieces):
+        return False, "exhaustive minor search (absence certified)", None
     try:
-        hit = find_minor(cl, builtin(name), budget=budget)
+        hit = find_minor(cl, wanted, budget=budget)
     except BudgetExceeded:
         for builder, target in _WITNESS_BUILDERS.values():
             if target != name:
@@ -867,11 +897,16 @@ def _ideal_condition(cl: Clutter, max_ground: int) -> tuple[Optional[bool], str,
 
 
 def _mfmc_condition(
-    cl: Clutter, cond_ii: bool, budget: Optional[int]
+    cl: Clutter, cond_ii: bool, budget: Optional[int], pieces: Sequence[Clutter] = ()
 ) -> tuple[Optional[bool], str, Any]:
-    """Condition (i) of statement 1.4 as (verdict, method, certificate)."""
+    """Condition (i) of statement 1.4 as (verdict, method, certificate).
+
+    The packing sweep runs on cl unless every one of the pieces,
+    `_factor_mults`, has the packing property, which proves it for cl.
+    """
     try:
-        violation = has_packing_property(cl, budget=budget)
+        packs = bool(pieces) and all(has_packing_property(p, budget=budget) is None for p in pieces)
+        violation = None if packs else has_packing_property(cl, budget=budget)
     except BudgetExceeded as exc:
         try:
             hit = mfmc_check(cl, 1)
@@ -937,6 +972,7 @@ def verify_theorem(
     q = space.q
     _check_field_class(t, q)
     cl = mult(space)
+    pieces = _factor_mults(space, cl, budget)
     methods: dict[str, str] = {}
     certs: dict[str, Any] = {}
 
@@ -945,7 +981,7 @@ def verify_theorem(
 
     # -- condition (i): polyhedral / flow side -----------------------------
     if t == "1.4":
-        cond_i, methods["i"], cert_i = _mfmc_condition(cl, cond_ii, budget)
+        cond_i, methods["i"], cert_i = _mfmc_condition(cl, cond_ii, budget, pieces)
     else:
         cond_i, methods["i"], cert_i = _ideal_condition(cl, max_ground)
     if cert_i is not None:
@@ -954,7 +990,7 @@ def verify_theorem(
     # -- condition (iii): forbidden-minor side -----------------------------
     cond_iii: Optional[bool] = True
     for name in _MINOR_TARGETS[t]:
-        present, method, found = _named_minor(space, cl, name, budget)
+        present, method, found = _named_minor(space, cl, name, budget, pieces)
         if present is not False or cond_iii:
             # a present target decides, and an unknown one outranks an absent one
             methods["iii"] = method
@@ -1006,25 +1042,23 @@ def _map_spec(spec: MinorSpec, sigma: Mapping) -> MinorSpec:
     return MinorSpec({sigma[e] for e in spec.delete}, {sigma[e] for e in spec.contract})
 
 
-def _carry(values: Sequence, source: Clutter, sigma: Mapping, cl: Clutter) -> tuple:
-    """A vector over source's ground as one over cl's: the entry of e moves to sigma(e)."""
-    at = {sigma[e]: v for e, v in zip(source.ground, values)}
+def _carry(values: Sequence, sigma: Mapping, cl: Clutter) -> tuple:
+    """A vector over the representative's mult ground as one over cl's: the
+    entry of e moves to sigma(e). Both grounds are the (coordinate, value)
+    pairs of GF(q)^n in one order, cl's."""
+    at = {sigma[e]: v for e, v in zip(cl.ground, values)}
     return tuple(at[e] for e in cl.ground)
 
 
-def _replay_cond_i(cl: Clutter, moved: Any, source: Clutter, sigma: Mapping) -> Any:
-    """A condition (i) certificate of source, mapped through sigma and replayed on cl.
+def _replay_cond_i(cl: Clutter, moved: Any, sigma: Mapping) -> Any:
+    """A refuting condition (i) certificate, mapped through sigma and replayed on cl.
 
     A fractional extreme point is proved extreme again; a statement 1.4
     refutation, a minor failing to pack or a weight vector, has its covering
-    and packing values recomputed. An integral verdict carries over on the
-    isomorphism alone; the counts of an idealness certificate stay those of
-    the representative's double description.
+    and packing values recomputed.
     """
     if isinstance(moved, IdealnessCertificate):
-        if moved.integral:
-            return moved
-        point = _carry(moved.fractional_point, source, sigma, cl)
+        point = _carry(moved.fractional_point, sigma, cl)
         tight_members, tight_bounds = extreme_point_witness(cl, point)
         return dataclasses.replace(
             moved, fractional_point=point, tight_members=tight_members, tight_bounds=tight_bounds
@@ -1035,7 +1069,7 @@ def _replay_cond_i(cl: Clutter, moved: Any, source: Clutter, sigma: Mapping) -> 
         inner = minor(cl, how)
         values = (tau(inner, 1), nu(inner, 1))
     else:
-        how = _carry(how, source, sigma, cl)
+        how = _carry(how, sigma, cl)
         values = (tau(cl, list(how)), nu(cl, list(how)))
     if values != (cover, packing) or cover == packing:
         raise VerificationFailure(
@@ -1054,19 +1088,25 @@ def _replay_cond_iii(cl: Clutter, found: tuple, sigma: Mapping) -> tuple:
 
 
 def _transport(
-    report: TheoremReport, source: Clutter, sigma: Mapping, space: Subspace
+    report: TheoremReport, rep: Subspace, sigma: Mapping, space: Subspace
 ) -> TheoremReport:
-    """The report on space, from a representative's report and its mult `source`.
+    """The report on space, from the report on its representative rep.
 
-    sigma must carry the members of source onto exactly those of mult(space),
-    which makes it an isomorphism of the two clutters, so the verdicts of
-    conditions (i) and (iii) carry over. Their certificates are mapped
-    through sigma and replayed on this instance; condition (ii) is computed
-    again and must agree. Any mismatch raises VerificationFailure.
+    sigma must be a monomial map, checked to be semilinear, that carries
+    rep's RREF basis onto space's. A semilinear map carries spans onto
+    spans, so it carries the points of rep onto those of space, which are
+    the members of their mults: sigma is an isomorphism of mult(rep) onto
+    mult(space), and the verdicts of conditions (i) and (iii) carry over.
+    An integral idealness certificate carries over as is, with the counts
+    of the representative's double description. The other certificates of
+    (i) and (iii) are mapped through sigma and replayed on mult(space),
+    which is built only for them; condition (ii) is computed again and
+    must agree. Any mismatch raises VerificationFailure.
     """
-    cl = mult(space)
-    moved = {frozenset(sigma[e] for e in m) for m in source.member_sets()}
-    if moved != set(cl.member_sets()):
+    if (
+        not _is_semilinear(sigma, space.field, space.n)
+        or monomial_image(sigma, rep).basis != space.basis
+    ):
         raise VerificationFailure(
             f"relabeling from {report.instance} does not carry its members onto "
             f"those of {instance_id(space)}"
@@ -1084,10 +1124,15 @@ def _transport(
         "iii": report.methods["iii"] + suffix,
     }
     certs: dict[str, Any] = {"ii": cert_ii}
-    if "i" in report.certificates:
-        certs["i"] = _replay_cond_i(cl, report.certificates["i"], source, sigma)
-    if "iii" in report.certificates:
-        certs["iii"] = _replay_cond_iii(cl, report.certificates["iii"], sigma)
+    cert_i = report.certificates.get("i")
+    if isinstance(cert_i, IdealnessCertificate) and cert_i.integral:
+        certs["i"], cert_i = cert_i, None
+    if cert_i is not None or "iii" in report.certificates:
+        cl = mult(space)
+        if cert_i is not None:
+            certs["i"] = _replay_cond_i(cl, cert_i, sigma)
+        if "iii" in report.certificates:
+            certs["iii"] = _replay_cond_iii(cl, report.certificates["iii"], sigma)
     return TheoremReport(
         theorem=report.theorem,
         instance=instance_id(space),
@@ -1143,8 +1188,8 @@ def sweep_theorem(
         with ProcessPoolExecutor(max_workers=min(jobs, len(reps))) as pool:
             # one representative per task: their costs differ widely
             verified = list(pool.map(task, [spaces[r].basis for r in reps]))
-    done = {r: (report, mult(spaces[r])) for r, report in zip(reps, verified)}
+    done = dict(zip(reps, verified))
     return [
-        done[r][0] if r == k else _transport(*done[r], sigma, spaces[k])
+        done[r] if r == k else _transport(done[r], spaces[r], sigma, spaces[k])
         for k, (r, sigma) in enumerate(orbits)
     ]

@@ -47,7 +47,13 @@ def support(x: Sequence[int]) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 def _rref(field: GF, rows: Sequence[Sequence[int]]) -> tuple[tuple[Point, ...], tuple[int, ...]]:
-    """Reduced row echelon form: nonzero rows and their pivot columns."""
+    """Reduced row echelon form: nonzero rows and their pivot columns.
+
+    Table driven: scaling a row reads one row of mul_table, and subtracting
+    f times the pivot row adds the pivot row's entries read in the mul_table
+    row of -f.
+    """
+    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv_table
     mat = [list(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -58,12 +64,12 @@ def _rref(field: GF, rows: Sequence[Sequence[int]]) -> tuple[tuple[Point, ...], 
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        scale = mul[inv[mat[r][c]]]
+        prow = mat[r] = [scale[x] for x in mat[r]]
         for i in range(nrows):
             if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+                times = mul[neg[mat[i][c]]]
+                mat[i] = [add[x][times[y]] for x, y in zip(mat[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -71,9 +77,28 @@ def _rref(field: GF, rows: Sequence[Sequence[int]]) -> tuple[tuple[Point, ...], 
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
+def _is_rref(rows: Sequence[Point]) -> bool:
+    """Whether rows are already the RREF of their span: every row nonzero,
+    pivots strictly increasing and equal to 1, and each pivot column zero
+    in every other row. Exactly when _rref(field, rows)[0] == rows."""
+    last = -1
+    for k, row in enumerate(rows):
+        p = next((i for i, v in enumerate(row) if v), None)
+        if p is None or p <= last or row[p] != 1:
+            return False
+        if any(other[p] for j, other in enumerate(rows) if j != k):
+            return False
+        last = p
+    return True
+
+
 def _validate_vector(field: GF, n: int, x: Sequence[int]) -> Point:
-    if len(x) != n:
-        raise DimensionMismatch(f"vector {tuple(x)} has length {len(x)}, expected {n}")
+    try:
+        length = len(x)
+    except TypeError:
+        raise WrongType(f"vector {x!r} is not a sequence of field elements") from None
+    if length != n:
+        raise DimensionMismatch(f"vector {tuple(x)} has length {length}, expected {n}")
     for v in x:
         if type(v) is not int or v < 0 or v >= field.q:
             raise BadIndex(f"entry {v!r} is not an element of GF({field.q})")
@@ -103,8 +128,7 @@ class Subspace:
             raise DimensionMismatch(f"ambient dimension must be >= 1, got {self.n}")
         rows = tuple(_validate_vector(self.field, self.n, r) for r in self.basis)
         object.__setattr__(self, "basis", rows)
-        reduced, _ = _rref(self.field, rows)
-        if reduced != rows:
+        if not _is_rref(rows):
             raise PreconditionViolated("basis is not in reduced row echelon form; use span()")
 
     @property
@@ -163,7 +187,11 @@ def _points_cached(space: Subspace) -> tuple[Point, ...]:
 
 def span(field: GF, n: int, generators: Iterable[Sequence[int]]) -> Subspace:
     """The subspace spanned by the generators, in canonical RREF form."""
-    rows = [_validate_vector(field, n, g) for g in generators]
+    try:
+        gens = list(generators)
+    except TypeError:
+        raise WrongType(f"generators must be an iterable of vectors, got {generators!r}") from None
+    rows = [_validate_vector(field, n, g) for g in gens]
     reduced, _ = _rref(field, rows)
     return Subspace(field, n, reduced)
 
@@ -174,6 +202,8 @@ def span(field: GF, n: int, generators: Iterable[Sequence[int]]) -> Subspace:
 
 def product(s1: Subspace, s2: Subspace) -> Subspace:
     """The direct product {(x, y) : x in S1, y in S2} on n1 + n2 coordinates."""
+    _require_subspace(s1)
+    _require_subspace(s2)
     if s1.field != s2.field:
         raise FieldMismatch(f"GF({s1.q}) vs GF({s2.q})")
     n = s1.n + s2.n
@@ -183,7 +213,11 @@ def product(s1: Subspace, s2: Subspace) -> Subspace:
 
 
 def _check_coords(space: Subspace, coords: Iterable[int]) -> frozenset[int]:
-    out = frozenset(coords)
+    _require_subspace(space)
+    try:
+        out = frozenset(coords)
+    except TypeError:
+        raise WrongType(f"coordinates must be an iterable of ints, got {coords!r}") from None
     for i in out:
         if type(i) is not int or i < 0 or i >= space.n:
             raise BadIndex(f"coordinate {i!r} outside 0..{space.n - 1}")
@@ -202,8 +236,14 @@ def project(space: Subspace, drop: Iterable[int]) -> Subspace:
 
 def permute(space: Subspace, order: Sequence[int]) -> Subspace:
     """Reorder coordinates: new coordinate j reads old coordinate order[j]."""
-    if sorted(order) != list(range(space.n)):
-        raise BadIndex(f"{tuple(order)} is not a permutation of 0..{space.n - 1}")
+    _require_subspace(space)
+    try:
+        order = tuple(order)
+        is_perm = sorted(order) == list(range(space.n))
+    except TypeError:
+        raise WrongType(f"order must be a sequence of coordinates, got {order!r}") from None
+    if not is_perm:
+        raise BadIndex(f"{order} is not a permutation of 0..{space.n - 1}")
     rows = [tuple(row[c] for c in order) for row in space.basis]
     return span(space.field, space.n, rows)
 
@@ -247,6 +287,30 @@ def monomial_image(sigma: Mapping, space: Subspace) -> Subspace:
             y[j] = b
         rows.append(y)
     return span(space.field, space.n, rows)
+
+
+def _is_semilinear(sigma: Mapping, field: GF, n: int) -> bool:
+    """Whether the relabeling sigma is a monomial map of GF(q)^n.
+
+    That is: a bijection of the (coordinate, value) pairs sending (i, a) to
+    (pi(i), c_i * a^(p^e)) for a coordinate permutation pi, nonzero c_i
+    and one Frobenius power e shared by every coordinate.
+    """
+    if set(sigma) != {(i, a) for i in range(n) for a in range(field.q)}:
+        return False
+    heads = [sigma[(i, 1)] for i in range(n)]
+    if sorted(j for j, _ in heads) != list(range(n)) or any(c == 0 for _, c in heads):
+        return False
+    frobenius = list(range(field.q))
+    for _ in range(field.k):
+        if all(
+            sigma[(i, a)] == (j, field.mul(c, frobenius[a]))
+            for i, (j, c) in enumerate(heads)
+            for a in range(field.q)
+        ):
+            return True
+        frobenius = [field.pow(a, field.p) for a in frobenius]
+    return False
 
 
 def monomial_orbits(spaces: Sequence[Subspace]) -> list[tuple[int, dict]]:
@@ -493,6 +557,8 @@ def parse_subspace(text: str) -> Subspace:
     space-separated encoded field elements. JSON: an object with keys
     "q", "n", "generators".
     """
+    if not isinstance(text, str):
+        raise WrongType(f"parse_subspace expects a str, got {type(text).__name__}")
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty input")

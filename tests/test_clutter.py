@@ -36,7 +36,8 @@ from clutterforge.errors import (
 )
 from clutterforge.gf import build_field
 from clutterforge.matroid import TARGETS, _circuit_clutter
-from clutterforge.vspace import project, span
+from clutterforge.polyhedral import has_packing_property
+from clutterforge.vspace import factor, project, span
 from clutterforge.vspace import product as space_product
 from clutterforge.verify import c5sq_witness, enumerate_subspaces
 
@@ -304,6 +305,62 @@ class TestProduct:
         c1 = Clutter(tuple(range(33)), ())
         with pytest.raises(TooLarge):
             product(c1, c1)
+
+
+class TestProductLemma:
+    """mult of a coordinate product is the clutter product of its factors'
+    mults. verify_theorem decides absence of delta3, q6 and c5sq, and the
+    packing property, on those factors first; both must equal the answer
+    on the whole clutter."""
+
+    NAMES = ("delta3", "q6", "c5sq")
+
+    def test_targets_are_not_products(self):
+        for name in self.NAMES:
+            target = builtin(name)
+            members = set(target.member_sets())
+            for size in range(1, len(target.ground)):
+                for left in map(frozenset, itertools.combinations(target.ground, size)):
+                    a = {m & left for m in members}
+                    b = {m - left for m in members}
+                    assert {x | y for x in a for y in b} != members, (name, sorted(left))
+
+    def test_factors_decide_the_product(self, f3):
+        spaces = [
+            s for q, n in ((2, 4), (2, 5), (3, 3), (4, 3)) for s in enumerate_subspaces(q, n)
+        ]
+        # a GF(3) plane holding delta3 next to a free coordinate
+        spaces.append(space_product(span(f3, 3, [(1, 0, 1), (0, 1, 1)]), span(f3, 1, [(1,)])))
+        present = dict.fromkeys(self.NAMES + ("no packing",), 0)
+        products = 0
+        for space in spaces:
+            pieces = factor(space)
+            if len(pieces) < 2:
+                continue
+            products += 1
+            whole = mult(space)
+            mults = [mult(piece) for _, piece in pieces]
+            for name in self.NAMES:
+                target = builtin(name)
+                absent = find_minor(whole, target) is None
+                assert absent == all(find_minor(m, target) is None for m in mults), (space, name)
+                present[name] += not absent
+            packs = has_packing_property(whole) is None
+            assert packs == all(has_packing_property(m) is None for m in mults), space
+            present["no packing"] += not packs
+        assert products == 428
+        assert present == {"delta3": 1, "q6": 128, "c5sq": 0, "no packing": 129}
+
+    def test_minimal_masks_of_one_size_are_all_kept(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            masks = [rng.randrange(1, 1 << 8) for _ in range(rng.randint(0, 12))]
+            if rng.random() < 0.5:
+                size = rng.randint(1, 7)
+                masks = [m for m in masks if m.bit_count() == size] + masks[:1]
+            uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+            want = tuple(m for m in uniq if not any(s != m and s & m == s for s in uniq))
+            assert _minimal_masks(masks) == want, masks
 
 
 class TestCoordinateMinorSpecs:

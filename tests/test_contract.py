@@ -67,7 +67,16 @@ from clutterforge.verify import (
     sweep_theorem,
     verify_theorem,
 )
-from clutterforge.vspace import Subspace, factor, parse_subspace, project, span
+from clutterforge.vspace import (
+    Subspace,
+    factor,
+    parse_subspace,
+    permute,
+    project,
+    span,
+    subspace_minor,
+)
+from clutterforge.vspace import product as vspace_product
 
 PACKAGE_DIR = Path(clutterforge.__file__).parent
 
@@ -304,6 +313,14 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.4", budget=-1), ValueError),
         (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.1", max_ground=-1), ValueError),
         (lambda: sweep_theorem(2, 2, "1.4", budget=-1), ValueError),
+        (lambda: span(build_field(3), 3, 5), TypeError),
+        (lambda: permute(span(build_field(3), 2, [(1, 1)]), 5), TypeError),
+        (lambda: project(span(build_field(3), 2, [(1, 1)]), 5), TypeError),
+        (lambda: subspace_minor(span(build_field(3), 2, [(1, 1)]), 5), TypeError),
+        (lambda: vspace_product(5, span(build_field(3), 2, [(1, 1)])), TypeError),
+        (lambda: parse_subspace(5), TypeError),
+        (lambda: span(build_field(3), 2, [5]), TypeError),
+        (lambda: localization(span(build_field(3), 2, [(1, 1)]), 5), TypeError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
          "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sweep",
@@ -337,7 +354,10 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
          "localization-profile-not-a-subspace", "builtin-name-not-a-str",
          "replay-mapping-not-a-mapping", "find-minor-budget-negative", "packing-budget-negative",
          "verify-theorem-budget-negative", "verify-theorem-max-ground-negative",
-         "sweep-budget-negative"],
+         "sweep-budget-negative", "span-generators-not-iterable", "permute-order-not-a-sequence",
+         "project-coordinates-not-iterable", "subspace-minor-coordinates-not-iterable",
+         "subspace-product-not-a-subspace", "parse-subspace-not-a-str",
+         "span-generator-not-a-sequence", "localization-point-not-a-sequence"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

@@ -64,7 +64,15 @@ from clutterforge.verify import (
     sweep_theorem,
     verify_theorem,
 )
-from clutterforge.vspace import disjoint_support_basis, monomial_image, monomial_orbits, permute, project, span
+from clutterforge.vspace import (
+    disjoint_support_basis,
+    factor,
+    monomial_image,
+    monomial_orbits,
+    permute,
+    project,
+    span,
+)
 
 
 @pytest.fixture(scope="module")
@@ -744,12 +752,18 @@ class TestSweeps:
 
     def test_cold_sweep_enumerates_each_point_set_once(self):
         # mult and matroid_of ask for the points under different caps; the
-        # cache must hold one entry per subspace, not one per cap
+        # cache must hold one entry per distinct space, not one per cap: each
+        # subspace, and each coordinate factor of a representative with two
+        # or more, whose mult the minor search reads first
         vspace_module._points_cached.cache_clear()
         matroid_module._matroid_cached.cache_clear()
         reports = sweep_theorem(3, 4, "1.1")
+        info = vspace_module._points_cached.cache_info()
+        spaces = list(enumerate_subspaces(3, 4))
+        reps = [spaces[r] for k, (r, _) in enumerate(monomial_orbits(spaces)) if r == k]
+        pieces = {piece for rep in reps if len(factor(rep)) > 1 for _, piece in factor(rep)}
         assert len(reports) == 212
-        assert vspace_module._points_cached.cache_info().misses == 212
+        assert info.misses == info.currsize == len(set(spaces) | pieces) == 217
 
     def test_odd_q5_squares(self):
         reports = sweep_theorem(5, 2, "1.1")
@@ -963,6 +977,28 @@ def orbits_by_brute_force(spaces):
     return out
 
 
+class TestFactorDecisions:
+    """Absence of the target minors and the packing property are decided on
+    the coordinate factors first; the reports must equal those of the
+    searches on the whole clutter, certificates included."""
+
+    @pytest.mark.parametrize(
+        "q, n, which", [(2, 4, "1.4"), (2, 5, "1.4"), (3, 3, "1.4"), (3, 3, "1.1"), (4, 3, "1.2")]
+    )
+    def test_reports_equal_the_whole_clutter_search(self, q, n, which, monkeypatch):
+        products = [s for s in enumerate_subspaces(q, n) if len(factor(s)) > 1]
+        assert all(verify_module._factor_mults(s, mult(s), None) for s in products)
+        by_factors = [verify_theorem(s, which) for s in products]
+        monkeypatch.setattr(verify_module, "_factor_mults", lambda *args: ())
+        assert [verify_theorem(s, which) for s in products] == by_factors
+
+    def test_no_factor_search_past_the_budget(self, f3):
+        space = span(f3, 3, [(1, 0, 0), (0, 1, 0)])
+        assert len(factor(space)) == 3
+        assert verify_module._factor_mults(space, mult(space), 3**9) != ()
+        assert verify_module._factor_mults(space, mult(space), 3**9 - 1) == ()
+
+
 class TestMonomialOrbits:
     @pytest.mark.parametrize("q, n, count", [(2, 4, 16), (3, 3, 8), (4, 3, 8), (3, 4, 17)])
     def test_orbits_match_brute_force(self, q, n, count):
@@ -1036,27 +1072,47 @@ class TestMonomialOrbits:
 
     @staticmethod
     def _orbit_case(space, which):
-        """(representative's report, its mult, relabeling) for a transported space."""
+        """(representative's report, the representative, relabeling) for a transported space."""
         spaces = list(enumerate_subspaces(space.q, space.n))
         r, sigma = monomial_orbits(spaces)[spaces.index(space)]
         assert spaces[r] != space
-        return verify_theorem(spaces[r], which), mult(spaces[r]), sigma
+        return verify_theorem(spaces[r], which), spaces[r], sigma
 
     def test_transport_refuses_a_wrong_relabeling(self, f3):
         space = span(f3, 3, [(1, 1, 0)])
-        report, source, sigma = self._orbit_case(space, "1.1")
-        assert verify_module._transport(report, source, sigma, space) == verify_theorem(space, "1.1")
+        report, rep, sigma = self._orbit_case(space, "1.1")
+        assert verify_module._transport(report, rep, sigma, space) == verify_theorem(space, "1.1")
         wrong = dict(sigma)
         wrong[(0, 1)], wrong[(0, 2)] = sigma[(0, 2)], sigma[(0, 1)]
         with pytest.raises(VerificationFailure, match="does not carry its members"):
-            verify_module._transport(report, source, wrong, space)
+            verify_module._transport(report, rep, wrong, space)
+
+    def test_transport_refuses_a_relabeling_that_is_not_semilinear(self, f4):
+        # Frobenius on coordinate 0 alone fixes this plane's basis rows,
+        # whose coordinate-0 entries are 0 and 1, but not its members
+        plane = span(f4, 3, [(1, 0, 1), (0, 1, 1)])
+        report = verify_theorem(plane, "1.2")
+        sigma = {(i, a): (i, f4.mul(a, a) if i == 0 else a) for i in range(3) for a in range(4)}
+        assert monomial_image(sigma, plane).basis == plane.basis
+        moved = {frozenset(sigma[e] for e in m) for m in mult(plane).member_sets()}
+        assert moved != set(mult(plane).member_sets())
+        with pytest.raises(VerificationFailure, match="does not carry its members"):
+            verify_module._transport(report, plane, sigma, plane)
+
+    def test_transport_refuses_a_monomial_map_onto_another_space(self, f3):
+        space = span(f3, 3, [(1, 1, 0)])
+        report, rep, sigma = self._orbit_case(space, "1.1")
+        other = span(f3, 3, [(1, 0, 1)])
+        assert monomial_image(sigma, rep) == space != other
+        with pytest.raises(VerificationFailure, match="does not carry its members"):
+            verify_module._transport(report, rep, sigma, other)
 
     def test_transport_refuses_a_wrong_certificate(self, f3):
         def with_cert(report, key, cert):
             return dataclasses.replace(report, certificates={**report.certificates, key: cert})
 
         plane = span(f3, 3, [(1, 0, 2), (0, 1, 2)])
-        ideal, source, sigma = self._orbit_case(plane, "1.1")
+        ideal, rep, sigma = self._orbit_case(plane, "1.1")
         flow = self._orbit_case(plane, "1.4")[0]
         assert ideal.cond_i is ideal.cond_iii is flow.cond_i is False
         point = ideal.certificates["i"]
@@ -1065,7 +1121,7 @@ class TestMonomialOrbits:
         assert isinstance(how, MinorSpec)
         removed = min(spec.delete | spec.contract)
         for report in (ideal, flow):
-            verify_module._transport(report, source, sigma, plane)
+            verify_module._transport(report, rep, sigma, plane)
         bad = [
             dataclasses.replace(ideal, cond_ii=not ideal.cond_ii),
             with_cert(ideal, "i", dataclasses.replace(point, fractional_point=(Fraction(1, 2),) * 9)),
@@ -1074,31 +1130,31 @@ class TestMonomialOrbits:
         ]
         for report in bad:
             with pytest.raises(VerificationFailure):
-                verify_module._transport(report, source, sigma, plane)
+                verify_module._transport(report, rep, sigma, plane)
 
     def test_transport_refuses_a_wrong_witness_chain(self, f8):
         plane = span(f8, 3, [(1, 0, 2), (0, 1, 3)])
-        report, source, sigma = self._orbit_case(plane, "1.3")
+        report, rep, sigma = self._orbit_case(plane, "1.3")
         assert report.methods["iii"] == "constructive witness chain (replayed)"
         name, spec, mapping = report.certificates["iii"]
         assert name == "c5sq" and isinstance(spec, MinorSpec)
         assert set(mapping) == set(builtin("c5sq").ground)
-        assert set(mapping.values()) == set(minor(source, spec).ground)
-        verify_module._transport(report, source, sigma, plane)
+        assert set(mapping.values()) == set(minor(mult(rep), spec).ground)
+        verify_module._transport(report, rep, sigma, plane)
         short = MinorSpec(spec.delete, spec.contract - {min(spec.contract)})
         moved = {**mapping, min(mapping): min(spec.delete)}
         for cert in ((name, short, mapping), (name, spec, moved)):
             bad = dataclasses.replace(report, certificates={**report.certificates, "iii": cert})
             with pytest.raises(VerificationFailure):
-                verify_module._transport(bad, source, sigma, plane)
+                verify_module._transport(bad, rep, sigma, plane)
 
     def test_transported_witness_chain_replays_on_its_map(self, f8, monkeypatch):
         plane = span(f8, 3, [(1, 0, 2), (0, 1, 3)])
-        report, source, sigma = self._orbit_case(plane, "1.3")
+        report, rep, sigma = self._orbit_case(plane, "1.3")
         searched = []
         real = clutter_module.is_isomorphic
         monkeypatch.setattr(clutter_module, "is_isomorphic", lambda *a: searched.append(a) or real(*a))
-        transported = verify_module._transport(report, source, sigma, plane)
+        transported = verify_module._transport(report, rep, sigma, plane)
         assert transported.cond_iii is False and searched == []
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -15,10 +16,13 @@ from clutterforge.errors import (
     TooLarge,
     VerificationFailure,
 )
+from clutterforge.gf import build_field
 from clutterforge.verify import enumerate_subspaces
 from clutterforge.vspace import (
     Subspace,
     SunflowerWitness,
+    _is_rref,
+    _rref,
     _support_line,
     disjoint_support_basis,
     factor,
@@ -88,6 +92,68 @@ class TestSpan:
     def test_span_of_enumeration_is_identity(self, subspaces_gf3_3, subspaces_gf2_3):
         for s in itertools.chain(subspaces_gf3_3, subspaces_gf2_3):
             assert span(s.field, s.n, s.points()) == s
+
+
+def reference_rref(field, rows):
+    """Gauss-Jordan elimination through the field's scalar methods: the
+    reference that the table-driven _rref must equal."""
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+
+
+class TestRref:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+    def test_tables_match_the_scalar_reference(self, q):
+        field = build_field(q)
+        rng = random.Random(q)
+        for _ in range(400):
+            ncols = rng.randint(1, 7)
+            rows = [
+                tuple(rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(ncols))
+                for _ in range(rng.randint(0, 5))
+            ]
+            reduced, pivots = _rref(field, rows)
+            assert (reduced, pivots) == reference_rref(field, rows), rows
+            # the structural check against one more elimination, on the
+            # input, on its RREF and on the RREF with one entry changed
+            candidates = [tuple(rows), reduced]
+            if reduced:
+                bent = [list(row) for row in reduced]
+                i, j = rng.randrange(len(bent)), rng.randrange(ncols)
+                bent[i][j] = rng.randrange(q)
+                candidates.append(tuple(map(tuple, bent)))
+            for cand in candidates:
+                assert _is_rref(cand) == (reference_rref(field, cand)[0] == cand), cand
+
+    def test_constructor_accepts_exactly_the_rref(self, f3):
+        assert Subspace(f3, 3, ((1, 0, 2), (0, 1, 1))).dim == 2
+        for basis in (
+            ((1, 0, 2), (0, 0, 0)),  # a zero row
+            ((0, 1, 1), (1, 0, 2)),  # pivots out of order
+            ((2, 0, 1),),  # pivot not 1
+            ((1, 1, 0), (0, 1, 1)),  # pivot column not cleared
+        ):
+            with pytest.raises(ValueError):
+                Subspace(f3, 3, basis)
 
 
 class TestEnumeratePoints:
