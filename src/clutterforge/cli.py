@@ -43,7 +43,6 @@ from .verify import (
     _WITNESS_BUILDERS,
     _chain_certificate,
     _factor_mults,
-    _factor_pieces,
     _ideal_condition,
     _mfmc_condition,
     _named_minor,
@@ -52,7 +51,7 @@ from .verify import (
     summarize_certificate,
     sweep_theorem,
 )
-from .vspace import Point, Subspace, disjoint_support_basis, parse_subspace
+from .vspace import Point, Subspace, disjoint_support_basis, factor, parse_subspace, sunflower_basis
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -106,17 +105,12 @@ def _emit(
 # field
 # ---------------------------------------------------------------------------
 
-def _field_table(f, op) -> list[list[int]]:
-    return [[op(a, b) for b in range(f.q)] for a in range(f.q)]
-
-
 def cmd_field(args: argparse.Namespace) -> int:
     f = build_field(args.q)
-    add = _field_table(f, f.add)
-    mul = _field_table(f, f.mul)
+    add, mul = f.add_table, f.mul_table
     width = len(str(f.q - 1))
 
-    def table(symbol: str, rows: list[list[int]]) -> list[str]:
+    def table(symbol: str, rows: Sequence[Sequence[int]]) -> list[str]:
         head = " ".join(f"{v:>{width}}" for v in range(f.q))
         lines = [f"{symbol:>{width}} | {head}", "-" * (width + 3 + len(head))]
         for a, row in enumerate(rows):
@@ -178,7 +172,9 @@ def _analysis_minors(
 
 
 def _analysis_structure(
-    space: Subspace, basis: Optional[tuple[Point, ...]]
+    space: Subspace,
+    basis: Optional[tuple[Point, ...]],
+    factors: Sequence[tuple[tuple[int, ...], Subspace]],
 ) -> tuple[dict[str, Any], list[str]]:
     if basis is None:
         lines = ["disjoint-support basis: none"]
@@ -186,10 +182,11 @@ def _analysis_structure(
         rows = "; ".join(",".join(str(v) for v in row) for row in basis) or "(empty)"
         lines = [f"disjoint-support basis: {rows}"]
     piece_data = []
-    for coords, piece, witness in _factor_pieces(space):
+    for coords, piece in factors:
         entry: dict[str, Any] = {"coords": list(coords), "dim": piece.dim}
         line = f"factor on coordinates {','.join(map(str, coords))}: dim {piece.dim}"
         if piece.dim > 1:
+            witness = sunflower_basis(piece)
             desc = "no sunflower basis"
             if witness is not None:
                 desc = f"sunflower basis, head size {len(witness.head)}, {witness.r} blocks"
@@ -254,7 +251,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     cl = mult(space) if ideal or mfmc or minors else None
     basis = disjoint_support_basis(space) if mfmc or structure else None
-    pieces = _factor_mults(space, cl, args.budget) if mfmc or minors else ()
+    factors = factor(space) if mfmc or minors or structure else ()
+    pieces = _factor_mults(factors, cl, args.budget) if mfmc or minors else ()
     report: dict[str, Any] = {"instance": instance_id(space)}
     lines: list[str] = [f"instance: {instance_id(space)}"]
     unknown = False
@@ -271,7 +269,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines += txt
         unknown |= None in report["minors"].values()
     if structure:
-        report["structure"], txt = _analysis_structure(space, basis)
+        report["structure"], txt = _analysis_structure(space, basis, factors)
         lines += txt
     _emit(args, report, lines)
     return EXIT_UNKNOWN if unknown else EXIT_OK

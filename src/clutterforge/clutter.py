@@ -13,8 +13,9 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import (
     BadIndex,
@@ -27,6 +28,7 @@ from .errors import (
     VerificationFailure,
     WrongType,
     _require_int,
+    _require_type,
 )
 from .vspace import Subspace, _validate_vector
 
@@ -88,6 +90,8 @@ class Clutter:
     members: tuple = ()
 
     def __post_init__(self) -> None:
+        _require_type(self.ground, Iterable)
+        _require_type(self.members, Iterable)
         ground = tuple(self.ground)
         object.__setattr__(self, "ground", ground)
         if len(ground) > MAX_GROUND_SIZE:
@@ -187,8 +191,7 @@ def mult(space: Subspace) -> Clutter:
     value v of GF(q). Members: one per point, choosing the point's value in
     every part.
     """
-    if not isinstance(space, Subspace):
-        raise WrongType(f"mult expects a Subspace, got {type(space).__name__}")
+    _require_type(space, Subspace)
     points = space.points(cap=MAX_MULT_POINTS)
     ground = tuple((i, v) for i in range(space.n) for v in range(space.q))
     if len(ground) > MAX_GROUND_SIZE:
@@ -206,8 +209,7 @@ def builtin(name: str) -> Clutter:
         "q6": ((1, 2, 3, 4, 5, 6), ({1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5})),
         "c5sq": ((1, 2, 3, 4, 5), ({1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 1})),
     }
-    if not isinstance(name, str):
-        raise WrongType(f"builtin name must be a str, got {type(name).__name__}")
+    _require_type(name, str)
     key = name.lower()
     if key not in table:
         raise UnknownName(f"unknown builtin {name!r}; choose from Delta3, Q6, C5sq")
@@ -258,11 +260,6 @@ def _contract_members(members: Sequence[int], i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _require_clutter(c: object) -> None:
-    if not isinstance(c, Clutter):
-        raise WrongType(f"expected a Clutter, got {type(c).__name__}")
-
-
 def minor(c: Clutter, spec: MinorSpec) -> Clutter:
     """Delete I (drop members meeting it), contract J (remove it from members).
 
@@ -271,9 +268,8 @@ def minor(c: Clutter, spec: MinorSpec) -> Clutter:
     Single-element deletions and contractions commute, so they are applied
     one element at a time, highest index first to keep lower indices valid.
     """
-    _require_clutter(c)
-    if not isinstance(spec, MinorSpec):
-        raise WrongType(f"expected a MinorSpec, got {type(spec).__name__}")
+    _require_type(c, Clutter)
+    _require_type(spec, MinorSpec)
     ground_set = set(c.ground)
     for e in spec.delete | spec.contract:
         if e not in ground_set:
@@ -292,7 +288,8 @@ def minor(c: Clutter, spec: MinorSpec) -> Clutter:
 
 def apply_chain(c: Clutter, specs: Iterable[MinorSpec]) -> Clutter:
     """Apply a sequence of minor specs in order."""
-    _require_clutter(c)
+    _require_type(c, Clutter)
+    _require_type(specs, Iterable)
     for spec in specs:
         c = minor(c, spec)
     return c
@@ -325,15 +322,14 @@ def replay_minor(
     name = target if isinstance(target, str) else "the target"
     if isinstance(target, str):
         target = builtin(target)
-    _require_clutter(target)
+    _require_type(target, Clutter)
     got = minor(c, spec)
     if mapping is None:
         iso = is_isomorphic(got, target)
         if iso is None:
             raise VerificationFailure(f"replayed minor is not isomorphic to {name}: {got!r}")
         return {t: e for e, t in iso.items()}
-    if not isinstance(mapping, Mapping):
-        raise WrongType(f"mapping must be a mapping, got {type(mapping).__name__}")
+    _require_type(mapping, Mapping)
     if (
         set(mapping) != set(target.ground)
         or set(mapping.values()) != set(got.ground)
@@ -354,6 +350,8 @@ def product(c1: Clutter, c2: Clutter) -> Clutter:
     mult factors compose into the mult of the product space); otherwise
     labels are wrapped as (0, label) and (1, label).
     """
+    _require_type(c1, Clutter)
+    _require_type(c2, Clutter)
     if set(c1.ground) & set(c2.ground):
         if c1.parts() is not None and c2.parts() is not None:
             shift = max(p for p, _ in c1.ground) + 1
@@ -399,8 +397,8 @@ def is_isomorphic(c1: Clutter, c2: Clutter) -> Optional[dict]:
     Backtracking on element images with degree/member-size signatures as
     pruning; grounds capped at 20 elements.
     """
-    _require_clutter(c1)
-    _require_clutter(c2)
+    _require_type(c1, Clutter)
+    _require_type(c2, Clutter)
     n = len(c1.ground)
     if max(n, len(c2.ground)) > MAX_ISO_GROUND:
         raise TooLarge(f"isomorphism search capped at {MAX_ISO_GROUND} ground elements")
@@ -681,8 +679,8 @@ def find_minor(
     target's labelled copies before any label map is tried, and only the
     first keep-set that holds the target is labelled.
     """
-    _require_clutter(c)
-    _require_clutter(target)
+    _require_type(c, Clutter)
+    _require_type(target, Clutter)
     limit = SEARCH_BUDGET if budget is None else _require_limit(budget, "minor budget")
     if len(target.ground) > len(c.ground):
         return None
@@ -719,6 +717,8 @@ def _parse_label(token: str) -> Label:
 
 def format_minor_certificate(spec: MinorSpec, mapping: Mapping) -> str:
     """One-line certificate: delete set, contract set, and the label bijection."""
+    _require_type(spec, MinorSpec)
+    _require_type(mapping, Mapping)
     i_part = ",".join(sorted(_label_str(e) for e in spec.delete))
     j_part = ",".join(sorted(_label_str(e) for e in spec.contract))
     map_part = " ".join(
@@ -730,6 +730,7 @@ def format_minor_certificate(spec: MinorSpec, mapping: Mapping) -> str:
 
 def parse_minor_certificate(text: str) -> tuple[MinorSpec, dict]:
     """Parse a certificate produced by format_minor_certificate."""
+    _require_type(text, str)
     try:
         before, _, map_part = text.partition("map:")
         i_str = before[before.index("I={") + 3 : before.index("}", before.index("I={"))]

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the int guard that raises one.
+"""Exception types shared across the library, and the two type guards that raise one.
 
 Every error raised deliberately by clutterforge subclasses ClutterforgeError,
 so CLI and test code can catch library failures without masking bugs.
@@ -93,3 +93,11 @@ def _require_int(value: object, what: str) -> None:
     """Raise WrongType unless `value` is an int; a bool is not one here."""
     if type(value) is not int:
         raise WrongType(f"{what} must be an int, got {type(value).__name__}")
+
+
+def _require_type(value: object, cls: type) -> None:
+    """Raise WrongType unless `value` is an instance of `cls`."""
+    if not isinstance(value, cls):
+        name = cls.__name__
+        article = "an" if name[0] in "AEIOU" else "a"
+        raise WrongType(f"expected {article} {name}, got {type(value).__name__}")

@@ -12,10 +12,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadIndex, BudgetExceeded, WrongShape, WrongType, _require_int
+from .errors import BadIndex, BudgetExceeded, WrongShape, WrongType, _require_int, _require_type
 from .matroid import CircuitMatroid, _fundamental_cycles, _graph_circuits, has_minor
 
 MAX_MINOR_EDGES = 14
@@ -31,6 +32,7 @@ class MultiGraph:
 
     def __post_init__(self) -> None:
         _require_int(self.n_vertices, "vertex count")
+        _require_type(self.edges, Iterable)
         if self.n_vertices < 0:
             raise BadIndex("vertex count must be nonnegative")
         norm = []
@@ -55,11 +57,6 @@ class MultiGraph:
         return deg
 
 
-def _require_multigraph(g: object) -> None:
-    if not isinstance(g, MultiGraph):
-        raise WrongType(f"expected a MultiGraph, got {type(g).__name__}")
-
-
 def blocks(g: MultiGraph) -> list[frozenset[int]]:
     """Partition of the edge labels into 2-connected blocks, ordered by least edge.
 
@@ -69,7 +66,7 @@ def blocks(g: MultiGraph) -> list[frozenset[int]]:
     its own cycle and block; parallel edges share a block (a 2-edge cycle).
     The elimination behind the cycles costs O(edges x vertices) mask XORs.
     """
-    _require_multigraph(g)
+    _require_type(g, MultiGraph)
     groups: list[int] = []  # disjoint edge masks, so a sum of them is their union
     for cycle in _fundamental_cycles(g.edges):
         met = [x for x in groups if x & cycle]
@@ -95,7 +92,7 @@ def is_subdivision_of_At(g: MultiGraph) -> Optional[int]:
     it a cut vertex, so all t ears join the two hubs. Plain cycles (no hub)
     report None. The one-block test costs what `blocks` does.
     """
-    _require_multigraph(g)
+    _require_type(g, MultiGraph)
     if not g.edges or any(u == v for u, v in g.edges):
         return None
     hubs = [d for d in g.degrees() if d not in (0, 2)]
@@ -125,7 +122,7 @@ def has_K4e_graph_minor(g: MultiGraph) -> bool:
     are over the cap is BudgetExceeded raised, naming the largest. Skipped
     blocks may be any size.
     """
-    _require_multigraph(g)
+    _require_type(g, MultiGraph)
     loopless = [(u, v) for u, v in g.edges if u != v]
     if len(loopless) < 5 or len(_fundamental_cycles(loopless)) < 3:
         return False

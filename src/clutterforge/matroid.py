@@ -24,8 +24,9 @@ from .errors import (
     VerificationFailure,
     WrongType,
     _require_int,
+    _require_type,
 )
-from .vspace import Subspace, _require_subspace
+from .vspace import Subspace
 
 MAX_GROUND = 16
 MINOR_BUDGET = 2_000_000
@@ -80,18 +81,13 @@ class CircuitMatroid:
         return len(indep)
 
 
-def _require_matroid(m: object) -> None:
-    if not isinstance(m, CircuitMatroid):
-        raise WrongType(f"expected a CircuitMatroid, got {type(m).__name__}")
-
-
 def matroid_of(space: Subspace) -> CircuitMatroid:
     """Matroid whose circuits are the minimal supports of the space's nonzero points.
 
     Validates the rank identity rank = n - dim. Built once per distinct space
     and then shared; the matroid is immutable.
     """
-    _require_subspace(space)
+    _require_type(space, Subspace)
     return _matroid_cached(space)
 
 
@@ -120,7 +116,7 @@ def matroid_minor(m: CircuitMatroid, delete: frozenset[int] = frozenset(), contr
     circuits inside the contracted set, which would leave the empty set, are
     dropped. The result is re-validated against the circuit axioms.
     """
-    _require_matroid(m)
+    _require_type(m, CircuitMatroid)
     try:
         delete = frozenset(delete)
         contract = frozenset(contract)
@@ -148,7 +144,7 @@ def components(m: CircuitMatroid) -> tuple[tuple[int, ...], ...]:
     Elements in no circuit are their own (coloop) components; other elements
     are joined whenever they share a circuit.
     """
-    _require_matroid(m)
+    _require_type(m, CircuitMatroid)
     parent = list(range(m.size))
 
     def find(x: int) -> int:
@@ -315,8 +311,8 @@ def circuits_isomorphic(m1: CircuitMatroid, m2: CircuitMatroid) -> Optional[dict
     Clutter isomorphism of the two circuit families; grounds above 20
     elements raise TooLarge.
     """
-    _require_matroid(m1)
-    _require_matroid(m2)
+    _require_type(m1, CircuitMatroid)
+    _require_type(m2, CircuitMatroid)
     return is_isomorphic(_circuit_clutter(m1), _circuit_clutter(m2))
 
 
@@ -333,7 +329,7 @@ def has_minor(m: CircuitMatroid, target: str) -> Optional[tuple[frozenset[int], 
     circuit family of the matroid minor; every matroid minor has such a
     presentation with T independent.
     """
-    _require_matroid(m)
+    _require_type(m, CircuitMatroid)
     t = _target(target)
     k = t.size
     n = m.size
@@ -355,7 +351,7 @@ def intersecting_circuits(
     m: CircuitMatroid,
 ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """First pair of distinct circuits with nonempty intersection, or None."""
-    _require_matroid(m)
+    _require_type(m, CircuitMatroid)
     for a, b in itertools.combinations(m.circuits, 2):
         if a & b:
             return a, b

@@ -16,10 +16,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .clutter import (
     SEARCH_BUDGET,
@@ -29,7 +29,6 @@ from .clutter import (
     _contract_members,
     _delete_members,
     _minimal_masks,
-    _require_clutter,
     _require_limit,
 )
 from .errors import (
@@ -38,8 +37,8 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
     VerificationFailure,
-    WrongType,
     _require_int,
+    _require_type,
 )
 from .matroid import _gf2_dependencies
 
@@ -53,11 +52,11 @@ WeightVector = Union[int, Sequence[Weight]]
 
 
 def _weight_list(c: Clutter, w: WeightVector, allow_inf: bool) -> list[Weight]:
-    _require_clutter(c)
+    _require_type(c, Clutter)
     if isinstance(w, (int, float)) and not isinstance(w, bool):
         w = [w] * len(c.ground)
-    elif not isinstance(w, Iterable):
-        raise WrongType(f"weights must be a number or a sequence, got {type(w).__name__}")
+    else:
+        _require_type(w, Iterable)
     weights = list(w)
     if len(weights) != len(c.ground):
         raise DimensionMismatch(
@@ -78,9 +77,7 @@ def _weight_list(c: Clutter, w: WeightVector, allow_inf: bool) -> list[Weight]:
 # ---------------------------------------------------------------------------
 
 def _gcd_reduce(vec: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = math.gcd(g, x)
+    g = math.gcd(*vec)
     if g > 1:
         return tuple(x // g for x in vec)
     return vec
@@ -225,7 +222,8 @@ def extreme_point_witness(
     the rank of the tight rows. Raises VerificationFailure when it is not
     extreme.
     """
-    _require_clutter(c)
+    _require_type(c, Clutter)
+    _require_type(point, Sequence)
     n = len(c.ground)
     if len(point) != n:
         raise VerificationFailure(f"point of length {len(point)}, ground has {n}")
@@ -243,7 +241,7 @@ def _verified_rays(
     Each ray (x, t) comes with the tight members and support mask that
     `_verify_extreme` returned for the extreme point x/t of Q(C).
     """
-    _require_clutter(c)
+    _require_type(c, Clutter)
     _require_int(max_ground, "ground cap")
     n = len(c.ground)
     if n > max_ground:
@@ -463,7 +461,7 @@ def packs(c: Clutter) -> bool:
     `_min_cover` members. The empty clutter packs (0 = 0), as does one
     with the empty member (both values infinite).
     """
-    _require_clutter(c)
+    _require_type(c, Clutter)
     return _packs(c.members)
 
 
@@ -489,7 +487,7 @@ def has_packing_property(c: Clutter, budget: Optional[int] = None) -> Optional[M
     WrongType, a negative one PreconditionViolated; 3^|V| over it,
     BudgetExceeded.
     """
-    _require_clutter(c)
+    _require_type(c, Clutter)
     limit = SEARCH_BUDGET if budget is None else _require_limit(budget, "packing budget")
     if 3 ** len(c.ground) > limit:
         raise BudgetExceeded(f"packing sweep over 3^{len(c.ground)} minors exceeds the budget")
@@ -559,7 +557,7 @@ def mfmc_check(c: Clutter, bound: int) -> Optional[tuple[tuple[int, ...], Weight
     min-cut property — the structural tests do that. A bound that is not an
     int raises WrongType; a negative one PreconditionViolated.
     """
-    _require_clutter(c)
+    _require_type(c, Clutter)
     _require_int(bound, "weight bound")
     if bound < 0:
         raise PreconditionViolated(f"weight bound must be >= 0, got {bound}")

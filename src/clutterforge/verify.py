@@ -11,9 +11,10 @@ import dataclasses
 import functools
 import itertools
 import random
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
 from .clutter import (
     Clutter,
@@ -40,6 +41,7 @@ from .errors import (
     WrongFieldClass,
     WrongShape,
     _require_int,
+    _require_type,
 )
 from .gf import build_field
 from .matroid import matroid_of
@@ -58,7 +60,6 @@ from .vspace import (
     Subspace,
     _is_semilinear,
     _nullspace,
-    _require_subspace,
     _support_line,
     disjoint_support_basis,
     factor,
@@ -138,12 +139,13 @@ def _is_power_of_two(q: int) -> bool:
 
 def instance_id(space: Subspace) -> str:
     """One-line canonical description of a subspace (field, shape, RREF rows)."""
-    _require_subspace(space)
+    _require_type(space, Subspace)
     rows = ";".join(",".join(str(v) for v in row) for row in space.basis)
     return f"GF({space.q})^{space.n} dim={space.dim} [{rows}]"
 
 
 def _validate_point(space: Subspace, x: Sequence[int], what: str) -> Point:
+    _require_type(x, Iterable)
     pt = tuple(x)
     if len(pt) != space.n:
         raise PreconditionViolated(f"{what} has length {len(pt)}, expected {space.n}")
@@ -250,7 +252,7 @@ def delta3_witness_u24(space: Subspace) -> tuple[MinorSpec, ...]:
     triangle; it is replayed and checked against the triangle before being
     returned.
     """
-    _require_subspace(space)
+    _require_type(space, Subspace)
     f = space.field
     if not _is_power_of_two(f.q):
         raise WrongField(f"construction needs characteristic 2, got GF({f.q})")
@@ -283,7 +285,7 @@ def delta3_witness_k4e(space: Subspace) -> tuple[MinorSpec, ...]:
     from the points of three minimal supports; it is replayed and checked
     against the triangle before being returned.
     """
-    _require_subspace(space)
+    _require_type(space, Subspace)
     f = space.field
     q = f.q
     if not _is_power_of_two(q) or q < 4:
@@ -385,7 +387,7 @@ def c5sq_witness(
     field elements. Passing rng (an int seed or a random.Random) randomizes
     every free choice instead; anything else raises WrongType.
     """
-    _require_subspace(space)
+    _require_type(space, Subspace)
     f = space.field
     q = f.q
     if not _is_power_of_two(q) or q <= 4:
@@ -517,7 +519,7 @@ def localization_profile(space: Subspace, alpha: Sequence[int]) -> LocalizationP
     VerificationFailure. Members of size >= 3 are reported as-is, after
     checking each satisfies the membership sum rule.
     """
-    _require_subspace(space)
+    _require_type(space, Subspace)
     f = space.field
     q = f.q
     n = space.n
@@ -810,9 +812,12 @@ _MINOR_TARGETS = {
 }
 
 
-def _factor_mults(space: Subspace, cl: Clutter, budget: Optional[int]) -> tuple[Clutter, ...]:
-    """mult of each coordinate factor of the space, when it has at least two
-    and the searches on cl = mult(space) are within the budget; else ().
+def _factor_mults(
+    factors: Sequence[tuple[tuple[int, ...], Subspace]], cl: Clutter, budget: Optional[int]
+) -> tuple[Clutter, ...]:
+    """mult of each of the factors, `vspace.factor` of a space, when there are
+    at least two and the searches on cl = mult(space) are within the budget;
+    else ().
 
     cl is then the clutter product of these, and every minor of a product
     is the product of minors of its factors, whose tau and nu are the
@@ -823,10 +828,9 @@ def _factor_mults(space: Subspace, cl: Clutter, budget: Optional[int]) -> tuple[
     the factors first and fall back to cl on any hit, so their answers and
     certificates are those of the search on cl.
     """
-    if 3 ** len(cl.ground) > (SEARCH_BUDGET if budget is None else budget):
+    if len(factors) < 2 or 3 ** len(cl.ground) > (SEARCH_BUDGET if budget is None else budget):
         return ()
-    pieces = factor(space)
-    return tuple(mult(piece) for _, piece in pieces) if len(pieces) > 1 else ()
+    return tuple(mult(piece) for _, piece in factors)
 
 
 def _named_minor(
@@ -864,19 +868,19 @@ def _named_minor(
     return True, "minor search (witness replayed)", (name, *hit)
 
 
-def _factor_pieces(space: Subspace) -> list[tuple[tuple[int, ...], Subspace, Any]]:
-    """Each coordinate factor of the space with its sunflower witness, None
-    when it has none, or "dimension <= 1" when it needs none."""
-    return [
-        (coords, piece, "dimension <= 1" if piece.dim <= 1 else sunflower_basis(piece))
-        for coords, piece in factor(space)
-    ]
+def _structure_condition(
+    space: Subspace, t: str, factors: Sequence[tuple[tuple[int, ...], Subspace]]
+) -> tuple[bool, str, Any]:
+    """Condition (ii), the structural side, as (verdict, method, certificate).
 
-
-def _structure_condition(space: Subspace, t: str) -> tuple[bool, str, Any]:
-    """Condition (ii), the structural side, as (verdict, method, certificate)."""
+    Statement 1.2 reads the factors, `vspace.factor(space)`: each needs a
+    sunflower basis (None when it has none) unless its dimension is at most 1.
+    """
     if t == "1.2":
-        details = tuple((coords, detail) for coords, _, detail in _factor_pieces(space))
+        details = tuple(
+            (coords, "dimension <= 1" if piece.dim <= 1 else sunflower_basis(piece))
+            for coords, piece in factors
+        )
         method = "coordinate factorization with per-factor dimension/sunflower detection"
         return all(detail is not None for _, detail in details), method, details
     basis = disjoint_support_basis(space)
@@ -964,7 +968,7 @@ def verify_theorem(
     Budget failures leave verdicts None and are reported per condition; a
     negative budget or max_ground raises PreconditionViolated.
     """
-    _require_subspace(space)
+    _require_type(space, Subspace)
     _require_limit(max_ground, "max ground")
     if budget is not None:
         _require_limit(budget, "search budget")
@@ -972,12 +976,13 @@ def verify_theorem(
     q = space.q
     _check_field_class(t, q)
     cl = mult(space)
-    pieces = _factor_mults(space, cl, budget)
+    factors = factor(space)
+    pieces = _factor_mults(factors, cl, budget)
     methods: dict[str, str] = {}
     certs: dict[str, Any] = {}
 
     # -- condition (ii): structural side -----------------------------------
-    cond_ii, methods["ii"], certs["ii"] = _structure_condition(space, t)
+    cond_ii, methods["ii"], certs["ii"] = _structure_condition(space, t, factors)
 
     # -- condition (i): polyhedral / flow side -----------------------------
     if t == "1.4":
@@ -1027,11 +1032,6 @@ def verify_theorem(
         methods=methods,
         certificates=certs,
     )
-
-
-def _verify_basis(q: int, n: int, which: Any, basis: tuple[Point, ...], **kwargs: Any) -> TheoremReport:
-    """verify_theorem on the subspace of GF(q)^n with this RREF basis (a pool task)."""
-    return verify_theorem(Subspace(build_field(q), n, basis), which, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -1111,7 +1111,8 @@ def _transport(
             f"relabeling from {report.instance} does not carry its members onto "
             f"those of {instance_id(space)}"
         )
-    cond_ii, method_ii, cert_ii = _structure_condition(space, report.theorem)
+    factors = factor(space) if report.theorem == "1.2" else ()
+    cond_ii, method_ii, cert_ii = _structure_condition(space, report.theorem, factors)
     if cond_ii != report.cond_ii:
         raise VerificationFailure(
             f"condition (ii) is {cond_ii} on {instance_id(space)} but {report.cond_ii} "
@@ -1183,11 +1184,11 @@ def sweep_theorem(
         # imported here so that `import clutterforge` does not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
-        task = functools.partial(_verify_basis, q, n, which, **kwargs)
+        task = functools.partial(verify_theorem, which=which, **kwargs)
         # a fork pool starts all its workers at the first submit: no more than the tasks
         with ProcessPoolExecutor(max_workers=min(jobs, len(reps))) as pool:
             # one representative per task: their costs differ widely
-            verified = list(pool.map(task, [spaces[r].basis for r in reps]))
+            verified = list(pool.map(task, [spaces[r] for r in reps]))
     done = dict(zip(reps, verified))
     return [
         done[r] if r == k else _transport(done[r], spaces[r], sigma, spaces[k])

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 from .errors import (
     BadIndex,
@@ -29,6 +30,7 @@ from .errors import (
     VerificationFailure,
     WrongType,
     _require_int,
+    _require_type,
 )
 from .gf import GF, build_field
 
@@ -39,6 +41,7 @@ POINT_CAP = 1 << 20
 
 def support(x: Sequence[int]) -> frozenset[int]:
     """Indices of the nonzero coordinates of a vector."""
+    _require_type(x, Iterable)
     return frozenset(i for i, v in enumerate(x) if v)
 
 
@@ -163,11 +166,6 @@ class Subspace:
         return f"Subspace(GF({self.q})^{self.n}, [{rows}])"
 
 
-def _require_subspace(space: object) -> None:
-    if not isinstance(space, Subspace):
-        raise WrongType(f"expected a Subspace, got {type(space).__name__}")
-
-
 @lru_cache(maxsize=4096)
 def _points_cached(space: Subspace) -> tuple[Point, ...]:
     """The sorted points of the space, cached on the space alone: every
@@ -187,11 +185,8 @@ def _points_cached(space: Subspace) -> tuple[Point, ...]:
 
 def span(field: GF, n: int, generators: Iterable[Sequence[int]]) -> Subspace:
     """The subspace spanned by the generators, in canonical RREF form."""
-    try:
-        gens = list(generators)
-    except TypeError:
-        raise WrongType(f"generators must be an iterable of vectors, got {generators!r}") from None
-    rows = [_validate_vector(field, n, g) for g in gens]
+    _require_type(generators, Iterable)
+    rows = [_validate_vector(field, n, g) for g in generators]
     reduced, _ = _rref(field, rows)
     return Subspace(field, n, reduced)
 
@@ -202,8 +197,8 @@ def span(field: GF, n: int, generators: Iterable[Sequence[int]]) -> Subspace:
 
 def product(s1: Subspace, s2: Subspace) -> Subspace:
     """The direct product {(x, y) : x in S1, y in S2} on n1 + n2 coordinates."""
-    _require_subspace(s1)
-    _require_subspace(s2)
+    _require_type(s1, Subspace)
+    _require_type(s2, Subspace)
     if s1.field != s2.field:
         raise FieldMismatch(f"GF({s1.q}) vs GF({s2.q})")
     n = s1.n + s2.n
@@ -213,7 +208,7 @@ def product(s1: Subspace, s2: Subspace) -> Subspace:
 
 
 def _check_coords(space: Subspace, coords: Iterable[int]) -> frozenset[int]:
-    _require_subspace(space)
+    _require_type(space, Subspace)
     try:
         out = frozenset(coords)
     except TypeError:
@@ -236,7 +231,7 @@ def project(space: Subspace, drop: Iterable[int]) -> Subspace:
 
 def permute(space: Subspace, order: Sequence[int]) -> Subspace:
     """Reorder coordinates: new coordinate j reads old coordinate order[j]."""
-    _require_subspace(space)
+    _require_type(space, Subspace)
     try:
         order = tuple(order)
         is_perm = sorted(order) == list(range(space.n))
@@ -557,8 +552,7 @@ def parse_subspace(text: str) -> Subspace:
     space-separated encoded field elements. JSON: an object with keys
     "q", "n", "generators".
     """
-    if not isinstance(text, str):
-        raise WrongType(f"parse_subspace expects a str, got {type(text).__name__}")
+    _require_type(text, str)
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty input")

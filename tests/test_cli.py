@@ -134,6 +134,21 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert len(targets) == 3
 
+    def test_default_report_factors_the_space_once(self, capsys, gf4_plane, monkeypatch):
+        spaces = []
+        real = clutterforge.verify.factor
+
+        def counting(space):
+            spaces.append(space)
+            return real(space)
+
+        # count the calls wherever the name is bound, in verify or in the CLI
+        monkeypatch.setattr(clutterforge.verify, "factor", counting)
+        monkeypatch.setattr(clutterforge.cli, "factor", counting, raising=False)
+        code, _, _ = run_cli(capsys, "analyze", gf4_plane)
+        assert code == EXIT_OK
+        assert len(spaces) == 1
+
     def test_json_report_builds_the_matroid_once(self, capsys, gf4_plane):
         clutterforge.matroid._matroid_cached.cache_clear()
         code, _, _ = run_cli(capsys, "analyze", gf4_plane, "--json")

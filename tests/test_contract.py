@@ -18,12 +18,15 @@ from clutterforge.clutter import (
     apply_chain,
     builtin,
     find_minor,
+    format_minor_certificate,
     is_isomorphic,
     localization,
     minor,
     mult,
+    parse_minor_certificate,
     replay_minor,
 )
+from clutterforge.clutter import product as clutter_product
 from clutterforge.errors import ClutterforgeError
 from clutterforge.gf import build_field
 from clutterforge.graphs import (
@@ -75,6 +78,7 @@ from clutterforge.vspace import (
     project,
     span,
     subspace_minor,
+    support,
 )
 from clutterforge.vspace import product as vspace_product
 
@@ -209,6 +213,9 @@ def test_import_loads_no_process_pool():
         (lambda: CircuitMatroid(3, [frozenset({True, 2})]), TypeError),
         (lambda: MultiGraph(2, ((True, 0),)), TypeError),
         (lambda: Clutter((0, 1), [True]), TypeError),
+        (lambda: Clutter(5), TypeError),
+        (lambda: Clutter((1, 2), 5), TypeError),
+        (lambda: MultiGraph(3, 5), TypeError),
     ],
     ids=["non-rref-basis", "duplicate-labels", "duplicate-circuits", "empty-circuit",
          "nested-circuits", "elimination-fails", "edge-not-a-pair", "vertex-count-not-int",
@@ -216,7 +223,8 @@ def test_import_loads_no_process_pool():
          "circuit-element-not-int", "ground-size-not-int", "minor-spec-not-a-set",
          "circuit-not-a-set", "ambient-dimension-not-int", "ambient-dimension-bool",
          "basis-entry-bool", "vertex-count-bool", "ground-size-bool", "circuit-element-bool",
-         "edge-endpoint-bool", "member-mask-bool"],
+         "edge-endpoint-bool", "member-mask-bool", "ground-not-iterable",
+         "members-not-iterable", "edges-not-iterable"],
 )
 def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
     with pytest.raises(ClutterforgeError) as info:
@@ -321,6 +329,14 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: parse_subspace(5), TypeError),
         (lambda: span(build_field(3), 2, [5]), TypeError),
         (lambda: localization(span(build_field(3), 2, [(1, 1)]), 5), TypeError),
+        (lambda: support(5), TypeError),
+        (lambda: clutter_product(5, builtin("delta3")), TypeError),
+        (lambda: extreme_point_witness(builtin("delta3"), 5), TypeError),
+        (lambda: apply_chain(builtin("delta3"), 5), TypeError),
+        (lambda: parse_minor_certificate(5), TypeError),
+        (lambda: format_minor_certificate(5, {}), TypeError),
+        (lambda: c5sq_witness(span(build_field(8), 3, [(1, 0, 1), (0, 1, 1)]), alpha=5), TypeError),
+        (lambda: localization_profile(span(build_field(8), 3, [(1, 0, 1), (0, 1, 1)]), 5), TypeError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
          "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sweep",
@@ -357,7 +373,10 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
          "sweep-budget-negative", "span-generators-not-iterable", "permute-order-not-a-sequence",
          "project-coordinates-not-iterable", "subspace-minor-coordinates-not-iterable",
          "subspace-product-not-a-subspace", "parse-subspace-not-a-str",
-         "span-generator-not-a-sequence", "localization-point-not-a-sequence"],
+         "span-generator-not-a-sequence", "localization-point-not-a-sequence",
+         "support-not-iterable", "clutter-product-not-a-clutter", "witness-point-not-a-sequence",
+         "chain-specs-not-iterable", "parse-certificate-not-a-str", "format-certificate-not-a-spec",
+         "c5sq-alpha-not-a-sequence", "localization-profile-alpha-not-a-sequence"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

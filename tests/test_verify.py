@@ -987,16 +987,26 @@ class TestFactorDecisions:
     )
     def test_reports_equal_the_whole_clutter_search(self, q, n, which, monkeypatch):
         products = [s for s in enumerate_subspaces(q, n) if len(factor(s)) > 1]
-        assert all(verify_module._factor_mults(s, mult(s), None) for s in products)
-        by_factors = [verify_theorem(s, which) for s in products]
+        assert all(verify_module._factor_mults(factor(s), mult(s), None) for s in products)
+        # to_dict, since TheoremReport's == skips methods and certificates
+        by_factors = [verify_theorem(s, which).to_dict() for s in products]
         monkeypatch.setattr(verify_module, "_factor_mults", lambda *args: ())
-        assert [verify_theorem(s, which) for s in products] == by_factors
+        assert [verify_theorem(s, which).to_dict() for s in products] == by_factors
+
+    def test_one_factorization_per_report(self, monkeypatch):
+        spaces = list(enumerate_subspaces(4, 3))  # ground 12, within SEARCH_BUDGET
+        calls = []
+        monkeypatch.setattr(verify_module, "factor", lambda s: calls.append(s) or factor(s))
+        for space in spaces:
+            verify_theorem(space, "1.2")
+        assert calls == spaces
 
     def test_no_factor_search_past_the_budget(self, f3):
         space = span(f3, 3, [(1, 0, 0), (0, 1, 0)])
-        assert len(factor(space)) == 3
-        assert verify_module._factor_mults(space, mult(space), 3**9) != ()
-        assert verify_module._factor_mults(space, mult(space), 3**9 - 1) == ()
+        factors = factor(space)
+        assert len(factors) == 3
+        assert verify_module._factor_mults(factors, mult(space), 3**9) != ()
+        assert verify_module._factor_mults(factors, mult(space), 3**9 - 1) == ()
 
 
 class TestMonomialOrbits:
