@@ -322,11 +322,12 @@ def cmd_witness(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise PreconditionViolated(f"job count must be at least 1, got {args.jobs}")
     swept = sweep_theorem(
         args.q,
         args.n,
         args.theorem,
-        jobs=args.jobs,
         max_ground=args.max_ground,
         budget=args.budget,
     )
@@ -523,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--n", type=int, required=True)
     p_sw.add_argument("--theorem", required=True, help="statement id: 1.1, 1.2, 1.3, or 1.4")
     p_sw.add_argument("--out", default=None, help="write CSV/JSON to this file")
-    p_sw.add_argument("--jobs", type=int, default=1, help="parallel workers, at most one per orbit representative")
+    p_sw.add_argument("--jobs", type=int, default=1, help="at least 1; no other effect, since sweeps run in one process")
     p_sw.add_argument("--budget", type=_non_negative, default=None, help=_BUDGET_HELP)
     p_sw.add_argument("--max-ground", type=_non_negative, default=MAX_POLY_GROUND, help="polyhedral ground cap")
     p_sw.set_defaults(func=cmd_sweep)

@@ -1150,46 +1150,38 @@ def sweep_theorem(
     n: int,
     which: Any,
     *,
-    jobs: int = 1,
-    **kwargs: Any,
+    max_ground: int = MAX_POLY_GROUND,
+    budget: Optional[int] = None,
 ) -> list[TheoremReport]:
     """verify_theorem's verdicts on every subspace of GF(q)^n, in enumeration order.
 
     A monomial map (a coordinate permutation, a nonzero scaling of each
     coordinate and, when q = p^k, a power of Frobenius) carries mult(S) to
     an isomorphic clutter, so every verdict is constant on a monomial orbit.
-    verify_theorem runs once per orbit, on its first subspace in enumeration
-    order, and that report is returned as is. Every other subspace gets the
-    representative's report carried along a relabeling that is checked to
-    be an isomorphism: condition (ii) is computed again, and each
-    certificate of (i) and (iii) is mapped and replayed on the subspace's
-    own clutter. Its methods for (i) and (iii) then read "<representative's
-    method>; transported from <representative's instance> by a checked
-    monomial isomorphism".
+    verify_theorem runs once per orbit, in this process, on its first
+    subspace in enumeration order, and that report is returned as is. Every
+    other subspace gets the representative's report carried along a
+    relabeling that is checked to be an isomorphism: condition (ii) is
+    computed again, and each certificate of (i) and (iii) is mapped and
+    replayed on the subspace's own clutter. Its methods for (i) and (iii)
+    then read "<representative's method>; transported from
+    <representative's instance> by a checked monomial isomorphism".
 
-    jobs must be at least 1. With jobs > 1 the representatives are verified
-    in that many worker processes, at most one per representative; the
-    reports are the same as with jobs=1.
+    max_ground and budget are passed to verify_theorem and checked before
+    any subspace is enumerated, as is the statement id.
     """
-    _require_int(jobs, "job count")
-    if jobs < 1:
-        raise PreconditionViolated(f"job count must be at least 1, got {jobs}")
+    _require_limit(max_ground, "max ground")
+    if budget is not None:
+        _require_limit(budget, "search budget")
+    t = _normalize_theorem_id(which)
     spaces = list(enumerate_subspaces(q, n))
-    _check_field_class(_normalize_theorem_id(which), q)  # fail before the orbit search
+    _check_field_class(t, q)  # fail before the orbit search
     orbits = monomial_orbits(spaces)
-    reps = [k for k, (r, _) in enumerate(orbits) if r == k]
-    if jobs == 1:
-        verified = [verify_theorem(spaces[r], which, **kwargs) for r in reps]
-    else:
-        # imported here so that `import clutterforge` does not pay for it
-        from concurrent.futures import ProcessPoolExecutor
-
-        task = functools.partial(verify_theorem, which=which, **kwargs)
-        # a fork pool starts all its workers at the first submit: no more than the tasks
-        with ProcessPoolExecutor(max_workers=min(jobs, len(reps))) as pool:
-            # one representative per task: their costs differ widely
-            verified = list(pool.map(task, [spaces[r] for r in reps]))
-    done = dict(zip(reps, verified))
+    done = {
+        r: verify_theorem(spaces[r], t, max_ground=max_ground, budget=budget)
+        for k, (r, _) in enumerate(orbits)
+        if r == k
+    }
     return [
         done[r] if r == k else _transport(done[r], spaces[r], sigma, spaces[k])
         for k, (r, sigma) in enumerate(orbits)

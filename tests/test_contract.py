@@ -1,6 +1,6 @@
 """Package-wide contracts: deliberate errors derive from ClutterforgeError,
-checks still run under ``python -O``, and importing the package loads no
-process-pool machinery."""
+checks still run under ``python -O``, and neither importing the package nor
+running a sweep loads process-pool machinery."""
 from __future__ import annotations
 
 import ast
@@ -183,8 +183,15 @@ def test_extreme_point_check_runs_under_optimize_flag():
 
 
 def test_import_loads_no_process_pool():
-    out = _run_python("-c", "import sys, clutterforge; print('concurrent.futures.process' in sys.modules)")
-    assert out.strip() == "False"
+    code = (
+        "import sys, clutterforge, clutterforge.cli\n"
+        "loaded = ['concurrent.futures.process' in sys.modules]\n"
+        "status = clutterforge.cli.main(['sweep', '--q', '3', '--n', '2', '--theorem', '1.1', '--jobs', '2', '--json'])\n"
+        "loaded.append('concurrent.futures.process' in sys.modules)\n"
+        "print(status, loaded)\n"
+    )
+    out = _run_python("-c", code)
+    assert out.splitlines()[-1] == "0 [False, False]"
 
 
 @pytest.mark.parametrize(
@@ -284,8 +291,6 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.1", budget="9"), TypeError),
         (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.4", budget="x"), TypeError),
         (lambda: verify_theorem(span(build_field(3), 2, [(1, 1)]), "1.4", max_ground="x"), TypeError),
-        (lambda: sweep_theorem(3, 2, "1.1", jobs=2.0), TypeError),
-        (lambda: sweep_theorem(3, 2, "1.4", jobs=-3), ValueError),
         (lambda: span(build_field(3), 2, [(1, 1)]).points(cap="9"), TypeError),
         (lambda: has_packing_property(builtin("delta3"), budget=True), TypeError),
         (lambda: mfmc_check(builtin("delta3"), True), TypeError),
@@ -356,7 +361,7 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
          "is-ideal-ground-cap-str", "extreme-points-ground-cap-float",
          "enumerate-subspaces-order-str",
          "verify-theorem-minor-budget-str", "verify-theorem-packing-budget-str",
-         "verify-theorem-max-ground-str", "sweep-jobs-float", "sweep-jobs-negative", "points-cap-str",
+         "verify-theorem-max-ground-str", "points-cap-str",
          "packing-budget-bool", "mfmc-bound-bool", "minor-element-bool", "project-coordinate-bool",
          "enumerate-subspaces-order-one", "sweep-order-one",
          "sweep-dimension-negative", "gaussian-binomial-order-one", "count-subspaces-order-one",

@@ -9,7 +9,6 @@ polyhedral computation where the ground is small.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import itertools
 import json
@@ -46,6 +45,7 @@ from clutterforge.matroid import matroid_of, series_classes
 from clutterforge.polyhedral import IdealnessCertificate, has_packing_property, is_ideal, mfmc_check, nu, tau
 import clutterforge.clutter as clutter_module
 import clutterforge.matroid as matroid_module
+import clutterforge.polyhedral as polyhedral_module
 import clutterforge.verify as verify_module
 import clutterforge.vspace as vspace_module
 from clutterforge.verify import (
@@ -796,47 +796,39 @@ class TestSweeps:
         assert len(witnessed) == 49
         assert all(r.cond_ii is False for r in witnessed)
 
-    @pytest.mark.parametrize(
-        "q, n, which", [(3, 3, "1.1"), (2, 3, "1.4"), (4, 3, "1.2"), (2, 4, "1.4"), (3, 3, "1.4")]
-    )
-    def test_parallel_matches_serial(self, q, n, which):
-        serial = sweep_theorem(q, n, which)
-        parallel = sweep_theorem(q, n, which, jobs=2)
-        assert parallel == serial
-        assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
-
-    def test_pool_has_at_most_one_worker_per_representative(self, monkeypatch):
-        # a fork pool starts all its workers at the first submit; this stub records
-        # the size asked for and runs the tasks in this process, so nothing forks
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        serial = sweep_theorem(3, 3, "1.1")
-        reps = sum(r == k for k, (r, _) in enumerate(monomial_orbits(list(enumerate_subspaces(3, 3)))))
-        assert reps == 8
-        for jobs in (64, 3):
-            assert [r.to_dict() for r in sweep_theorem(3, 3, "1.1", jobs=jobs)] == [r.to_dict() for r in serial]
-        assert sizes == [8, 3]
-
     def test_wrong_statement_rejected_before_orbit_search(self, monkeypatch):
         monkeypatch.setattr(verify_module, "monomial_orbits", lambda spaces: pytest.fail("orbits searched"))
         with pytest.raises(WrongFieldClass):
             sweep_theorem(3, 4, "1.2")
         with pytest.raises(PreconditionViolated):
             sweep_theorem(3, 4, "9.9")
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"budget": -1}, PreconditionViolated),
+            ({"max_ground": "x"}, TypeError),
+            ({"which": "1.9"}, PreconditionViolated),
+            ({"minor_budget": 1}, TypeError),
+            ({"jobs": 2}, TypeError),
+        ],
+        ids=["budget-negative", "max-ground-str", "unknown-statement", "misspelt-keyword", "jobs"],
+    )
+    def test_arguments_rejected_before_enumeration(self, monkeypatch, kwargs, error):
+        monkeypatch.setattr(verify_module, "enumerate_subspaces", lambda q, n: pytest.fail("subspaces enumerated"))
+        kwargs = {"which": "1.1", **kwargs}
+        with pytest.raises(error):
+            sweep_theorem(3, 4, **kwargs)
+
+    @pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])
+    def test_packing_cache_never_reaches_the_report(self, q, n):
+        # each representative again, in reverse order and from a cold packing-sweep cache
+        spaces = list(enumerate_subspaces(q, n))
+        swept = sweep_theorem(q, n, "1.4")
+        reps = [k for k, (r, _) in enumerate(monomial_orbits(spaces)) if r == k]
+        for k in reversed(reps):
+            polyhedral_module._failing_path.cache_clear()
+            assert verify_theorem(spaces[k], "1.4").to_dict() == swept[k].to_dict()
 
     def test_cond_i_matches_direct_idealness(self, subspaces_gf3_3):
         for space, report in zip(subspaces_gf3_3, sweep_theorem(3, 3, "1.1")):
