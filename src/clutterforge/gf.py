@@ -3,10 +3,13 @@
 Elements are plain integers 0..q-1. For q = p^k the integer encodes the
 coefficient vector of a polynomial residue: value = sum(c_i * p**i) where
 (c_0, ..., c_{k-1}) are the coefficients, constant term first. Arithmetic is
-table driven; the tables are built once per order from a fixed monic
-irreducible modulus polynomial and validated at construction.
+table driven and the tables are built once per order. For k > 1 the
+multiplication table comes from the powers x^0 .. x^(q-2) modulo a fixed
+monic modulus. Each listed modulus is primitive: its q - 1 powers of x are
+distinct and nonzero, which also proves it irreducible. Construction raises
+VerificationFailure otherwise, then checks the field axioms on the tables.
 
-Fixed moduli (coefficient lists, constant term first):
+Fixed primitive moduli (coefficient lists, constant term first):
 
     q = 4   x^2 + x + 1          (1, 1, 1)
     q = 8   x^3 + x + 1          (1, 1, 0, 1)
@@ -71,52 +74,6 @@ def _poly_to_int(coeffs: tuple[int, ...], p: int) -> int:
     return value
 
 
-def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Multiply coefficient vectors mod (modulus, p); result has len(modulus)-1 entries."""
-    k = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce: modulus is monic of degree k
-    for deg in range(len(prod) - 1, k - 1, -1):
-        c = prod[deg]
-        if c:
-            prod[deg] = 0
-            for j in range(k):
-                prod[deg - k + j] = (prod[deg - k + j] - c * modulus[j]) % p
-    out = prod[:k]
-    out += [0] * (k - len(out))
-    return tuple(out)
-
-
-def _poly_divides(d: tuple[int, ...], f: tuple[int, ...], p: int) -> bool:
-    """True if monic polynomial d divides f over GF(p). Both constant-first."""
-    rem = list(f)
-    dd = len(d) - 1
-    for deg in range(len(rem) - 1, dd - 1, -1):
-        c = rem[deg]
-        if c:
-            for j in range(dd + 1):
-                rem[deg - dd + j] = (rem[deg - dd + j] - c * d[j]) % p
-    return not any(rem)
-
-
-def _check_irreducible(modulus: tuple[int, ...], p: int) -> None:
-    """Trial division by every monic polynomial of degree 1..k//2."""
-    k = len(modulus) - 1
-    for deg in range(1, k // 2 + 1):
-        # monic candidates: free coefficients c_0..c_{deg-1}
-        total = p ** deg
-        for enc in range(total):
-            cand = list(_int_to_poly(enc, p, deg)) + [1]
-            if _poly_divides(tuple(cand), modulus, p):
-                raise VerificationFailure(
-                    f"modulus {modulus} over GF({p}) has a degree-{deg} factor"
-                )
-
-
 class GF:
     """A finite field of order q with table-driven arithmetic on ints 0..q-1."""
 
@@ -134,8 +91,21 @@ class GF:
             mul = [[(x * y) % p for y in range(q)] for x in range(q)]
         else:
             modulus = _MODULI[q]
-            _check_irreducible(modulus, p)
             self.modulus = modulus
+            # x^0 .. x^(q-2): multiply by x, then subtract the top coefficient times the modulus
+            coeffs = (1,) + (0,) * (k - 1)
+            powers = []
+            for _ in range(q - 1):
+                powers.append(_poly_to_int(coeffs, p))
+                top = coeffs[-1]
+                coeffs = tuple((c - top * m) % p for c, m in zip((0,) + coeffs[:-1], modulus))
+            # q - 1 distinct nonzero powers make every nonzero residue a unit, so the
+            # modulus is irreducible
+            if sorted(powers) != list(range(1, q)):
+                raise VerificationFailure(f"modulus {modulus} over GF({p}) is not primitive")
+            log = [0] * q
+            for e, v in enumerate(powers):
+                log[v] = e
             polys = [_int_to_poly(v, p, k) for v in range(q)]
             add = [
                 [
@@ -145,7 +115,7 @@ class GF:
                 for x in range(q)
             ]
             mul = [
-                [_poly_to_int(_poly_mul_mod(polys[x], polys[y], modulus, p), p) for y in range(q)]
+                [powers[(log[x] + log[y]) % (q - 1)] if x and y else 0 for y in range(q)]
                 for x in range(q)
             ]
         self.add_table: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in add)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadIndex, BudgetExceeded, WrongShape, WrongType, _require_int, _require_type
-from .matroid import CircuitMatroid, _fundamental_cycles, _graph_circuits, has_minor
+from .matroid import CircuitMatroid, _fundamental_cycles, _graph_circuits, _merge_overlaps, has_minor
 
 MAX_MINOR_EDGES = 14
 SMALL_ORDERS = 12  # up to this many labellings, trying each beats the search's set-up
@@ -67,20 +67,7 @@ def blocks(g: MultiGraph) -> list[frozenset[int]]:
     The elimination behind the cycles costs O(edges x vertices) mask XORs.
     """
     _require_type(g, MultiGraph)
-    groups: list[int] = []  # disjoint edge masks, so a sum of them is their union
-    for cycle in _fundamental_cycles(g.edges):
-        met = [x for x in groups if x & cycle]
-        groups = [x for x in groups if not x & cycle] + [cycle | sum(met)]
-    covered = sum(groups)
-    groups += [1 << e for e in range(len(g.edges)) if not covered >> e & 1]
-    out = []
-    for mask in sorted(groups, key=lambda m: m & -m):
-        labels = []
-        while mask:  # one step per set bit, lowest first
-            labels.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
-        out.append(frozenset(labels))
-    return out
+    return [frozenset(b) for b in _merge_overlaps(_fundamental_cycles(g.edges), len(g.edges))]
 
 
 def is_subdivision_of_At(g: MultiGraph) -> Optional[int]:

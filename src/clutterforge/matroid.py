@@ -138,6 +138,21 @@ def matroid_minor(m: CircuitMatroid, delete: frozenset[int] = frozenset(), contr
 # connectivity structure
 # ---------------------------------------------------------------------------
 
+def _merge_overlaps(masks: Iterable[int], size: int) -> list[tuple[int, ...]]:
+    """Classes of the elements 0..size-1 joined by the masks, ordered by least element.
+
+    Each mask is merged with every group it meets; an element in no mask is
+    a singleton class. Each class is listed in increasing order.
+    """
+    groups: list[int] = []  # disjoint masks, so a sum of them is their union
+    for mask in masks:
+        met = [x for x in groups if x & mask]
+        groups = [x for x in groups if not x & mask] + [mask | sum(met)]
+    covered = sum(groups)
+    groups += [1 << e for e in range(size) if not covered >> e & 1]
+    return [tuple(_bits(mask)) for mask in sorted(groups, key=lambda m: m & -m)]
+
+
 def components(m: CircuitMatroid) -> tuple[tuple[int, ...], ...]:
     """Partition of the ground into connected components.
 
@@ -145,23 +160,7 @@ def components(m: CircuitMatroid) -> tuple[tuple[int, ...], ...]:
     are joined whenever they share a circuit.
     """
     _require_type(m, CircuitMatroid)
-    parent = list(range(m.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in m.circuits:
-        it = iter(sorted(c))
-        first = find(next(it))
-        for e in it:
-            parent[find(e)] = first
-    groups: dict[int, list[int]] = {}
-    for e in range(m.size):
-        groups.setdefault(find(e), []).append(e)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
+    return tuple(_merge_overlaps((sum(1 << e for e in c) for c in m.circuits), m.size))
 
 
 def series_classes(m: CircuitMatroid) -> tuple[tuple[int, ...], ...]:

@@ -1168,14 +1168,16 @@ def sweep_theorem(
     <representative's instance> by a checked monomial isomorphism".
 
     max_ground and budget are passed to verify_theorem and checked before
-    any subspace is enumerated, as is the statement id.
+    any subspace is enumerated, as are the statement id, the field order
+    and the field class.
     """
     _require_limit(max_ground, "max ground")
     if budget is not None:
         _require_limit(budget, "search budget")
     t = _normalize_theorem_id(which)
+    build_field(q)  # an invalid order outranks the field class
+    _check_field_class(t, q)  # fail before the enumeration
     spaces = list(enumerate_subspaces(q, n))
-    _check_field_class(t, q)  # fail before the orbit search
     orbits = monomial_orbits(spaces)
     done = {
         r: verify_theorem(spaces[r], t, max_ground=max_ground, budget=budget)

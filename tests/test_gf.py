@@ -7,8 +7,10 @@ from clutterforge import (
     DivisionByZero,
     NotPrimePower,
     UnsupportedField,
+    VerificationFailure,
     build_field,
 )
+from clutterforge import gf
 from clutterforge.gf import MAX_ORDER, _prime_power
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
@@ -60,6 +62,60 @@ def test_fixed_moduli_are_recorded():
     assert build_field(25).modulus == (2, 4, 1)
     assert build_field(27).modulus == (1, 2, 0, 1)
     assert build_field(32).modulus == (1, 0, 1, 0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# multiplication against schoolbook polynomial products
+# ---------------------------------------------------------------------------
+
+def ref_poly_mul_mod(a, b, modulus, p):
+    """Multiply coefficient vectors mod (modulus, p); result has len(modulus)-1 entries."""
+    k = len(modulus) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    # reduce: modulus is monic of degree k
+    for deg in range(len(prod) - 1, k - 1, -1):
+        c = prod[deg]
+        if c:
+            prod[deg] = 0
+            for j in range(k):
+                prod[deg - k + j] = (prod[deg - k + j] - c * modulus[j]) % p
+    out = prod[:k]
+    out += [0] * (k - len(out))
+    return tuple(out)
+
+
+def _coeffs(value, p, k):
+    return tuple(value // p**i % p for i in range(k))
+
+
+@pytest.mark.parametrize("q", [8, 9, 16, 25, 27, 32])
+def test_products_match_schoolbook_multiplication(q):
+    f = build_field(q)
+    for x in range(q):
+        for y in range(q):
+            want = ref_poly_mul_mod(_coeffs(x, f.p, f.k), _coeffs(y, f.p, f.k), f.modulus, f.p)
+            assert _coeffs(f.mul(x, y), f.p, f.k) == want, (q, x, y)
+
+
+@pytest.mark.parametrize(
+    "q, modulus",
+    [
+        (9, (2, 0, 1)),  # x^2 + 2 = (x + 1)(x + 2) over GF(3)
+        (9, (1, 0, 1)),  # x^2 + 1 is irreducible over GF(3), but x has order 4, not 8
+        (4, (1, 0, 1)),  # x^2 + 1 = (x + 1)^2 over GF(2)
+        (4, (0, 0, 1)),  # x^2: the powers of x reach 0
+    ],
+    ids=["gf9-reducible", "gf9-irreducible-not-primitive", "gf4-square", "gf4-x-squared"],
+)
+def test_non_primitive_modulus_refused(monkeypatch, q, modulus):
+    # GF is called directly: build_field caches the shipped field
+    monkeypatch.setitem(gf._MODULI, q, modulus)
+    with pytest.raises(VerificationFailure, match="not primitive"):
+        gf.GF(q)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,27 @@ def ref_graph_circuits(edges):
     return tuple(circuits)
 
 
+def ref_components(m):
+    """Components by union-find: join the elements of each circuit, then group by root."""
+    parent = list(range(m.size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c in m.circuits:
+        it = iter(sorted(c))
+        first = find(next(it))
+        for e in it:
+            parent[find(e)] = first
+    groups = {}
+    for e in range(m.size):
+        groups.setdefault(find(e), []).append(e)
+    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
+
+
 def ref_classify(m):
     """Classification by the minor round trip: contract all but one element of
     each series class of a component, then ask whether every 2-subset of the
@@ -364,6 +385,12 @@ class TestAgainstReference:
             assert report == ref_classify(m), m
             kinds.update(report.kinds)
         assert kinds == {"coloop", "circuit", "subdivision", "unclassified"}
+
+    def test_components_match_union_find(self, subspaces_gf3_4, random_multigraphs):
+        matroids = [matroid_of(s) for s in itertools.chain(enumerate_subspaces(2, 5), subspaces_gf3_4)]
+        matroids += [CircuitMatroid(len(g.edges), _graph_circuits(g.edges)) for g in random_multigraphs]
+        for m in matroids:
+            assert components(m) == ref_components(m), m
 
     def test_isomorphism_existence(self, small_matroids):
         by_size: dict[int, list] = {}

@@ -34,6 +34,7 @@ from clutterforge.clutter import (
 )
 from clutterforge.errors import (
     BudgetExceeded,
+    NotPrimePower,
     PreconditionViolated,
     VerificationFailure,
     WrongField,
@@ -811,14 +812,28 @@ class TestSweeps:
             ({"which": "1.9"}, PreconditionViolated),
             ({"minor_budget": 1}, TypeError),
             ({"jobs": 2}, TypeError),
+            # GF(2)^9 has 8,283,458 subspaces, over the enumeration budget
+            ({"q": 2, "n": 9}, WrongFieldClass),
+            # the statement id, then the field order, then the field class
+            ({"q": 1, "which": "9.9"}, PreconditionViolated),
+            ({"q": 1, "which": "1.2"}, NotPrimePower),
         ],
-        ids=["budget-negative", "max-ground-str", "unknown-statement", "misspelt-keyword", "jobs"],
+        ids=[
+            "budget-negative",
+            "max-ground-str",
+            "unknown-statement",
+            "misspelt-keyword",
+            "jobs",
+            "wrong-field-class",
+            "statement-before-order",
+            "order-before-field-class",
+        ],
     )
     def test_arguments_rejected_before_enumeration(self, monkeypatch, kwargs, error):
         monkeypatch.setattr(verify_module, "enumerate_subspaces", lambda q, n: pytest.fail("subspaces enumerated"))
-        kwargs = {"which": "1.1", **kwargs}
+        kwargs = {"q": 3, "n": 4, "which": "1.1", **kwargs}
         with pytest.raises(error):
-            sweep_theorem(3, 4, **kwargs)
+            sweep_theorem(**kwargs)
 
     @pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])
     def test_packing_cache_never_reaches_the_report(self, q, n):
