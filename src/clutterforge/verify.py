@@ -59,8 +59,8 @@ from .vspace import (
     Point,
     Subspace,
     _is_semilinear,
-    _nullspace,
     _support_line,
+    _unchecked,
     disjoint_support_basis,
     factor,
     monomial_image,
@@ -126,7 +126,7 @@ def enumerate_subspaces(q: int, n: int) -> Iterator[Subspace]:
                     mat[i][p] = 1
                 for (i, c), v in zip(free_pos, vals):
                     mat[i][c] = v
-                yield Subspace(field, n, tuple(tuple(row) for row in mat))
+                yield _unchecked(field, n, tuple(tuple(row) for row in mat))  # RREF as built
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,10 @@ def _hyperplane_scaling(space: Subspace) -> Optional[tuple[int, ...]]:
     f = space.field
     if space.dim != space.n - 1:
         return None
-    (normal,) = _nullspace(f, space.basis, space.n)
+    # the RREF basis pivots on every coordinate but `free`, where the normal is 1
+    (free,) = set(range(space.n)) - set(space.pivots)
+    normal = [f.neg(row[free]) for row in space.basis]
+    normal.insert(free, 1)
     if 0 in normal:
         return None
     lam = f.vec_scale(f.inv(normal[0]), normal)

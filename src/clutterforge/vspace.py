@@ -15,7 +15,7 @@ import itertools
 import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 from .errors import (
@@ -54,7 +54,7 @@ def _rref(field: GF, rows: Sequence[Sequence[int]]) -> tuple[tuple[Point, ...], 
 
     Table driven: scaling a row reads one row of mul_table, and subtracting
     f times the pivot row adds the pivot row's entries read in the mul_table
-    row of -f.
+    row of -f. A pivot that is already 1 is not scaled.
     """
     add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv_table
     mat = [list(r) for r in rows]
@@ -63,12 +63,16 @@ def _rref(field: GF, rows: Sequence[Sequence[int]]) -> tuple[tuple[Point, ...], 
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if mat[pr][c]:
+                break
+        else:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        scale = mul[inv[mat[r][c]]]
-        prow = mat[r] = [scale[x] for x in mat[r]]
+        prow, mat[pr] = mat[pr], mat[r]
+        if prow[c] != 1:
+            scale = mul[inv[prow[c]]]
+            prow = [scale[x] for x in prow]
+        mat[r] = prow
         for i in range(nrows):
             if i != r and mat[i][c]:
                 times = mul[neg[mat[i][c]]]
@@ -116,9 +120,10 @@ def _validate_vector(field: GF, n: int, x: Sequence[int]) -> Point:
 class Subspace:
     """A linear subspace of GF(q)^n held by its canonical RREF basis.
 
-    Construct through `span`; the constructor insists the basis is already
-    in reduced row echelon form so that equality of Subspaces is equality
-    of the underlying sets of points.
+    Construct through `span`; the constructor checks the field, n and every
+    entry, and that the basis is already in reduced row echelon form, so that
+    equality of Subspaces is equality of their sets of points. Operations on
+    a Subspace reduce their rows with `_rref` and store them unchecked.
     """
 
     field: GF
@@ -126,9 +131,8 @@ class Subspace:
     basis: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        _require_int(self.n, "ambient dimension")
-        if self.n < 1:
-            raise DimensionMismatch(f"ambient dimension must be >= 1, got {self.n}")
+        _check_ambient(self.field, self.n)
+        _require_type(self.basis, Iterable)
         rows = tuple(_validate_vector(self.field, self.n, r) for r in self.basis)
         object.__setattr__(self, "basis", rows)
         if not _is_rref(rows):
@@ -154,12 +158,8 @@ class Subspace:
         return _points_cached(self)
 
     def contains(self, x: Sequence[int]) -> bool:
-        v = list(_validate_vector(self.field, self.n, x))
-        for row, p in zip(self.basis, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [self.field.sub(a, self.field.mul(f, b)) for a, b in zip(v, row)]
-        return not any(v)
+        v = _validate_vector(self.field, self.n, x)
+        return _rref(self.field, (*self.basis, v))[0] == self.basis
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rows = ", ".join(str(r) for r in self.basis)
@@ -171,24 +171,36 @@ def _points_cached(space: Subspace) -> tuple[Point, ...]:
     """The sorted points of the space, cached on the space alone: every
     caller's cap is checked in Subspace.points before the lookup."""
     field = space.field
-    scaled = [[field.vec_scale(c, row) for c in range(space.q)] for row in space.basis]
-    out: list[Point] = []
-    for coeffs in itertools.product(range(space.q), repeat=space.dim):
-        x = (0,) * space.n
-        for j, c in enumerate(coeffs):
-            if c:
-                x = field.vec_add(x, scaled[j][c])
-        out.append(x)
-    out.sort()
-    return tuple(out)
+    points = [(0,) * space.n]
+    for row in space.basis:
+        multiples = [field.vec_scale(c, row) for c in range(space.q)]
+        points = [field.vec_add(x, m) for x in points for m in multiples]
+    return tuple(sorted(points))
+
+
+def _check_ambient(field: GF, n: int) -> None:
+    _require_type(field, GF)
+    _require_int(n, "ambient dimension")
+    if n < 1:
+        raise DimensionMismatch(f"ambient dimension must be >= 1, got {n}")
+
+
+def _unchecked(field: GF, n: int, basis: tuple[Point, ...]) -> Subspace:
+    """The Subspace on basis, RREF rows of GF(q)^n, without the constructor's checks."""
+    space = object.__new__(Subspace)
+    object.__setattr__(space, "field", field)
+    object.__setattr__(space, "n", n)
+    object.__setattr__(space, "basis", basis)
+    return space
 
 
 def span(field: GF, n: int, generators: Iterable[Sequence[int]]) -> Subspace:
-    """The subspace spanned by the generators, in canonical RREF form."""
+    """The subspace spanned by the generators, in canonical RREF form: the
+    field, n and the generators are checked, and _rref's rows are not."""
+    _check_ambient(field, n)
     _require_type(generators, Iterable)
     rows = [_validate_vector(field, n, g) for g in generators]
-    reduced, _ = _rref(field, rows)
-    return Subspace(field, n, reduced)
+    return _unchecked(field, n, _rref(field, rows)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +213,9 @@ def product(s1: Subspace, s2: Subspace) -> Subspace:
     _require_type(s2, Subspace)
     if s1.field != s2.field:
         raise FieldMismatch(f"GF({s1.q}) vs GF({s2.q})")
-    n = s1.n + s2.n
-    rows = [row + (0,) * s2.n for row in s1.basis]
-    rows += [(0,) * s1.n + row for row in s2.basis]
-    return span(s1.field, n, rows)
+    # two RREF bases side by side, each padded with zeros, are already RREF
+    rows = tuple(row + (0,) * s2.n for row in s1.basis)
+    return _unchecked(s1.field, s1.n + s2.n, rows + tuple((0,) * s1.n + row for row in s2.basis))
 
 
 def _check_coords(space: Subspace, coords: Iterable[int]) -> frozenset[int]:
@@ -226,7 +237,7 @@ def project(space: Subspace, drop: Iterable[int]) -> Subspace:
     if not kept:
         raise BadIndex("cannot drop every coordinate")
     rows = [tuple(row[i] for i in kept) for row in space.basis]
-    return span(space.field, len(kept), rows)
+    return _unchecked(space.field, len(kept), _rref(space.field, rows)[0])
 
 
 def permute(space: Subspace, order: Sequence[int]) -> Subspace:
@@ -240,7 +251,7 @@ def permute(space: Subspace, order: Sequence[int]) -> Subspace:
     if not is_perm:
         raise BadIndex(f"{order} is not a permutation of 0..{space.n - 1}")
     rows = [tuple(row[c] for c in order) for row in space.basis]
-    return span(space.field, space.n, rows)
+    return _unchecked(space.field, space.n, _rref(space.field, rows)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +280,26 @@ def _monomial_generators(field: GF, n: int) -> list[dict]:
     return gens
 
 
-def monomial_image(sigma: Mapping, space: Subspace) -> Subspace:
-    """The subspace that the monomial map with relabeling sigma carries space to.
-
-    The map is semilinear, so the images of a basis span the image.
-    """
+def _image_rows(sigma: Mapping, basis: Sequence[Point], n: int) -> list[list[int]]:
+    """The images of the basis rows under the relabeling sigma."""
     rows = []
-    for row in space.basis:
-        y = [0] * space.n
+    for row in basis:
+        y = [0] * n
         for i, v in enumerate(row):
             j, b = sigma[(i, v)]
             y[j] = b
         rows.append(y)
-    return span(space.field, space.n, rows)
+    return rows
+
+
+def monomial_image(sigma: Mapping, space: Subspace) -> Subspace:
+    """The subspace that the monomial map with relabeling sigma carries space to.
+
+    The map is semilinear, so the images of a basis span the image. sigma
+    must be a monomial map (see `_is_semilinear`): the image is not checked.
+    """
+    rows = _image_rows(sigma, space.basis, space.n)
+    return _unchecked(space.field, space.n, _rref(space.field, rows)[0])
 
 
 def _is_semilinear(sigma: Mapping, field: GF, n: int) -> bool:
@@ -313,9 +331,10 @@ def monomial_orbits(spaces: Sequence[Subspace]) -> list[tuple[int, dict]]:
 
     spaces must be every subspace of one GF(q)^n. The first subspace of
     each orbit, in the given order, is its representative; a BFS over the
-    generators reaches the rest, one RREF per image. The relabeling of each
-    subspace composes the generators' relabelings along its BFS path, so it
-    is a monomial map that carries the representative onto it.
+    generators reaches the rest, each image looked up by the RREF of its rows
+    without building a Subspace. The relabeling of each subspace composes the
+    generators' relabelings along its BFS path, so it is a monomial map that
+    carries the representative onto it.
     """
     field, n = spaces[0].field, spaces[0].n
     gens = _monomial_generators(field, n)
@@ -329,11 +348,11 @@ def monomial_orbits(spaces: Sequence[Subspace]) -> list[tuple[int, dict]]:
         for cur in queue:
             sigma = orbits[cur][1]
             for g in gens:
-                img = monomial_image(g, spaces[cur])
-                j = where.get(img.basis)
+                image = _rref(field, _image_rows(g, spaces[cur].basis, n))[0]
+                j = where.get(image)
                 if j is None:
                     raise VerificationFailure(
-                        f"monomial image {img.basis} of {spaces[cur].basis} is not among the subspaces"
+                        f"monomial image {image} of {spaces[cur].basis} is not among the subspaces"
                     )
                 if orbits[j] is None:
                     orbits[j] = (k, {e: g[sigma[e]] for e in sigma})
@@ -341,37 +360,17 @@ def monomial_orbits(spaces: Sequence[Subspace]) -> list[tuple[int, dict]]:
     return orbits
 
 
-def _nullspace(field: GF, mat: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Basis of {t : mat @ t = 0} over GF(q)."""
-    reduced, pivots = _rref(field, mat) if mat else ((), ())
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis: list[tuple[int, ...]] = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = field.neg(reduced[i][f])
-        basis.append(tuple(v))
-    return basis
-
-
 def _zero_constrained(space: Subspace, zero_coords: Iterable[int]) -> Subspace:
-    """The subspace {x in S : x_i = 0 for all i in zero_coords} (same ambient)."""
+    """The subspace {x in S : x_i = 0 for all i in zero_coords} (same ambient),
+    spanned by the RREF rows that pivot after the zeroed coordinates put first."""
     zeros = _check_coords(space, zero_coords)
     if not zeros or space.dim == 0:
         return space
-    constraints = [[space.basis[j][i] for j in range(space.dim)] for i in sorted(zeros)]
-    coeff_basis = _nullspace(space.field, constraints, space.dim)
-    field = space.field
-    rows: list[Point] = []
-    for t in coeff_basis:
-        x = (0,) * space.n
-        for j, c in enumerate(t):
-            if c:
-                x = field.vec_add(x, field.vec_scale(c, space.basis[j]))
-        rows.append(x)
-    return span(field, space.n, rows)
+    order = sorted(zeros) + [i for i in range(space.n) if i not in zeros]
+    rows, pivots = _rref(space.field, [[row[i] for i in order] for row in space.basis])
+    back = sorted(range(space.n), key=order.__getitem__)
+    kept = [[row[k] for k in back] for row, p in zip(rows, pivots) if p >= len(zeros)]
+    return _unchecked(space.field, space.n, _rref(space.field, kept)[0])
 
 
 def _support_line(space: Subspace, supp: frozenset[int]) -> Point:
@@ -422,7 +421,7 @@ def disjoint_support_basis(space: Subspace) -> Optional[tuple[Point, ...]]:
     if intersecting_circuits(m) is not None:
         return None
     rows = [_support_line(space, circuit) for circuit in sorted(m.circuits, key=min)]
-    if len(rows) != space.dim or span(space.field, space.n, rows) != space:
+    if len(rows) != space.dim or _rref(space.field, rows)[0] != space.basis:
         raise VerificationFailure("disjoint-support rows fail to span the space")
     return tuple(rows)
 
@@ -532,9 +531,7 @@ def factor(space: Subspace) -> list[tuple[tuple[int, ...], Subspace]]:
     for comp in components(matroid_of(space)):
         drop = [i for i in range(space.n) if i not in comp]
         out.append((comp, project(space, drop) if drop else space))
-    rebuilt = out[0][1]
-    for _, piece in out[1:]:
-        rebuilt = product(rebuilt, piece)
+    rebuilt = reduce(product, (piece for _, piece in out))
     order = tuple(itertools.chain.from_iterable(comp for comp, _ in out))
     if rebuilt != permute(space, order):
         raise VerificationFailure("re-multiplied factors disagree with the space")

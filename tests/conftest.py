@@ -8,7 +8,7 @@ import pytest
 from clutterforge.gf import build_field
 from clutterforge.graphs import MultiGraph
 from clutterforge.verify import enumerate_subspaces
-from clutterforge.vspace import support
+from clutterforge.vspace import _monomial_generators, span, support
 
 
 @pytest.fixture(scope="session")
@@ -95,3 +95,52 @@ def random_multigraphs():
         graphs.append(MultiGraph(n, edges))
     graphs.append(MultiGraph(2, ((0, 1),) * 14))
     return graphs
+
+
+def _monomial_image_by_span(sigma, space):
+    """The image of the space under the relabeling sigma, built by span from the image rows."""
+    rows = []
+    for row in space.basis:
+        y = [0] * space.n
+        for i, v in enumerate(row):
+            j, b = sigma[(i, v)]
+            y[j] = b
+        rows.append(y)
+    return span(space.field, space.n, rows)
+
+
+def _monomial_orbits_by_subspaces(spaces):
+    """Monomial orbits by a BFS that builds every image as a Subspace through span.
+
+    Same contract as vspace.monomial_orbits: per subspace, the index of its
+    orbit's first subspace and the composed relabeling along the BFS path.
+    """
+    field, n = spaces[0].field, spaces[0].n
+    gens = _monomial_generators(field, n)
+    where = {space.basis: k for k, space in enumerate(spaces)}
+    orbits = [None] * len(spaces)
+    for k in range(len(spaces)):
+        if orbits[k] is not None:
+            continue
+        orbits[k] = (k, {(i, a): (i, a) for i in range(n) for a in range(field.q)})
+        queue = [k]
+        for cur in queue:
+            sigma = orbits[cur][1]
+            for g in gens:
+                j = where[_monomial_image_by_span(g, spaces[cur]).basis]
+                if orbits[j] is None:
+                    orbits[j] = (k, {e: g[sigma[e]] for e in sigma})
+                    queue.append(j)
+    return orbits
+
+
+@pytest.fixture(scope="session")
+def monomial_image_by_span():
+    """The span route to a monomial image, the reference for vspace.monomial_image."""
+    return _monomial_image_by_span
+
+
+@pytest.fixture(scope="session")
+def monomial_orbits_by_subspaces():
+    """The Subspace-building orbit search, the reference for vspace.monomial_orbits."""
+    return _monomial_orbits_by_subspaces

@@ -223,6 +223,8 @@ def test_import_loads_no_process_pool():
         (lambda: Clutter(5), TypeError),
         (lambda: Clutter((1, 2), 5), TypeError),
         (lambda: MultiGraph(3, 5), TypeError),
+        (lambda: Subspace(5, 2, ((1, 0),)), TypeError),
+        (lambda: Subspace(build_field(3), 2, 5), TypeError),
     ],
     ids=["non-rref-basis", "duplicate-labels", "duplicate-circuits", "empty-circuit",
          "nested-circuits", "elimination-fails", "edge-not-a-pair", "vertex-count-not-int",
@@ -231,7 +233,8 @@ def test_import_loads_no_process_pool():
          "circuit-not-a-set", "ambient-dimension-not-int", "ambient-dimension-bool",
          "basis-entry-bool", "vertex-count-bool", "ground-size-bool", "circuit-element-bool",
          "edge-endpoint-bool", "member-mask-bool", "ground-not-iterable",
-         "members-not-iterable", "edges-not-iterable"],
+         "members-not-iterable", "edges-not-iterable", "subspace-field-not-gf",
+         "basis-not-iterable"],
 )
 def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
     with pytest.raises(ClutterforgeError) as info:
@@ -342,6 +345,7 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
         (lambda: format_minor_certificate(5, {}), TypeError),
         (lambda: c5sq_witness(span(build_field(8), 3, [(1, 0, 1), (0, 1, 1)]), alpha=5), TypeError),
         (lambda: localization_profile(span(build_field(8), 3, [(1, 0, 1), (0, 1, 1)]), 5), TypeError),
+        (lambda: span(5, 2, [(1, 0)]), TypeError),
     ],
     ids=["mult-non-subspace", "unknown-builtin", "unknown-matroid-target", "field-order-str",
          "field-order-float", "minor-element-not-int", "mfmc-negative-bound-sweep",
@@ -381,7 +385,8 @@ def test_constructor_errors_derive_from_clutterforge_error(build, builtin_type):
          "span-generator-not-a-sequence", "localization-point-not-a-sequence",
          "support-not-iterable", "clutter-product-not-a-clutter", "witness-point-not-a-sequence",
          "chain-specs-not-iterable", "parse-certificate-not-a-str", "format-certificate-not-a-spec",
-         "c5sq-alpha-not-a-sequence", "localization-profile-alpha-not-a-sequence"],
+         "c5sq-alpha-not-a-sequence", "localization-profile-alpha-not-a-sequence",
+         "span-field-not-gf"],
 )
 def test_lookup_and_type_errors_derive_from_clutterforge_error(call, builtin_type):
     with pytest.raises(ClutterforgeError) as info:

@@ -66,6 +66,7 @@ from clutterforge.verify import (
     verify_theorem,
 )
 from clutterforge.vspace import (
+    _is_semilinear,
     disjoint_support_basis,
     factor,
     monomial_image,
@@ -1028,6 +1029,18 @@ class TestMonomialOrbits:
             found.setdefault(r, set()).add(space.basis)
         assert len(found) == count
         assert {frozenset(bases) for bases in found.values()} == orbits_by_brute_force(spaces)
+
+    # GF(9)^3 is the first odd q whose generators include Frobenius
+    @pytest.mark.parametrize("q, n", [(2, 5), (3, 3), (4, 3), (5, 3), (9, 3)])
+    def test_orbits_match_the_subspace_search(
+        self, q, n, monomial_orbits_by_subspaces, monomial_image_by_span
+    ):
+        spaces = list(enumerate_subspaces(q, n))
+        orbits = monomial_orbits(spaces)
+        assert [r for r, _ in orbits] == [r for r, _ in monomial_orbits_by_subspaces(spaces)]
+        for space, (r, sigma) in zip(spaces, orbits):
+            assert _is_semilinear(sigma, space.field, n)
+            assert monomial_image_by_span(sigma, spaces[r]) == space
 
     def test_orbit_relabelings_compose_frobenius(self, f4):
         spaces = list(enumerate_subspaces(4, 4))

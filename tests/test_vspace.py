@@ -24,8 +24,10 @@ from clutterforge.vspace import (
     _is_rref,
     _rref,
     _support_line,
+    _zero_constrained,
     disjoint_support_basis,
     factor,
+    monomial_image,
     parse_subspace,
     permute,
     product,
@@ -154,6 +156,58 @@ class TestRref:
         ):
             with pytest.raises(ValueError):
                 Subspace(f3, 3, basis)
+
+
+class TestUncheckedResults:
+    """The operations store _rref's rows without the constructor's checks; each
+    result must be the Subspace that span builds from the rows it derives, and
+    its basis must pass those checks."""
+
+    @staticmethod
+    def assert_spans(out, field, n, rows):
+        expected = span(field, n, rows)
+        assert out == expected and hash(out) == hash(expected)
+        assert _is_rref(out.basis)
+        assert Subspace(field, n, out.basis) == out
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    def test_every_operation_matches_span(self, q):
+        f = build_field(q)
+        rng = random.Random(q)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            gens = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            space = span(f, n, gens)
+            assert Subspace(f, n, space.basis) == space
+            points = space.points()
+            coords = rng.sample(range(n), rng.randint(0, n))
+            cut = rng.randint(0, len(coords))
+            dels, cons = set(coords[:cut]), set(coords[cut:])
+            kept = [i for i in range(n) if i not in dels | cons]
+            if kept:
+                rows = [[row[i] for i in kept] for row in space.basis]
+                self.assert_spans(project(space, dels | cons), f, len(kept), rows)
+                rows = [[p[i] for i in kept] for p in points if not any(p[i] for i in dels)]
+                self.assert_spans(subspace_minor(space, dels, cons), f, len(kept), rows)
+            rows = [p for p in points if not any(p[i] for i in dels)]
+            self.assert_spans(_zero_constrained(space, dels), f, n, rows)
+            other = span(f, 2, [[rng.randrange(q) for _ in range(2)]])
+            rows = [row + (0, 0) for row in space.basis] + [(0,) * n + row for row in other.basis]
+            self.assert_spans(product(space, other), f, n + 2, rows)
+            order = rng.sample(range(n), n)
+            self.assert_spans(permute(space, order), f, n, [[row[c] for c in order] for row in space.basis])
+            scale = [rng.randrange(1, q) for _ in range(n)]
+            power = rng.randrange(f.k)
+            sigma = {
+                (i, a): (order[i], f.mul(scale[i], f.pow(a, f.p**power))) for i in range(n) for a in range(q)
+            }
+            rows = [[0] * n for _ in space.basis]
+            for y, row in zip(rows, space.basis):
+                for i, v in enumerate(row):
+                    y[order[i]] = f.mul(scale[i], f.pow(v, f.p**power))
+            self.assert_spans(monomial_image(sigma, space), f, n, rows)
+            for comp, piece in factor(space):
+                self.assert_spans(piece, f, len(comp), [[row[i] for i in comp] for row in space.basis])
 
 
 class TestEnumeratePoints:
